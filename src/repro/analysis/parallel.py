@@ -573,7 +573,8 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
     """One stage task: arrivals for the stage's output events + cost.
 
     All QWM cost is folded into a task-local accumulator, so thread
-    workers never touch shared mutable state.  A non-None ``clamp``
+    workers share no mutable state but the evaluator's DC pre-state
+    memo, whose racing writers store equal arrays.  A non-None ``clamp``
     (admission control under deadline pressure) degrades the arc math;
     clamped results may *read* the cache but are never stored — a
     deadline-starved run must not poison the shared cache with

@@ -519,8 +519,13 @@ def _counter_total(registry, name: str, **labels) -> float:
     return metric.value(**labels) if labels else metric.total()
 
 
-def _evaluate_single_arc(args: argparse.Namespace):
+def _evaluate_single_arc(args: argparse.Namespace,
+                         library: Optional[TableModelLibrary] = None):
     """Solve the one transition ``stats``/``profile`` target describes.
+
+    ``library`` reuses already-characterized tables (``profile
+    --repeat`` passes one library to every repeat); by default a fresh
+    one is built at ``--grid-step``.
 
     Returns ``(solution, circuit_name, output, switching_input)``.
     """
@@ -548,8 +553,9 @@ def _evaluate_single_arc(args: argparse.Namespace):
     for name in inputs_avail:
         sources.setdefault(name, ConstantSource(held))
 
-    library = TableModelLibrary(tech,
-                                grid_step=parse_value(args.grid_step))
+    if library is None:
+        library = TableModelLibrary(tech,
+                                    grid_step=parse_value(args.grid_step))
     evaluator = WaveformEvaluator(tech, library=library)
     solution = evaluator.evaluate(stage, output=output,
                                   direction=args.direction,
@@ -708,8 +714,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     else:
         args.deck = target
         workload = None
+        library = TableModelLibrary(CMOSP35,
+                                    grid_step=parse_value(args.grid_step))
         for _ in range(max(1, args.repeat)):
-            _, workload, _, _ = _evaluate_single_arc(args)
+            _, workload, _, _ = _evaluate_single_arc(args, library)
 
     ledger = prof.to_json()
     summary = summarize_profile(ledger)

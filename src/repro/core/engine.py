@@ -22,7 +22,9 @@ Example:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.circuit.netlist import LogicStage
 from repro.core.path import DischargePath, extract_path
@@ -57,10 +59,17 @@ class WaveformEvaluator:
                  options: Optional[QWMOptions] = None,
                  preflight: bool = False):
         self.tech = tech
-        self.library = library or TableModelLibrary(tech)
+        # An empty library is falsy (len 0); test against None so a
+        # caller's not-yet-characterized library (and its grid step)
+        # is the one used and filled.
+        self.library = (library if library is not None
+                        else TableModelLibrary(tech))
         self.options = options or QWMOptions()
         self.preflight = preflight
         self._preflighted: set = set()
+        # Converged DC pre-states by StageEquations.dc_key (see
+        # _dc_initial); lives as long as the evaluator.
+        self._dc_memo: Dict[Tuple[Tuple, bytes], np.ndarray] = {}
 
     def _preflight_stage(self, stage: LogicStage) -> None:
         """Lint a stage once (keyed by identity) before solving it."""
@@ -136,11 +145,16 @@ class WaveformEvaluator:
     def _dc_initial(self, path: DischargePath,
                     inputs: Dict[str, SourceLike],
                     t_start: float) -> Dict[str, float]:
-        """Pre-switching DC operating point of the full stage."""
+        """Pre-switching DC operating point of the full stage.
+
+        Each distinct DC problem is solved once per evaluator: the
+        solution is a pure function of :meth:`StageEquations.dc_key`,
+        so repeated sensitizations and isomorphic stages reuse it bit
+        for bit.  The memo is bypassed while a fault plan is installed,
+        so armed Newton faults count the same calls as without it.
+        """
         from repro.spice.dc import logic_initial_condition, solve_dc
         from repro.spice.mna import StageEquations
-
-        import numpy as np
 
         stage = path.stage
         sources = {k: as_source(v) for k, v in inputs.items()}
@@ -150,19 +164,26 @@ class WaveformEvaluator:
         equations = StageEquations(stage, self.tech)
         seed = logic_initial_condition(stage, levels)
         guess = np.array([seed[name] for name in equations.node_names])
-        try:
-            solution = solve_dc(equations, levels, initial_guess=guess)
-        except (NewtonConvergenceError, np.linalg.LinAlgError,
-                FloatingPointError, ZeroDivisionError,
-                OverflowError) as exc:
-            # A pathological bias (usually a floating pass-transistor
-            # net) can defeat the DC continuation; the analytic
-            # threshold-degraded estimate is the robust fallback.
-            # Only numerical failures are absorbed — a TypeError or a
-            # bad stage description must surface, not silently
-            # degrade the initial condition.
-            inc("engine.dc_fallback", exc=type(exc).__name__)
-            return self.default_initial(path, "degraded")
+        key = (equations.dc_key(levels, guess)
+               if faults.active_plan() is None else None)
+        solution = self._dc_memo.get(key) if key is not None else None
+        if solution is None:
+            try:
+                solution = solve_dc(equations, levels,
+                                    initial_guess=guess)
+            except (NewtonConvergenceError, np.linalg.LinAlgError,
+                    FloatingPointError, ZeroDivisionError,
+                    OverflowError) as exc:
+                # A pathological bias (usually a floating pass-
+                # transistor net) can defeat the DC continuation; the
+                # analytic threshold-degraded estimate is the robust
+                # fallback.  Only numerical failures are absorbed — a
+                # TypeError or a bad stage description must surface,
+                # not silently degrade the initial condition.
+                inc("engine.dc_fallback", exc=type(exc).__name__)
+                return self.default_initial(path, "degraded")
+            if key is not None:
+                self._dc_memo[key] = solution
         return {name: float(solution[equations.node_index(name)])
                 for name in path.node_names}
 
@@ -192,9 +213,12 @@ class WaveformEvaluator:
                 span("engine.evaluate", stage=stage.name, output=output,
                      direction=direction):
             self._preflight_stage(stage)
-            path = self.extract(stage, output, direction, inputs)
-            start = self.default_initial(path, precharge, inputs=inputs,
-                                         t_start=t_start)
+            with profile_phase("engine.extract"):
+                path = self.extract(stage, output, direction, inputs)
+            with profile_phase("engine.initial", tag=precharge):
+                start = self.default_initial(path, precharge,
+                                             inputs=inputs,
+                                             t_start=t_start)
             if initial is not None:
                 start.update(initial)
             solver = QWMSolver(path, self.options)

@@ -176,18 +176,22 @@ class CharacterizationGrid:
         return 7 * self.vs_values.size * self.vg_values.size
 
 
-def _conduction_query(model: MosfetModel, vdd: float, w: float, l: float,
-                      vg_f: float, vs_f: float, vd_f: float) -> float:
-    """Forward current in the conduction frame (NMOS-like, ``vd_f >= vs_f``).
+def _conduction_currents(model: MosfetModel, vdd: float, w: float,
+                         l: float, vg_f: float, vs_f: float,
+                         vd_f: np.ndarray) -> np.ndarray:
+    """Forward currents in the conduction frame (NMOS-like, ``vd_f >= vs_f``).
 
     For NMOS the frame is the identity.  For PMOS, frame voltage ``u``
     maps to actual voltage ``vdd - u``; the frame drain (high frame
     voltage) is the actual *low* node, so the frame-forward current is
     the current flowing out of the actual high node into the low one.
+    One array call samples a grid point's whole Vd sweep, bit-identical
+    to querying :meth:`MosfetModel.ids` per sample.
     """
     if model.polarity == "n":
-        return model.ids(w, l, vg_f, v_src=vd_f, v_snk=vs_f)
-    return model.ids(w, l, vdd - vg_f, v_src=vdd - vs_f, v_snk=vdd - vd_f)
+        return model.ids_array(w, l, vg_f, v_src=vd_f, v_snk=vs_f)
+    return model.ids_array(w, l, vdd - vg_f, v_src=vdd - vs_f,
+                           v_snk=vdd - vd_f)
 
 
 def _conduction_threshold(model: MosfetModel, vdd: float, vs_f: float) -> float:
@@ -245,11 +249,9 @@ def characterize_device(model: MosfetModel, tech: Technology,
             vds_samples = np.unique(
                 np.clip(np.append(base, [vdsat, min(vdsat * 0.5, vds_max)]),
                         0.0, vds_max))
-            ids_samples = [
-                _conduction_query(model, vdd, w, l, float(vg_f),
-                                  float(vs_f), float(vs_f + vds))
-                for vds in vds_samples
-            ]
+            ids_samples = _conduction_currents(
+                model, vdd, w, l, float(vg_f), float(vs_f),
+                vs_f + vds_samples)
             row.append(fit_iv_curve(vds_samples, ids_samples, vth, vdsat))
         fits.append(row)
 

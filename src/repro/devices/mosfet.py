@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.devices.technology import MosParams, Technology
 
 
@@ -112,6 +114,51 @@ def _forward(params: MosParams, lref: float, w: float, l: float,
     gm = dI_dvgt * dvgt
     gmb = -dI_dvgt * dvgt * dvth_dvsb
     return i, gm, gds, gmb, vth, vdsat, saturated
+
+
+def _forward_current(params: MosParams, lref: float, w: float, l: float,
+                     vgs, vds: np.ndarray, vsb) -> np.ndarray:
+    """Array twin of :func:`_forward`'s current, elementwise over ``vds``.
+
+    Every float operation runs in :func:`_forward`'s order, so each
+    element is bit-identical to the scalar result; both branches are
+    evaluated and the region test picks one per element.
+    """
+    vsb_clamped = np.maximum(vsb, 0.0)
+    sqrt_term = np.sqrt(params.phi + vsb_clamped)
+    vth = params.vth0 + params.gamma * (sqrt_term - math.sqrt(params.phi))
+
+    delta = params.smoothing
+    vgt_raw = vgs - vth
+    root = np.sqrt(vgt_raw * vgt_raw + 4.0 * delta * delta)
+    vgt = 0.5 * (vgt_raw + root)
+
+    beta = params.kp * (w / l)
+    ecl = params.ecrit * l
+    lam = params.lambda_ * (lref / l)
+
+    sat_root = np.sqrt(1.0 + 2.0 * vgt / ecl)
+    vdsat = ecl * (sat_root - 1.0)
+
+    clm = 1.0 + lam * vds
+    u = vgt * vds - 0.5 * vds * vds
+    d = 1.0 + vds / ecl
+    i_triode = (beta * u / d) * clm
+    u_star = vgt * vdsat - 0.5 * vdsat * vdsat
+    d_star = 1.0 + vdsat / ecl
+    i_sat = (beta * u_star / d_star) * clm
+    return np.where(vds <= vdsat, i_triode, i_sat)
+
+
+def _ncore_current(params: MosParams, lref: float, w: float, l: float,
+                   v_gate, v_src, v_snk, v_bulk: float) -> np.ndarray:
+    """Array twin of ``_ncore(...).ids`` with the same terminal swap."""
+    forward = v_src >= v_snk
+    vgs = np.where(forward, v_gate - v_snk, v_gate - v_src)
+    vds = np.where(forward, v_src - v_snk, v_snk - v_src)
+    vsb = np.where(forward, v_snk - v_bulk, v_src - v_bulk)
+    i = _forward_current(params, lref, w, l, vgs, vds, vsb)
+    return np.where(forward, i, -i)
 
 
 def _ncore(params: MosParams, lref: float, w: float, l: float,
@@ -210,6 +257,21 @@ class MosfetModel:
             v_src: float, v_snk: float) -> float:
         """Channel current from the src node to the snk node [A]."""
         return self.evaluate(w, l, v_gate, v_src, v_snk).ids
+
+    def ids_array(self, w: float, l: float, v_gate, v_src,
+                  v_snk) -> np.ndarray:
+        """:meth:`ids` over broadcast arrays of node voltages.
+
+        Bit-identical to calling :meth:`ids` per element: the same
+        operation order, terminal swap and PMOS mirroring, in numpy.
+        """
+        if w <= 0 or l <= 0:
+            raise ValueError("device geometry must be positive")
+        if self.polarity == "n":
+            return _ncore_current(self.params, self.lref, w, l,
+                                  v_gate, v_src, v_snk, self.v_bulk)
+        return -_ncore_current(self.params, self.lref, w, l,
+                               -v_gate, -v_src, -v_snk, -self.v_bulk)
 
     def threshold(self, v_source: float) -> float:
         """Threshold voltage magnitude for a given effective-source voltage.

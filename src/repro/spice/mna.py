@@ -135,6 +135,36 @@ class StageEquations:
         """Index of an internal node in the unknown vector."""
         return self._index[name]
 
+    def dc_key(self, gate_values: Dict[str, float],
+               guess: np.ndarray) -> Tuple[Tuple, bytes]:
+        """Hashable key of everything the DC solvers read.
+
+        :func:`repro.spice.dc.solve_dc` and its pseudo-transient
+        fallback see the stage only through :meth:`static_residual` and
+        :meth:`node_capacitances`.  Those read vdd, the ordered
+        transistors (polarity, W, L, gate level, terminal indices; the
+        gate-coupling caps follow from these), the wires (R, indices),
+        the fixed node caps and junction lists — and the solve starts
+        from ``guess``.  The key holds exactly these, with every float
+        as its exact bytes, and no node names: stages that are
+        isomorphic and identically ordered share a key.  The technology
+        is not in the key; memoize per technology.
+        """
+        structure = (
+            self.voltage_dependent_caps,
+            tuple((t.model.polarity, t.src_index, t.snk_index)
+                  for t in self._transistors),
+            tuple((wire.src_index, wire.snk_index) for wire in self._wires),
+            tuple(tuple(kind.polarity for kind, _ in node)
+                  for node in self._junctions))
+        values = [self.vdd]
+        for t in self._transistors:
+            values += (t.w, t.l, gate_values[t.gate])
+        values += [wire.resistance for wire in self._wires]
+        values += [width for node in self._junctions for _, width in node]
+        floats = np.concatenate([values, self._fixed_cap, guess])
+        return structure, floats.tobytes()
+
     def _voltage(self, v: np.ndarray, index: int) -> float:
         if index == self.VDD_INDEX:
             return self.vdd

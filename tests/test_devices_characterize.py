@@ -106,3 +106,57 @@ class TestCharacterizationGrid:
                 vs_values=np.array([0.0, 1.0]),
                 vg_values=np.array([0.0, 1.0]),
                 fits=[[None]])
+
+
+def _scalar_sweep_grid(model, tech):
+    """Oracle: the characterization sweep with one golden call per Vd."""
+    w, l, vdd = 2.0 * tech.wmin, tech.lmin, tech.vdd
+    grid_step, vds_step = 0.1, 0.05
+    axis = np.round(np.arange(0.0, vdd + 0.5 * grid_step, grid_step), 9)
+    rows = []
+    for vs_f in axis:
+        vds_max = max(vdd - vs_f, grid_step)
+        base = np.arange(0.0, vds_max + 0.5 * vds_step, vds_step)
+        row = []
+        for vg_f in axis:
+            if model.polarity == "n":
+                vth = model.threshold(float(vs_f))
+                vdsat = model.vdsat(w, l, float(vg_f),
+                                    v_src=float(vs_f) + max(vdd - vs_f, 0.1),
+                                    v_snk=float(vs_f))
+            else:
+                vth = model.threshold(vdd - float(vs_f))
+                vd_probe = float(vs_f) + max(vdd - vs_f, 0.1)
+                vdsat = model.vdsat(w, l, vdd - float(vg_f),
+                                    v_src=vdd - vd_probe,
+                                    v_snk=vdd - float(vs_f))
+            vds_samples = np.unique(
+                np.clip(np.append(base, [vdsat, min(vdsat * 0.5, vds_max)]),
+                        0.0, vds_max))
+            ids = []
+            for vds in vds_samples:
+                vd_f = float(vs_f + vds)
+                if model.polarity == "n":
+                    ids.append(model.ids(w, l, float(vg_f), v_src=vd_f,
+                                         v_snk=float(vs_f)))
+                else:
+                    ids.append(model.ids(w, l, vdd - float(vg_f),
+                                         v_src=vdd - float(vs_f),
+                                         v_snk=vdd - vd_f))
+            fit = fit_iv_curve(vds_samples, ids, vth, vdsat)
+            row.append([fit.s1, fit.s0, fit.t2, fit.t1, fit.t0, fit.vth,
+                        fit.vdsat])
+        rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+def test_array_sweep_grid_bit_identical_to_scalar_sweep(library,
+                                                        polarity):
+    """The array-sampled Vd sweep fits exactly the parent's tables."""
+    grid = library.get(polarity).grid
+    got = np.array([[[f.s1, f.s0, f.t2, f.t1, f.t0, f.vth, f.vdsat]
+                     for f in row] for row in grid.fits])
+    expected = _scalar_sweep_grid(library.golden(polarity), TECH)
+    assert got.shape == expected.shape == (34, 34, 7)
+    assert got.tobytes() == expected.tobytes()

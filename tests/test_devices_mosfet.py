@@ -152,3 +152,47 @@ class TestDerivatives:
         with pytest.raises(ValueError):
             MosfetModel(polarity="x", params=TECH.nmos, lref=TECH.lmin,
                         v_bulk=0.0)
+
+
+def _bias_points(model):
+    """Node voltages (gate, src, snk) covering every current branch.
+
+    Built in the NMOS frame and mirrored about vdd for PMOS: cutoff,
+    triode, saturation, vds = 0, vds exactly at vdsat (vsb = 0, so
+    vds = v_src - 0 is exact) and the same biases with the terminals
+    swapped.
+    """
+    vdd = TECH.vdd
+    n_model = nmos_model(TECH)
+    vdsat = n_model.vdsat(W, L, 2.5, v_src=vdd, v_snk=0.0)
+    forward = [
+        (0.2, 2.0, 0.0),      # cutoff
+        (3.3, 0.3, 0.0),      # triode
+        (3.3, 3.3, 0.0),      # saturation
+        (2.0, 1.1, 0.6),      # saturation with body effect
+        (3.3, 1.5, 1.5),      # vds = 0
+        (2.5, vdsat, 0.0),    # vds = vdsat
+    ]
+    points = forward + [(g, b, a) for g, a, b in forward]
+    if model.polarity == "p":
+        points = [tuple(vdd - v for v in p) for p in points]
+    return np.array(points)
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+def test_ids_array_bit_identical_to_scalar(polarity):
+    model = nmos_model(TECH) if polarity == "n" else pmos_model(TECH)
+    gate, src, snk = _bias_points(model).T
+    scalar = np.array([model.ids(W, L, g, a, b)
+                       for g, a, b in zip(gate, src, snk)])
+    array = model.ids_array(W, L, gate, src, snk)
+    assert array.tobytes() == scalar.tobytes()
+    # The cases really cover both branches and both orientations.
+    ops = [model.evaluate(W, L, g, a, b) for g, a, b in zip(gate, src, snk)]
+    assert {op.saturated for op in ops} == {True, False}
+    assert {op.swapped for op in ops} == {True, False}
+
+
+def test_ids_array_rejects_bad_geometry(nmos):
+    with pytest.raises(ValueError):
+        nmos.ids_array(0.0, L, 1.0, np.array([1.0]), np.array([0.0]))

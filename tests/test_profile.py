@@ -248,6 +248,33 @@ def test_thread_backend_counts_match_serial(tech, library,
     assert solver_ops(threaded) == solver_ops(serial)
 
 
+def test_engine_extract_and_initial_once_per_evaluate(tech, library,
+                                                     decoder_graph):
+    """Path extraction and the initial state are their own phases.
+
+    Every ``engine.evaluate`` frame of a profiled decoder STA holds one
+    ``engine.extract`` and one ``engine.initial:dc`` child (STA arcs
+    start from the DC pre-state), whether the pre-state was solved or
+    came from the evaluator's memo.
+    """
+    configure_profile(ProfileConfig(enabled=True))
+    try:
+        StaticTimingAnalyzer(tech, library=library).analyze(decoder_graph)
+        ledger = profiler().drain()
+    finally:
+        disable_profile()
+    calls = {}
+    for cell in ledger["cells"]:
+        path = tuple(cell["path"])
+        if path[-1].startswith("engine.evaluate:"):
+            calls[path] = calls.get(path, 0) + cell["calls"]
+    assert calls
+    cells = _cells_by_path(ledger)
+    for path, evaluates in calls.items():
+        assert cells[path + ("engine.extract",)]["calls"] == evaluates
+        assert cells[path + ("engine.initial:dc",)]["calls"] == evaluates
+
+
 @pytest.mark.slow
 def test_process_backend_counts_match_serial_and_repeat(
         tech, library, decoder_graph):
@@ -425,6 +452,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "workload: inverter" in out
         assert "self" in out and "engine.evaluate:inv" in out
+
+    @pytest.mark.parametrize("direction,polarity",
+                             [("fall", "n"), ("rise", "p")])
+    def test_profile_repeat_characterizes_once(self, capsys, direction,
+                                               polarity):
+        """``--repeat`` reuses one library: the arc's pull-path table
+        is characterized once, not once per repeat."""
+        code = main(["profile", "--circuit", "inverter",
+                     "--direction", direction, "--grid-step", "0.4",
+                     "--repeat", "3", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        characterized = {}
+        for cell in doc["ledger"]["cells"]:
+            label = cell["path"][-1]
+            if label.startswith("device.characterize"):
+                characterized[label] = (characterized.get(label, 0)
+                                        + cell["calls"])
+        assert characterized == {f"device.characterize:{polarity}": 1}
+        evaluates = sum(cell["calls"] for cell in doc["ledger"]["cells"]
+                        if cell["path"][-1].startswith("engine.evaluate"))
+        assert evaluates == 3
 
     def test_global_profile_flag_writes_speedscope(self, tmp_path,
                                                    capsys):
