@@ -2,15 +2,16 @@
 
 Timing closure loops edit one device at a time and re-time the design.
 With per-arc caching, only the edited stage and its loading-affected
-driver need fresh QWM evaluations.  This bench times a full analysis of
-an inverter/NAND chain versus the incremental re-analysis after a
-single transistor resize and reports the arc-evaluation counts.
+driver need fresh QWM evaluations.  This bench times a full, uncached
+analysis of an inverter/NAND chain (every arc solved) versus the
+incremental re-analysis after a single transistor resize and reports
+the arc-evaluation counts.
 """
 
 import pytest
 
 from benchmarks.harness import format_table, run_once, save_result
-from repro.analysis import IncrementalTimer
+from repro.analysis import IncrementalTimer, StaticTimingAnalyzer
 from repro.circuit import extract_stages
 from repro.circuit.netlist import GND_NODE, VDD_NODE
 from repro.circuit.stage import FlatNetlist
@@ -60,10 +61,14 @@ def test_incremental_resize_speedup(benchmark, tech, library):
     timer = IncrementalTimer(tech, graph, library=library)
 
     def experiment():
-        t0 = time.perf_counter()
+        # The timer's first pass already serves isomorphic stages from
+        # its cache, so the full analysis timed is an uncached analyzer
+        # that solves every arc.
         first = timer.analyze()
+        full_arcs = timer.last_stats.total
+        t0 = time.perf_counter()
+        StaticTimingAnalyzer(tech, library=library).analyze(graph)
         t_full = time.perf_counter() - t0
-        full_arcs = timer.last_stats.arcs_evaluated
 
         # Resize one NMOS in the last stage and re-time.
         last = graph.stage_of_net["y"]

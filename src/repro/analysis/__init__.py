@@ -34,7 +34,6 @@ from repro.analysis.sta import (
 from repro.analysis.incremental import (
     IncrementalStats,
     IncrementalTimer,
-    stage_signature,
 )
 from repro.analysis.parallel import (
     CanonicalForm,
@@ -78,7 +77,6 @@ __all__ = [
     "StaResult",
     "IncrementalStats",
     "IncrementalTimer",
-    "stage_signature",
     "CanonicalForm",
     "ExecutionConfig",
     "ParallelStaEngine",

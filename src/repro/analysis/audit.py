@@ -202,7 +202,7 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
                                  stats=qwm_stats)
     qwm_delay = arc[0] if arc is not None else None
     qwm_slew = arc[1] if arc is not None else None
-    quality = (arc[2] if arc is not None and len(arc) > 2 else None)
+    quality = arc[2] if arc is not None else None
     ref_stats = SimulationStats()
     reference = adaptive_spice_arc(
         analyzer, stage, sample.output, sample.direction,

@@ -1,12 +1,15 @@
 """Incremental static timing analysis.
 
-A full STA re-evaluates every stage arc with QWM.  After a local design
+A full STA evaluates every stage arc with QWM.  After a local design
 edit (a transistor resize, a load change), only the touched stages —
 the edited stage itself plus any upstream driver whose output load
-changed — need fresh evaluations; every other arc delay is still valid.
-:class:`IncrementalTimer` caches arc delays keyed by a structural
-signature of each stage and re-propagates arrival times (a cheap graph
-pass) after invalidating just the dirty entries.
+changed — need fresh evaluations; every other arc is still valid.
+:class:`IncrementalTimer` re-runs the analysis against one
+:class:`repro.analysis.parallel.StageResultCache` that lives as long as
+the timer.  The cache key is the stage's canonical form, which holds
+the device geometry and the node loads, so an edited stage simply has a
+new key: there is nothing to invalidate, and an undone edit hits the
+entries solved before it.
 
 This is where transistor-level STA pays off in practice: the per-stage
 evaluation is the expensive step, and QWM already makes it cheap; the
@@ -16,32 +19,24 @@ incremental layer avoids repeating even that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional
 
+from repro.analysis.parallel import StageResultCache
 from repro.analysis.sta import Event, StaResult, StaticTimingAnalyzer
-from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
 from repro.devices.capacitance import gate_capacitance
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
 
-ArcKey = Tuple[str, str, str, str]  # stage, output, direction, input
-
-
-def stage_signature(stage: LogicStage) -> Tuple:
-    """A hashable structural fingerprint of a stage (geometry + loads)."""
-    edges = tuple(sorted(
-        (e.name, e.kind.value, e.src.name, e.snk.name,
-         round(e.w, 15), round(e.l, 15), e.gate_input or "")
-        for e in stage.edges))
-    loads = tuple(sorted((n.name, round(n.load_cap, 21))
-                         for n in stage.internal_nodes))
-    return edges, loads
-
 
 @dataclass
 class IncrementalStats:
-    """Bookkeeping for one analysis pass."""
+    """Bookkeeping for one analysis pass.
+
+    Attributes:
+        arcs_evaluated: arcs solved in this pass (stage-cache misses).
+        arcs_cached: arcs served from the stage cache (hits).
+    """
 
     arcs_evaluated: int = 0
     arcs_cached: int = 0
@@ -52,7 +47,7 @@ class IncrementalStats:
 
 
 class IncrementalTimer:
-    """STA with per-arc delay caching and edit-driven invalidation.
+    """STA that re-runs against one stage-result cache after edits.
 
     Args:
         tech: process technology.
@@ -65,9 +60,9 @@ class IncrementalTimer:
                  library: Optional[TableModelLibrary] = None):
         self.tech = tech
         self.graph = graph
-        self.analyzer = StaticTimingAnalyzer(tech, library=library)
-        self._delay_cache: Dict[ArcKey, Optional[float]] = {}
-        self._signatures: Dict[str, Tuple] = {}
+        self.cache = StageResultCache()
+        self.analyzer = StaticTimingAnalyzer(tech, library=library,
+                                             cache=self.cache)
         self.last_stats = IncrementalStats()
 
     # ------------------------------------------------------------------
@@ -76,41 +71,13 @@ class IncrementalTimer:
     def analyze(self,
                 input_arrivals: Optional[Dict[Event, float]] = None
                 ) -> StaResult:
-        """Run STA, reusing every cached arc whose stage is unchanged."""
-        stats = IncrementalStats()
-        for stage in self.graph.stages:
-            signature = stage_signature(stage)
-            if self._signatures.get(stage.name) != signature:
-                self._invalidate_stage(stage.name)
-                self._signatures[stage.name] = signature
-
-        original = self.analyzer.stage_delay
-
-        def cached_delay(stage: LogicStage, output: str,
-                         out_direction: str, switching_input: str
-                         ) -> Optional[float]:
-            key = (stage.name, output, out_direction, switching_input)
-            if key in self._delay_cache:
-                stats.arcs_cached += 1
-                return self._delay_cache[key]
-            value = original(stage, output, out_direction,
-                             switching_input)
-            self._delay_cache[key] = value
-            stats.arcs_evaluated += 1
-            return value
-
-        self.analyzer.stage_delay = cached_delay  # type: ignore
-        try:
-            result = self.analyzer.analyze(self.graph, input_arrivals)
-        finally:
-            self.analyzer.stage_delay = original  # type: ignore
-        self.last_stats = stats
+        """Run STA, reusing every cached arc of an unchanged stage form."""
+        hits, misses = self.cache.hits, self.cache.misses
+        result = self.analyzer.analyze(self.graph, input_arrivals)
+        self.last_stats = IncrementalStats(
+            arcs_evaluated=self.cache.misses - misses,
+            arcs_cached=self.cache.hits - hits)
         return result
-
-    def _invalidate_stage(self, stage_name: str) -> None:
-        stale = [key for key in self._delay_cache if key[0] == stage_name]
-        for key in stale:
-            del self._delay_cache[key]
 
     # ------------------------------------------------------------------
     # Edits
@@ -120,8 +87,7 @@ class IncrementalTimer:
         """Resize a device; dirties the stage and upstream drivers.
 
         The gate of the resized device loads whichever stage drives its
-        input net, so that driver's output load is adjusted and its
-        arcs invalidated too.
+        input net, so that driver's output load is adjusted too.
         """
         if new_width <= 0:
             raise ValueError("width must be positive")
@@ -138,7 +104,6 @@ class IncrementalTimer:
             delta = (gate_capacitance(params, new_width, edge.l)
                      - gate_capacitance(params, old_width, edge.l))
             driver.node(gate_net).load_cap += delta
-        # Signatures change automatically; analyze() notices.
 
     def set_load(self, net: str, cap: float) -> None:
         """Change a net's external load (dirties its driver stage)."""

@@ -4,23 +4,27 @@ The paper's pitch is that a K-transistor stage costs K small algebraic
 solves instead of thousands of SPICE steps; this module amortizes that
 across whole-graph analysis in two orthogonal ways:
 
-* **Scheduling** — :class:`ParallelStaEngine` dispatches the levelized
-  stage graph onto a worker pool (``concurrent.futures`` thread or
-  process backends behind one :class:`ExecutionConfig`).  Dispatch is
-  dependency-aware: a stage is submitted as soon as every fanin stage
-  has merged its arrival waveforms, not when its whole level barrier
-  clears.  Workers change *scheduling only*: every arc is evaluated by
-  :func:`repro.analysis.sta.compute_stage_arrivals` — the same function
-  the serial loop runs — so arrival times are identical to the serial
-  engine bit for bit.
+* **Scheduling** — :class:`ParallelStaEngine` is the only STA
+  scheduler: :meth:`repro.analysis.sta.StaticTimingAnalyzer.analyze`
+  always runs it.  It walks the levelized stage graph in-process (the
+  serial backend) or dispatches it onto a worker pool
+  (``concurrent.futures`` thread or process backends behind one
+  :class:`ExecutionConfig`).  Pooled dispatch is dependency-aware: a
+  stage is submitted as soon as every fanin stage has merged its
+  arrival waveforms, not when its whole level barrier clears.  Workers
+  change *scheduling only*: every arc is evaluated by
+  :func:`repro.analysis.sta.compute_stage_arrivals` on every backend, so
+  arrival times are identical across backends bit for bit.
 
 * **Stage-result caching** — :class:`StageResultCache` memoizes arc
-  results ``(delay, output_slew)`` keyed by a canonical hash of stage
-  topology, device geometry, loads, technology, solver options and the
-  (optionally bucketed) input slew.  Repeated gate configurations — the
-  common case in decoders and the Table-1 gate set — are solved once.
-  Hit/miss counts feed the ``sta.cache`` metric in :mod:`repro.obs`,
-  and the cache can persist to an on-disk JSON store.
+  results ``(delay, output_slew, quality)`` keyed by a canonical hash of
+  stage topology, device geometry, loads, technology, solver options and
+  the (optionally bucketed) input slew.  Repeated gate configurations —
+  the common case in decoders and the Table-1 gate set — are solved
+  once, and :class:`repro.analysis.incremental.IncrementalTimer` re-times
+  an edited design against the same cache.  Hit/miss counts feed the
+  ``sta.cache`` metric in :mod:`repro.obs`, and the cache can persist to
+  an on-disk JSON store.
 
 Correctness is scheduler-independent by construction: arc math never
 reads scheduler state, a stage only runs once its fanins are final, and
@@ -488,9 +492,7 @@ class StageResultCache:
             raise ValueError("no store path configured")
         with self._lock:
             entries = {f"{fp}/{arc}": (None if value is None
-                                       else [value[0], value[1],
-                                             (value[2] if len(value) > 2
-                                              else None)])
+                                       else list(value))
                        for (fp, arc), value in self._data.items()}
         directory = os.path.dirname(os.path.abspath(target))
         os.makedirs(directory, exist_ok=True)
@@ -737,7 +739,7 @@ class ParallelStaEngine:
     def run(self, graph: StageGraph,
             input_arrivals: Optional[Dict[Event, float]] = None
             ) -> StaResult:
-        """Run STA over the graph; arrivals match the serial engine."""
+        """Run STA over the graph; arrivals match on every backend."""
         analyzer = self.analyzer
         config = self.config
         primary_slew = (analyzer.input_slew

@@ -52,18 +52,15 @@ Event = Tuple[str, str]
 _NULL_CTX = nullcontext()
 
 #: One evaluated arc: (delay, output_slew, quality) where quality is a
-#: rung tag from :data:`repro.resilience.ladder.QUALITY_ORDER` (None
-#: from arc sources that predate the ladder, e.g. memoized wrappers).
+#: rung tag from :data:`repro.resilience.ladder.QUALITY_ORDER`.
 Arc = Tuple[float, Optional[float], Optional[str]]
 
 #: Arc evaluation callback: (stage, output, out_direction, input,
-#: input_slew) -> (delay, output_slew, quality) or None.  The
-#: scheduler-agnostic per-stage arrival computation is written against
-#: this signature so the serial loop and the parallel workers share one
-#: implementation; legacy two-element tuples are still accepted (their
-#: quality reads as None).
+#: input_slew) -> (delay, output_slew, quality) or None.  The per-stage
+#: arrival computation is written against this signature so every
+#: backend of the engine, cached or not, runs one implementation.
 ArcFn = Callable[[LogicStage, str, str, str, Optional[float]],
-                 Optional[Tuple]]
+                 Optional[Arc]]
 
 
 @dataclass(frozen=True)
@@ -148,12 +145,12 @@ def compute_stage_arrivals(stage: LogicStage,
     """Worst arrival of every output event of one stage.
 
     The single-input-switching recursion for one stage, written against
-    an :data:`ArcFn` so every scheduler (the serial loop, the thread and
-    process workers of :mod:`repro.analysis.parallel`, cached or not)
-    runs exactly the same arithmetic.  ``arrivals`` is only read; newly
-    computed events are visible to later outputs of the *same* stage
-    (matching the serial evaluation order for stages that consume their
-    own outputs), and the caller merges the returned mapping.
+    an :data:`ArcFn` so every backend of :mod:`repro.analysis.parallel`
+    (serial, thread or process workers, cached or not) runs exactly the
+    same arithmetic.  ``arrivals`` is only read; newly computed events
+    are visible to later outputs of the *same* stage (matching the
+    serial evaluation order for stages that consume their own outputs),
+    and the caller merges the returned mapping.
     """
     computed: Dict[Event, ArrivalTime] = {}
 
@@ -177,8 +174,7 @@ def compute_stage_arrivals(stage: LogicStage,
                              input_name, input_slew)
                 if arc is None:
                     continue
-                delay, out_slew = arc[0], arc[1]
-                quality = arc[2] if len(arc) > 2 else None
+                delay, out_slew, quality = arc
                 t = src.time + delay
                 if best is None or t > best.time:
                     best = ArrivalTime(
@@ -281,13 +277,18 @@ class StaticTimingAnalyzer:
                 :class:`repro.lint.PreflightError` on error-severity
                 findings before evaluating any arc.
             execution: optional :class:`repro.analysis.parallel.
-                ExecutionConfig`; when given (or when ``cache`` is
-                given), :meth:`analyze` runs through the parallel
-                engine — workers change scheduling only, never the
-                arithmetic, so arrivals match the serial path exactly.
+                ExecutionConfig` for :meth:`analyze`, which always runs
+                the :class:`repro.analysis.parallel.ParallelStaEngine`
+                (None: the serial backend, no budget, no journal).
+                Workers change scheduling only, never the arithmetic,
+                so arrivals are the same on every backend.
             cache: optional shared
-                :class:`repro.analysis.parallel.StageResultCache`
-                reused across analyzers/runs for stage-result reuse.
+                :class:`repro.analysis.parallel.StageResultCache`: an
+                arc whose canonical stage form, output, direction,
+                input and slew were solved before (by this or any
+                analyzer sharing the cache, on any isomorphic stage) is
+                served from it, quality tag included.  None with a
+                caching ``execution`` gives each run a private cache.
             resilience: escalation policy for failed arc solves (see
                 :class:`repro.resilience.ladder.EscalationPolicy`).
                 Defaults to an enabled default-policy ladder — arcs
@@ -309,13 +310,6 @@ class StaticTimingAnalyzer:
         # Lazily built SPICE-rung-disabled ladder for the admission
         # controller's "no-spice" clamp (same analyzer, same retries).
         self._nospice_ladder: Optional[EscalationLadder] = None
-        # Quality tag of the most recent stage_arc (read by
-        # serial_arc_fn after routing through the patchable
-        # stage_delay, whose float-only signature predates quality).
-        self._last_quality: Optional[str] = None
-        # Accumulates per-arc QWM stats while analyze() runs (None
-        # outside a run, so standalone stage_arc calls skip it).
-        self._run_stats: Optional[SimulationStats] = None
 
     # ------------------------------------------------------------------
     def stage_arc(self, stage: LogicStage, output: str,
@@ -338,9 +332,8 @@ class StaticTimingAnalyzer:
 
         Args:
             stats: optional accumulator receiving the QWM cost of every
-                solve this arc performs.  Parallel workers pass a local
-                object here; without one the cost lands on the analyzer's
-                current :meth:`analyze` run (not thread-safe).
+                solve this arc performs (the engine passes one per stage
+                task); without one the cost is not recorded.
             clamp: admission-control clamp level (see
                 :mod:`repro.resilience.budget`): ``"no-spice"`` runs
                 the ladder with the SPICE rung disabled, ``"bound"``
@@ -358,7 +351,6 @@ class StaticTimingAnalyzer:
             source = StepSource(v0, v1, 0.0)
             t_input = 0.0
         arc_start = time.perf_counter()
-        self._last_quality = None
         fl = flight()
         arc_ctx = (fl.context(arc_input=switching_input)
                    if fl.enabled else _NULL_CTX)
@@ -401,7 +393,6 @@ class StaticTimingAnalyzer:
                 time.perf_counter() - arc_start)
         if result is None:
             return None
-        self._last_quality = result[2]
         inc("resilience.arc.quality", quality=result[2])
         return result
 
@@ -445,8 +436,6 @@ class StaticTimingAnalyzer:
             # including sensitizations rejected just below.
             if stats is not None:
                 stats.accumulate(candidate.stats)
-            elif self._run_stats is not None:
-                self._run_stats = self._run_stats + candidate.stats
             # A real arc starts on the far side of mid-rail: if the
             # DC pre-state already holds the output at its final
             # logic value, this sensitization produces no
@@ -469,14 +458,6 @@ class StaticTimingAnalyzer:
         fit = solution.output_waveform.tangent_ramp(vdd)
         out_slew = fit[1] if fit is not None else None
         return delay, out_slew
-
-    def stage_delay(self, stage: LogicStage, output: str,
-                    out_direction: str, switching_input: str
-                    ) -> Optional[float]:
-        """QWM step-driven delay of one arc, or None if not sensitizable."""
-        arc = self.stage_arc(stage, output, out_direction,
-                             switching_input)
-        return arc[0] if arc is not None else None
 
     def _sensitizing_level(self, stage: LogicStage, input_name: str,
                            out_direction: str) -> float:
@@ -553,66 +534,12 @@ class StaticTimingAnalyzer:
                 execution=self.execution)
             preflight(ctx, what="stage graph",
                       packs=("erc", "solver"))
-        if self.execution is not None or self.cache is not None:
-            from repro.analysis.parallel import (ExecutionConfig,
-                                                 ParallelStaEngine)
+        from repro.analysis.parallel import (ExecutionConfig,
+                                             ParallelStaEngine)
 
-            engine = ParallelStaEngine(
-                self, self.execution or ExecutionConfig(),
-                cache=self.cache)
-            with span("sta.analyze", stages=len(graph.stages),
-                      backend=engine.config.backend,
-                      workers=engine.config.workers):
-                return engine.run(graph, input_arrivals)
-        self._run_stats = SimulationStats()
-        try:
-            with span("sta.analyze", stages=len(graph.stages)):
-                result = self._analyze(graph, input_arrivals)
-            result.stats = self._run_stats
-        finally:
-            self._run_stats = None
-        return result
-
-    def serial_arc_fn(self, stats: Optional[SimulationStats] = None
-                      ) -> ArcFn:
-        """The arc evaluator the serial scheduler uses.
-
-        Step mode routes through :meth:`stage_delay` so wrappers that
-        patch it (e.g. :class:`repro.analysis.incremental.
-        IncrementalTimer`) keep intercepting arcs; slew mode goes
-        through :meth:`stage_arc` with the resolved input slew.
-        """
-        def arc_fn(stage: LogicStage, output: str, out_direction: str,
-                   switching_input: str, input_slew: Optional[float]
-                   ) -> Optional[Arc]:
-            if self.propagate_slews:
-                return self.stage_arc(stage, output, out_direction,
-                                      switching_input,
-                                      input_slew=input_slew,
-                                      stats=stats)
-            # Reset the stash first: a patched stage_delay that answers
-            # from its memo never reaches stage_arc, and a stale tag
-            # from the previous arc must not leak onto this one.
-            self._last_quality = None
-            delay = self.stage_delay(stage, output, out_direction,
-                                     switching_input)
-            if delay is None:
-                return None
-            return (delay, None, self._last_quality)
-        return arc_fn
-
-    def _analyze(self, graph: StageGraph,
-                 input_arrivals: Optional[Dict[Event, float]]
-                 ) -> StaResult:
-        primary_slew = self.input_slew if self.propagate_slews else None
-        arrivals, driven = primary_input_arrivals(
-            graph, input_arrivals, primary_slew)
-
-        with span("sta.levelize", stages=len(graph.stages)):
-            order = list(graph.topological_order())
-        arc_fn = self.serial_arc_fn()
-        for stage in order:
-            arrivals.update(compute_stage_arrivals(
-                stage, arrivals, arc_fn, self.propagate_slews,
-                self.input_slew))
-        return finalize_result(arrivals, driven)
+        engine = ParallelStaEngine(self, self.execution or ExecutionConfig(),
+                                   cache=self.cache)
+        with span("sta.analyze", stages=len(graph.stages),
+                  backend=engine.config.backend,
+                  workers=engine.config.workers):
+            return engine.run(graph, input_arrivals)

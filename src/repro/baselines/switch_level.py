@@ -77,7 +77,8 @@ class SwitchLevelTimer:
     def __init__(self, tech: Technology,
                  library: Optional[TableModelLibrary] = None):
         self.tech = tech
-        self.library = library or TableModelLibrary(tech)
+        self.library = (library if library is not None
+                        else TableModelLibrary(tech))
 
     def path_to_rc(self, path: DischargePath) -> RCTree:
         """Convert a pull path into the equivalent RC ladder."""

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis import StaticTimingAnalyzer
 from repro.baselines import SwitchLevelTimer, effective_resistance
 from repro.baselines.sc_iteration import SCOptions, SuccessiveChordsSimulator
 from repro.circuit import builders
+from repro.devices import TableModelLibrary
 from repro.spice import (
     ConstantSource,
     StepSource,
@@ -73,6 +75,17 @@ class TestSwitchLevel:
         est = SwitchLevelTimer(tech, library).estimate(
             st, "out", "fall", self._inputs(tech, 5))
         assert est.path_length == 5
+
+    def test_bound_arc_characterizes_the_analyzers_library(self, tech):
+        # An empty library is falsy (it has a __len__); the bound rung
+        # must still fill the analyzer's own library, at its grid.
+        library = TableModelLibrary(tech, grid_step=0.3)
+        analyzer = StaticTimingAnalyzer(tech, library=library)
+        arc = analyzer.stage_arc(builders.inverter(tech), "out", "fall",
+                                 "a", clamp="bound")
+        assert arc is not None and arc[2] == "bounded"
+        assert len(library) > 0
+        assert analyzer._ladder._switch_timer.library is library
 
 
 class TestSuccessiveChords:

@@ -10,7 +10,6 @@ checkpoint — on the serial and process backends alike.
 
 import json
 import os
-import time
 
 import pytest
 
@@ -476,38 +475,6 @@ class TestWorkerDeathRecovery:
         baseline = StaticTimingAnalyzer(tech,
                                         library=library).analyze(graph)
         assert result.arrivals == baseline.arrivals
-
-
-# ----------------------------------------------------------------------
-# Overhead: the durability hooks are free when not configured.
-# ----------------------------------------------------------------------
-class TestOverhead:
-    @pytest.mark.slow
-    def test_durability_hooks_free_when_disabled(self, tech, library,
-                                                 decoder_graph):
-        plain = StaticTimingAnalyzer(tech, library=library)
-        engine_analyzer = StaticTimingAnalyzer(
-            tech, library=library, execution=ExecutionConfig())
-        plain.analyze(decoder_graph)          # warm both paths
-        engine_analyzer.analyze(decoder_graph)
-
-        def timed(analyzer):
-            started = time.perf_counter()
-            analyzer.analyze(decoder_graph)
-            return time.perf_counter() - started
-
-        # Interleave the measurements so load spikes hit both paths;
-        # min-of-N discards the noise.
-        reference = float("inf")
-        engine = float("inf")
-        for _ in range(5):
-            reference = min(reference, timed(plain))
-            engine = min(engine, timed(engine_analyzer))
-        # The disabled hooks are attribute checks (<1%); the gate
-        # allows 5% + a floor because decoder solve times jitter far
-        # more than that between runs (same budget the profiler
-        # overhead gate uses).
-        assert engine < reference * 1.05 + 5e-3
 
 
 # ----------------------------------------------------------------------
