@@ -6,22 +6,20 @@ across whole-graph analysis in two orthogonal ways:
 
 * **Scheduling** — :class:`ParallelStaEngine` is the only STA
   scheduler: :meth:`repro.analysis.sta.StaticTimingAnalyzer.analyze`
-  always runs it.  It walks the levelized stage graph in-process (the
-  serial backend) or dispatches it onto a worker pool
-  (``concurrent.futures`` thread or process backends behind one
-  :class:`ExecutionConfig`).  Pooled dispatch is dependency-aware: a
-  stage is submitted as soon as every fanin stage has merged its
-  arrival waveforms, not when its whole level barrier clears.  Workers
-  change *scheduling only*: every arc is evaluated by
-  :func:`repro.analysis.sta.compute_stage_arrivals` on every backend, so
-  arrival times are identical across backends bit for bit.
+  always runs it.  It walks the levelized stage graph in-process or,
+  with ``workers > 1``, dispatches it onto one pool of worker
+  processes.  Pooled dispatch is dependency-aware: a stage is
+  submitted as soon as every fanin stage has merged its arrival
+  waveforms, not when its whole level barrier clears.  Workers change
+  *scheduling only*: every stage is evaluated by one function,
+  :func:`_evaluate_stage`, in the main process and in every worker, so
+  arrival times are identical across worker counts bit for bit.
 
 * **Stage-result caching** — :class:`StageResultCache` memoizes arc
   results ``(delay, output_slew, quality)`` keyed by a canonical hash of
   stage topology, device geometry, loads, technology, solver options and
-  the (optionally bucketed) input slew.  Repeated gate configurations —
-  the common case in decoders and the Table-1 gate set — are solved
-  once, and :class:`repro.analysis.incremental.IncrementalTimer` re-times
+  the input slew.  Repeated gate configurations — the common case in
+  decoders and the Table-1 gate set — are solved once, and :class:`repro.analysis.incremental.IncrementalTimer` re-times
   an edited design against the same cache.  Hit/miss counts feed the
   ``sta.cache`` metric in :mod:`repro.obs`, and the cache can persist to
   an on-disk JSON store.
@@ -42,14 +40,13 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                Executor, ProcessPoolExecutor,
-                                ThreadPoolExecutor, wait)
+                                Executor, ProcessPoolExecutor, wait)
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Optional,
-                    Set, Tuple)
+from typing import (Dict, FrozenSet, Iterator, List, Optional, Set,
+                    Tuple)
 
-from repro.analysis.sta import (ArcFn, ArrivalTime, Event, StaResult,
+from repro.analysis.sta import (ArrivalTime, Event, StaResult,
                                 StaticTimingAnalyzer,
                                 compute_stage_arrivals, finalize_result,
                                 primary_input_arrivals)
@@ -65,8 +62,6 @@ from repro.resilience.budget import (CLAMP_FULL, AdmissionController,
 from repro.resilience.journal import (JournalError, RunJournal,
                                       run_fingerprint)
 from repro.spice.results import SimulationStats
-
-BACKENDS = ("serial", "thread", "process")
 
 #: (fingerprint, arc id) -> cached arc result.
 CacheKey = Tuple[str, str]
@@ -84,24 +79,14 @@ class ExecutionConfig:
     """How an STA run is scheduled and cached.
 
     Attributes:
-        workers: worker-pool size (ignored by the serial backend).
-        backend: ``"serial"`` (in-process loop, still cache-capable),
-            ``"thread"`` (shared-memory pool; low overhead, concurrency
-            bounded by how often the solver drops the GIL) or
-            ``"process"`` (true parallelism; per-worker start-up cost —
-            each worker receives the pickled characterized tables once).
+        workers: number of worker processes; 1 (the default) evaluates
+            every stage in the main process, more dispatch stages onto
+            a process pool (each worker receives the pickled
+            characterized tables once).
         cache: enable stage-result caching.
-        cache_size: in-memory LRU capacity (entries).
         cache_path: optional JSON store; loaded before the run (if it
             exists) and rewritten after, so caches persist across
             processes/runs.
-        cache_slew_bucket: optional input-slew quantum [s].  When set,
-            arc input slews are rounded to this grid *before solving*,
-            trading arrival accuracy for cache hits across nearly-equal
-            upstream slews.  Results stay deterministic (the quantized
-            slew is solved, not approximated from a neighbor) but no
-            longer match the serial no-bucket arithmetic — leave None
-            (exact keys) when bit-identical arrivals matter.
         stage_timeout: optional wall-clock watchdog per dispatched
             stage task [s].  A pooled task that exceeds it is
             abandoned (its worker may be hung) and the stage is
@@ -115,7 +100,7 @@ class ExecutionConfig:
             :mod:`repro.resilience.budget`).
         grace: optional explicit grace allowance [s] for the wave in
             flight at the deadline; defaults to ``max(0.5, 0.1 *
-            deadline)``.
+            deadline)``.  Requires ``deadline``.
         journal_path: optional crash-safe run journal (JSONL, format
             ``repro-run-journal/1``); each completed wave's arrival
             deltas checkpoint atomically (see
@@ -126,11 +111,8 @@ class ExecutionConfig:
     """
 
     workers: int = 1
-    backend: str = "serial"
     cache: bool = False
-    cache_size: int = 4096
     cache_path: Optional[str] = None
-    cache_slew_bucket: Optional[float] = None
     stage_timeout: Optional[float] = None
     deadline: Optional[float] = None
     grace: Optional[float] = None
@@ -138,22 +120,16 @@ class ExecutionConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, "
-                             f"got {self.backend!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
-        if self.cache_slew_bucket is not None \
-                and self.cache_slew_bucket <= 0:
-            raise ValueError("cache_slew_bucket must be positive")
         if self.stage_timeout is not None and self.stage_timeout <= 0:
             raise ValueError("stage_timeout must be positive or None")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive or None")
         if self.grace is not None and self.grace <= 0:
             raise ValueError("grace must be positive or None")
+        if self.grace is not None and self.deadline is None:
+            raise ValueError("grace requires deadline")
         if self.resume and self.journal_path is None:
             raise ValueError("resume requires journal_path")
 
@@ -294,14 +270,6 @@ def canonical_form_for(stage: LogicStage,
 
 def _slew_token(input_slew: Optional[float]) -> str:
     return "step" if not input_slew else repr(float(input_slew))
-
-
-def quantize_slew(input_slew: Optional[float],
-                  bucket: Optional[float]) -> Optional[float]:
-    """Round a slew onto the cache bucket grid (identity when exact)."""
-    if input_slew is None or bucket is None:
-        return input_slew
-    return max(bucket, round(input_slew / bucket) * bucket)
 
 
 def arc_cache_key(fingerprint: str, output: str, direction: str,
@@ -524,80 +492,65 @@ class StageResultCache:
 
 
 # ----------------------------------------------------------------------
-# Worker-side evaluation (shared by every backend).
+# Stage evaluation (the main process and every pool worker run this).
 # ----------------------------------------------------------------------
-def _cached_arc_fn(base: ArcFn, form: CanonicalForm,
-                   cache_get: Callable[[CacheKey], object],
-                   cache_put: Callable[[CacheKey, CachedArc], None],
-                   bucket: Optional[float]) -> ArcFn:
-    """Wrap an arc evaluator with cache lookup/insert.
+def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
+                    snapshot: Dict[Event, ArrivalTime],
+                    cache: Optional[StageResultCache],
+                    form: Optional[CanonicalForm],
+                    clamp: Optional[str] = None
+                    ) -> Tuple[Dict[Event, ArrivalTime],
+                               SimulationStats]:
+    """One stage task: arrivals for the stage's output events + cost.
 
-    Keys use the stage's *canonical* net/input ids, so isomorphic
-    stages (a decoder's repeated NANDs, for example) share entries no
-    matter what their nets are called.
+    All QWM cost is folded into a task-local accumulator.  With a cache
+    and a canonical form, arcs are keyed by the stage's *canonical*
+    net/input ids, so isomorphic stages (a decoder's repeated NANDs,
+    for example) share entries no matter what their nets are called.
+    A non-None ``clamp`` (admission control under deadline pressure)
+    degrades the arc math; clamped results may *read* the cache but are
+    never stored — a deadline-starved run must not poison the shared
+    cache with bounded arcs a later unconstrained run would then reuse.
 
     When the flight recorder is on, misses attribute the solve-id range
     the arc consumed to its cache key and hits point back at those
     origin solves — cache-served results keep their forensics trail.
     """
-    def arc_fn(stage: LogicStage, output: str, out_direction: str,
+    stats = SimulationStats()
+
+    def solve(stage_: LogicStage, output: str, out_direction: str,
+              switching_input: str, input_slew: Optional[float]
+              ) -> CachedArc:
+        return analyzer.stage_arc(stage_, output, out_direction,
+                                  switching_input,
+                                  input_slew=input_slew, stats=stats,
+                                  clamp=clamp)
+
+    def arc_fn(stage_: LogicStage, output: str, out_direction: str,
                switching_input: str, input_slew: Optional[float]
                ) -> CachedArc:
-        effective = quantize_slew(input_slew, bucket)
+        if cache is None or form is None:
+            return solve(stage_, output, out_direction, switching_input,
+                         input_slew)
         key = arc_cache_key(form.fingerprint, form.net_ids[output],
                             out_direction,
-                            form.input_ids[switching_input], effective)
-        value = cache_get(key)
+                            form.input_ids[switching_input], input_slew)
+        value = cache.get(key)
         fl = flight()
         if StageResultCache.found(value):
             if fl.enabled:
                 fl.note_cache_hit(f"{key[0]}/{key[1]}")
             return value  # type: ignore[return-value]
         first_solve = fl.next_solve_id() if fl.enabled else 0
-        result = base(stage, output, out_direction, switching_input,
-                      effective)
-        cache_put(key, result)
+        result = solve(stage_, output, out_direction, switching_input,
+                       input_slew)
+        if clamp is None:
+            cache.put(key, result)
         if fl.enabled:
             fl.note_arc_result(f"{key[0]}/{key[1]}", first_solve,
                                fl.next_solve_id())
         return result
-    return arc_fn
 
-
-def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
-                    snapshot: Dict[Event, ArrivalTime],
-                    cache: Optional[StageResultCache],
-                    form: Optional[CanonicalForm],
-                    bucket: Optional[float],
-                    clamp: Optional[str] = None
-                    ) -> Tuple[Dict[Event, ArrivalTime],
-                               SimulationStats]:
-    """One stage task: arrivals for the stage's output events + cost.
-
-    All QWM cost is folded into a task-local accumulator, so thread
-    workers share no mutable state but the evaluator's DC pre-state
-    memo, whose racing writers store equal arrays.  A non-None ``clamp``
-    (admission control under deadline pressure) degrades the arc math;
-    clamped results may *read* the cache but are never stored — a
-    deadline-starved run must not poison the shared cache with
-    bounded arcs a later unconstrained run would then reuse.
-    """
-    stats = SimulationStats()
-
-    def base(stage_: LogicStage, output: str, out_direction: str,
-             switching_input: str, input_slew: Optional[float]
-             ) -> CachedArc:
-        return analyzer.stage_arc(stage_, output, out_direction,
-                                  switching_input,
-                                  input_slew=input_slew, stats=stats,
-                                  clamp=clamp)
-
-    arc_fn: ArcFn = base
-    if cache is not None and form is not None:
-        cache_put = (cache.put if clamp is None
-                     else lambda key, value: None)
-        arc_fn = _cached_arc_fn(base, form, cache.get, cache_put,
-                                bucket)
     computed = compute_stage_arrivals(stage, snapshot, arc_fn,
                                       analyzer.propagate_slews,
                                       analyzer.input_slew)
@@ -605,7 +558,7 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
 
 
 # ----------------------------------------------------------------------
-# Process-backend plumbing: one analyzer per worker process, built once
+# Process-pool plumbing: one analyzer per worker process, built once
 # by the pool initializer (the characterized table library ships pickled
 # with the initargs, so workers skip re-characterization).
 # ----------------------------------------------------------------------
@@ -631,7 +584,7 @@ def _process_worker_init(tech, library, options, propagate_slews,
         # Same delta-shipping shape as the profiler: workers note arc
         # candidates locally, each stage task drains them into the
         # payload, and the parent's merge is a set union — so the
-        # audited candidate set is backend-independent.
+        # audited candidate set does not depend on the worker count.
         from repro.obs.accuracy import configure_accuracy
 
         configure_accuracy(accuracy_config)
@@ -654,55 +607,38 @@ def _process_stage_task(stage: LogicStage,
                         snapshot: Dict[Event, ArrivalTime],
                         form: Optional[CanonicalForm],
                         shipped: Optional[Dict[CacheKey, CachedArc]],
-                        bucket: Optional[float],
                         clamp: Optional[str] = None):
-    """Worker-process task: evaluate one stage against shipped cache.
+    """Worker-process task: :func:`_evaluate_stage` on shipped entries.
 
-    Returns (arrivals, stats, new cache entries, shipped-entry hits,
-    drained profile ledger or None, drained accuracy ledger or None);
-    the parent merges the new entries into the shared cache so later
-    dispatches of equal configurations hit, and merges the ledgers
-    into the parent profiler / accuracy observatory.  Clamped arcs
-    (deadline pressure) never enter ``new_entries`` — degraded
-    results must not poison the shared cache.
+    The shipped entries fill a worker-local cache.  Returns (arrivals,
+    stats, new cache entries, cache hits, cache misses, drained profile
+    ledger or None, drained accuracy ledger or None); the parent merges
+    the new entries into the shared cache so later dispatches of equal
+    configurations hit, folds the hit/miss counts into the shared
+    cache's counters, and merges the ledgers into the parent profiler /
+    accuracy observatory.
     """
     analyzer = _WORKER_ANALYZER
     assert analyzer is not None, "worker pool initializer did not run"
     faults.worker_gate(stage.name)
-    stats = SimulationStats()
+    cache = None
+    if shipped is not None:
+        cache = StageResultCache()
+        cache.merge(shipped)
+    computed, stats = _evaluate_stage(analyzer, stage, snapshot, cache,
+                                      form, clamp)
     new_entries: Dict[CacheKey, CachedArc] = {}
-    hit_count = 0
-
-    def base(stage_, output, out_direction, switching_input, input_slew):
-        return analyzer.stage_arc(stage_, output, out_direction,
-                                  switching_input,
-                                  input_slew=input_slew, stats=stats,
-                                  clamp=clamp)
-
-    arc_fn: ArcFn = base
-    if shipped is not None and form is not None:
-        def cache_get(key: CacheKey):
-            nonlocal hit_count
-            if key in shipped:
-                hit_count += 1
-                return shipped[key]
-            return _MISS
-
-        def cache_put(key: CacheKey, value: CachedArc) -> None:
-            shipped[key] = value
-            if clamp is None:
-                new_entries[key] = value
-
-        arc_fn = _cached_arc_fn(base, form, cache_get, cache_put,
-                                bucket)
-    computed = compute_stage_arrivals(stage, snapshot, arc_fn,
-                                      analyzer.propagate_slews,
-                                      analyzer.input_slew)
+    hits = misses = 0
+    if cache is not None and form is not None:
+        new_entries = {key: value for key, value
+                       in cache.entries_for(form.fingerprint).items()
+                       if key not in shipped}
+        hits, misses = cache.hits, cache.misses
     prof = profiler()
     ledger = prof.drain() if prof.enabled else None
     acc = observatory()
     accuracy_delta = acc.drain() if acc.enabled else None
-    return computed, stats, new_entries, hit_count, ledger, \
+    return computed, stats, new_entries, hits, misses, ledger, \
         accuracy_delta
 
 
@@ -727,8 +663,7 @@ class ParallelStaEngine:
         self.analyzer = analyzer
         self.config = config
         if cache is None and config.wants_cache:
-            cache = StageResultCache(max_entries=config.cache_size,
-                                     path=config.cache_path)
+            cache = StageResultCache(path=config.cache_path)
         self.cache = cache
         # Set by the SIGINT/SIGTERM handlers (and tests); the schedulers
         # stop dispatching at the next stage boundary, the last flushed
@@ -739,7 +674,7 @@ class ParallelStaEngine:
     def run(self, graph: StageGraph,
             input_arrivals: Optional[Dict[Event, float]] = None
             ) -> StaResult:
-        """Run STA over the graph; arrivals match on every backend."""
+        """Run STA over the graph; arrivals match for every worker count."""
         analyzer = self.analyzer
         config = self.config
         primary_slew = (analyzer.input_slew
@@ -759,11 +694,9 @@ class ParallelStaEngine:
 
         controller: Optional[AdmissionController] = None
         if config.deadline is not None:
-            parallelism = (config.workers
-                           if config.backend != "serial" else 1)
             controller = AdmissionController(
                 RunBudget(config.deadline, config.grace),
-                parallelism=parallelism)
+                parallelism=config.workers)
 
         journal, done, replayed_stats, resumed = self._prepare_journal(
             graph, order, waves, arrivals, input_arrivals)
@@ -771,8 +704,7 @@ class ParallelStaEngine:
         self._interrupt.clear()
         with self._signal_guard(controller is not None
                                 or journal is not None):
-            if config.backend == "serial" or config.workers == 1 \
-                    or len(order) <= 1:
+            if config.workers == 1 or len(order) <= 1:
                 stats_by_stage = self._run_serial(
                     order, arrivals, waves, forms,
                     controller=controller, journal=journal, done=done)
@@ -943,8 +875,7 @@ class ParallelStaEngine:
                       wave=waves[stage.name]):
                 computed, stats = _evaluate_stage(
                     self.analyzer, stage, arrivals, self.cache,
-                    forms[stage.name],
-                    self.config.cache_slew_bucket, clamp=clamp)
+                    forms[stage.name], clamp=clamp)
             arrivals.update(computed)
             stats_by_stage[stage.name] = stats
             remaining -= 1
@@ -966,10 +897,6 @@ class ParallelStaEngine:
         return stats_by_stage
 
     def _make_executor(self) -> Executor:
-        if self.config.backend == "thread":
-            return ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="sta-worker")
         evaluator = self.analyzer.evaluator
         return ProcessPoolExecutor(
             max_workers=self.config.workers,
@@ -1098,8 +1025,7 @@ class ParallelStaEngine:
                       wave=waves[stage.name], redispatch=reason):
                 computed, stats = _evaluate_stage(
                     analyzer, stage, arrivals, self.cache,
-                    forms[stage.name], config.cache_slew_bucket,
-                    clamp=clamp)
+                    forms[stage.name], clamp=clamp)
             complete(stage, computed, stats)
 
         def submit(stage: LogicStage) -> None:
@@ -1109,48 +1035,38 @@ class ParallelStaEngine:
             if wave not in wave_spans and wave_pending[wave] > 0:
                 handle = span("sta.wave", index=wave,
                               stages=wave_pending[wave],
-                              backend=config.backend)
+                              backend="process")
                 handle.__enter__()
                 wave_spans[wave] = handle
-            inc("sta.parallel.dispatch", backend=config.backend)
+            inc("sta.parallel.dispatch", backend="process")
             clamp = admit_clamp(stage)
             if stage.name in serial_only:
                 run_in_parent(stage, "serial_only", clamp=clamp)
                 return
             form = forms[stage.name]
-            if config.backend == "thread":
-                future = executor.submit(
-                    _evaluate_stage, analyzer, stage, dict(arrivals),
-                    self.cache, form, config.cache_slew_bucket, clamp)
-            else:
-                relevant = set(stage.inputs)
-                relevant.update(node.name for node in stage.outputs)
-                snapshot = {event: arrival
-                            for event, arrival in arrivals.items()
-                            if event[0] in relevant}
-                shipped = (self.cache.entries_for(form.fingerprint)
-                           if self.cache is not None
-                           and form is not None else None)
-                future = executor.submit(
-                    _process_stage_task, stage, snapshot, form,
-                    shipped, config.cache_slew_bucket, clamp)
+            relevant = set(stage.inputs)
+            relevant.update(node.name for node in stage.outputs)
+            snapshot = {event: arrival
+                        for event, arrival in arrivals.items()
+                        if event[0] in relevant}
+            shipped = (self.cache.entries_for(form.fingerprint)
+                       if self.cache is not None
+                       and form is not None else None)
+            future = executor.submit(_process_stage_task, stage,
+                                     snapshot, form, shipped, clamp)
             futures[future] = stage
             submitted_at[future] = time.monotonic()
 
         def merge_payload(stage: LogicStage, payload) -> None:
-            if config.backend == "thread":
-                computed, stats = payload
-            else:
-                (computed, stats, new_entries, hit_count, ledger,
-                 accuracy_delta) = payload
-                if self.cache is not None:
-                    self.cache.merge(new_entries)
-                    self.cache.record_external(
-                        hit_count, len(new_entries))
-                if ledger is not None:
-                    profiler().merge(ledger)
-                if accuracy_delta is not None:
-                    observatory().merge(accuracy_delta)
+            (computed, stats, new_entries, hits, misses, ledger,
+             accuracy_delta) = payload
+            if self.cache is not None:
+                self.cache.merge(new_entries)
+                self.cache.record_external(hits, misses)
+            if ledger is not None:
+                profiler().merge(ledger)
+            if accuracy_delta is not None:
+                observatory().merge(accuracy_delta)
             complete(stage, computed, stats)
 
         def recover_broken_pool(first_casualty: LogicStage) -> None:
@@ -1190,8 +1106,7 @@ class ParallelStaEngine:
                     submit(stage)
             while futures:
                 if self._interrupt.is_set():
-                    inc("sta.parallel.interrupted",
-                        backend=config.backend)
+                    inc("sta.parallel.interrupted", backend="process")
                     break
                 finished, _ = wait(list(futures), timeout=poll,
                                    return_when=FIRST_COMPLETED)

@@ -57,8 +57,8 @@ Arc = Tuple[float, Optional[float], Optional[str]]
 
 #: Arc evaluation callback: (stage, output, out_direction, input,
 #: input_slew) -> (delay, output_slew, quality) or None.  The per-stage
-#: arrival computation is written against this signature so every
-#: backend of the engine, cached or not, runs one implementation.
+#: arrival computation is written against this signature so the
+#: engine, cached or not, in-process or pooled, runs one implementation.
 ArcFn = Callable[[LogicStage, str, str, str, Optional[float]],
                  Optional[Arc]]
 
@@ -145,9 +145,9 @@ def compute_stage_arrivals(stage: LogicStage,
     """Worst arrival of every output event of one stage.
 
     The single-input-switching recursion for one stage, written against
-    an :data:`ArcFn` so every backend of :mod:`repro.analysis.parallel`
-    (serial, thread or process workers, cached or not) runs exactly the
-    same arithmetic.  ``arrivals`` is only read; newly computed events
+    an :data:`ArcFn` so :mod:`repro.analysis.parallel` (in-process or
+    on process workers, cached or not) runs exactly the same
+    arithmetic.  ``arrivals`` is only read; newly computed events
     are visible to later outputs of the *same* stage (matching the
     serial evaluation order for stages that consume their own outputs),
     and the caller merges the returned mapping.
@@ -279,9 +279,10 @@ class StaticTimingAnalyzer:
             execution: optional :class:`repro.analysis.parallel.
                 ExecutionConfig` for :meth:`analyze`, which always runs
                 the :class:`repro.analysis.parallel.ParallelStaEngine`
-                (None: the serial backend, no budget, no journal).
-                Workers change scheduling only, never the arithmetic,
-                so arrivals are the same on every backend.
+                (None: in-process, no budget, no journal).
+                Worker processes change scheduling only, never the
+                arithmetic, so arrivals are the same for every worker
+                count.
             cache: optional shared
                 :class:`repro.analysis.parallel.StageResultCache`: an
                 arc whose canonical stage form, output, direction,
@@ -540,6 +541,5 @@ class StaticTimingAnalyzer:
         engine = ParallelStaEngine(self, self.execution or ExecutionConfig(),
                                    cache=self.cache)
         with span("sta.analyze", stages=len(graph.stages),
-                  backend=engine.config.backend,
                   workers=engine.config.workers):
             return engine.run(graph, input_arrivals)

@@ -8,8 +8,8 @@ Commands
     longest-path STA, and print the arrival/critical-path reports.
     Without a deck a built-in ``--bits`` address decoder is timed.
     ``--required 500p`` adds slack; ``--corners`` re-times at the
-    process corners.  ``--workers 4 --backend thread`` evaluates
-    stages on a worker pool (identical arrivals, see
+    process corners.  ``--workers 4`` evaluates stages on four worker
+    processes (identical arrivals, see
     :mod:`repro.analysis.parallel`); ``--cache`` / ``--cache-file``
     reuse solved arcs across isomorphic stages and runs.
     ``--no-escalation`` restores fail-fast arc solves (by default a
@@ -213,30 +213,29 @@ def _cmd_sta(args: argparse.Namespace) -> int:
         deck_name = f"decoder{args.bits} (built-in)"
     required = parse_value(args.required) if args.required else None
     audit = args.audit or 0
+    if args.history and not audit:
+        raise ValueError("--history needs --audit")
 
-    parallel = (args.workers > 1 or args.backend != "serial"
-                or args.cache or args.cache_file
-                or args.deadline is not None or args.journal)
-    execution = None
+    # Built on every call, so its checks (a flag without its partner,
+    # --workers 0) reject the command line before any analysis runs.
+    execution = ExecutionConfig(
+        workers=args.workers,
+        cache=bool(args.cache or args.cache_file),
+        cache_path=args.cache_file,
+        deadline=args.deadline, grace=args.grace,
+        journal_path=args.journal, resume=args.resume)
     cache = None
-    if parallel:
-        execution = ExecutionConfig(
-            workers=args.workers, backend=args.backend,
-            cache=bool(args.cache or args.cache_file),
-            cache_path=args.cache_file,
-            deadline=args.deadline, grace=args.grace,
-            journal_path=args.journal, resume=args.resume)
-        if execution.wants_cache:
-            # Built here (not inside the engine) so corner re-timing
-            # shares one cache and the hit/miss totals can be printed.
-            cache = StageResultCache(max_entries=execution.cache_size,
-                                     path=args.cache_file)
+    if execution.wants_cache:
+        # Built here (not inside the engine) so corner re-timing
+        # shares one cache and the hit/miss totals can be printed.
+        cache = StageResultCache(path=args.cache_file)
 
     resilience = None
     if args.no_escalation:
         from repro.resilience.ladder import EscalationPolicy
 
         resilience = EscalationPolicy(enabled=False)
+    plain = execution == ExecutionConfig() and resilience is None
 
     def run(technology, with_audit=False):
         if text is not None:
@@ -250,7 +249,7 @@ def _cmd_sta(args: argparse.Namespace) -> int:
         graph = extract_stages(netlist, tech=technology)
         # An audited run needs the full analyzer (the auditor re-solves
         # sampled arcs through stage_arc and the shadow-SPICE engine).
-        if parallel or resilience is not None or with_audit:
+        if not plain or with_audit:
             from repro.analysis import StaticTimingAnalyzer
 
             analyzer = StaticTimingAnalyzer(technology,
@@ -814,7 +813,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import StaticTimingAnalyzer
-    from repro.analysis.parallel import ExecutionConfig, StageResultCache
+    from repro.analysis.parallel import StageResultCache
     from repro.obs import (FlightConfig, configure_flight, disable_flight,
                            render_report, summarize_ledger)
 
@@ -831,22 +830,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         design = f"decoder{args.bits} (built-in)"
     graph = extract_stages(netlist, tech=tech)
 
-    execution = None
-    cache = None
-    if args.cache or args.workers > 1:
-        execution = ExecutionConfig(
-            workers=args.workers,
-            backend="thread" if args.workers > 1 else "serial",
-            cache=args.cache)
-        if args.cache:
-            cache = StageResultCache()
+    cache = StageResultCache() if args.cache else None
 
     recorder = configure_flight(FlightConfig(
         enabled=True, event_limit=args.event_limit))
     audit_report = None
     try:
-        analyzer = StaticTimingAnalyzer(tech, execution=execution,
-                                        cache=cache)
+        analyzer = StaticTimingAnalyzer(tech, cache=cache)
         if args.audit:
             from repro.analysis.audit import analyze_with_audit
 
@@ -1099,11 +1089,9 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--limit", type=int, default=20,
                      help="arrival-report row limit")
     sta.add_argument("--workers", type=int, default=1,
-                     help="worker-pool size for stage evaluation "
-                          "(arrivals are identical to serial)")
-    sta.add_argument("--backend", default="serial",
-                     choices=["serial", "thread", "process"],
-                     help="execution backend for --workers > 1")
+                     help="worker processes for stage evaluation; 1 "
+                          "evaluates in-process (arrivals do not "
+                          "depend on it)")
     sta.add_argument("--cache", action="store_true",
                      help="enable the in-memory stage-result cache "
                           "(isomorphic stages share solved arcs)")
@@ -1324,8 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "decoder, see --bits)")
     rep.add_argument("--bits", type=int, default=3,
                      help="address bits of the built-in decoder")
-    rep.add_argument("--workers", type=int, default=1,
-                     help="thread-pool size for the STA run")
     rep.add_argument("--cache", action="store_true",
                      help="enable the stage-result cache (the report "
                           "then shows cache attribution)")

@@ -698,8 +698,8 @@ class WorkerGlobalMutationRule(LintRule):
     default_severity = Severity.ERROR
     description = ("A module-level mutable container written from a "
                    "function reachable from worker entry points races "
-                   "under the thread backend and silently diverges "
-                   "under the process backend.")
+                   "when the workers are threads and silently diverges "
+                   "when they are processes.")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         code = _code(ctx)
@@ -762,8 +762,7 @@ class UnlockedSharedMutationRule(LintRule):
     default_severity = Severity.WARNING
     description = ("A class holding a threading lock mutates a shared "
                    "container attribute outside any with-lock block; "
-                   "thread-backend workers can interleave the "
-                   "mutation.")
+                   "concurrent threads can interleave the mutation.")
 
     _EXEMPT_METHODS = {"__init__", "__new__", "__del__",
                        "__getstate__", "__setstate__"}

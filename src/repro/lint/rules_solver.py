@@ -314,15 +314,13 @@ class FlightLedgerBudgetRule(LintRule):
             return
         execution = ctx.execution
         workers = getattr(execution, "workers", 1) if execution else 1
-        backend = getattr(execution, "backend", "serial") \
-            if execution else "serial"
-        if workers <= 1 and backend == "serial":
+        if workers <= 1:
             return
         yield self.diag(
             f"flight recorder enabled with event_limit=None (unbounded) "
-            f"for a parallel run ({workers} workers, {backend} "
-            "backend): every worker's per-region events accumulate in "
-            "memory for the whole analysis",
+            f"for a parallel run ({workers} workers): every worker's "
+            "per-region events accumulate in memory for the whole "
+            "analysis",
             _opts_loc("flight.event_limit"),
             hint="set FlightConfig(event_limit=...) — the default "
                  "20000 keeps forensics for the most recent solves "

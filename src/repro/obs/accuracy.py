@@ -9,8 +9,8 @@ accuracy of 99%") is actually about.  It has three pieces:
   attempted stage arc is noted into a process-wide observatory (one
   attribute check when disabled, mirroring the profiler).  Process
   workers drain their ledgers into the task payload and the parent
-  merges them, so the candidate set is identical across the serial,
-  thread and process backends by construction.  The shadow-SPICE
+  merges them, so the candidate set is identical in-process and on a
+  process pool by construction.  The shadow-SPICE
   auditor (:mod:`repro.analysis.audit`) samples from this set.
 
 * **Region capture** — a thread-local recorder the auditor arms around

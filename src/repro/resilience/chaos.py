@@ -66,8 +66,8 @@ class ChaosScenario:
         specs: the faults the scenario injects (empty = baseline).
         expect: acceptable absorbing mechanisms — ladder rung names,
             :data:`ABSORB_REDISPATCH`, or :data:`ABSORB_QUARANTINE`.
-        backend / workers / stage_timeout: execution configuration
-            (``"serial"`` scenarios run the plain in-process engine).
+        workers / stage_timeout: execution configuration
+            (``workers > 1`` runs the stages on a process pool).
         corrupt_library: poison a *private copy* of the table library
             with the plan's ``nan_table`` specs before the run.
         corrupt_store: round-trip the run through an on-disk stage
@@ -88,7 +88,6 @@ class ChaosScenario:
     description: str
     specs: Tuple[FaultSpec, ...] = ()
     expect: Tuple[str, ...] = (QUALITY_QWM,)
-    backend: str = "serial"
     workers: int = 1
     stage_timeout: Optional[float] = None
     corrupt_library: bool = False
@@ -218,7 +217,7 @@ def default_scenarios(target: str) -> List[ChaosScenario]:
             "re-dispatches the stage serially",
             specs=(FaultSpec("worker_crash", stage=target, count=1),),
             expect=(ABSORB_REDISPATCH,),
-            backend="process", workers=2),
+            workers=2),
         ChaosScenario(
             "worker-hang",
             "a worker sleeps past the stage watchdog; the parent "
@@ -226,7 +225,7 @@ def default_scenarios(target: str) -> List[ChaosScenario]:
             specs=(FaultSpec("worker_hang", stage=target,
                              hang_seconds=2.5, count=1),),
             expect=(ABSORB_REDISPATCH,),
-            backend="process", workers=2, stage_timeout=0.6),
+            workers=2, stage_timeout=0.6),
         ChaosScenario(
             "cache-truncate",
             "the on-disk stage-result store is truncated between runs; "
@@ -246,8 +245,7 @@ def default_scenarios(target: str) -> List[ChaosScenario]:
             "the same between-wave kill, but under the process pool",
             specs=(FaultSpec("run_kill", wave=0, count=1),),
             expect=(ABSORB_RESUME,),
-            backend="process", workers=2,
-            runner="kill_resume"),
+            workers=2, runner="kill_resume"),
         ChaosScenario(
             "journal-enospc",
             "the journal flush hits ENOSPC; journaling self-disables "
@@ -360,11 +358,8 @@ def _run_scenario(scenario: ChaosScenario, seed: int, tech, library,
         run_library = pickle.loads(pickle.dumps(library))
         faults.apply_table_faults(plan, run_library)
 
-    execution = None
-    if scenario.backend != "serial" or scenario.stage_timeout:
-        execution = ExecutionConfig(backend=scenario.backend,
-                                    workers=scenario.workers,
-                                    stage_timeout=scenario.stage_timeout)
+    execution = ExecutionConfig(workers=scenario.workers,
+                                stage_timeout=scenario.stage_timeout)
 
     mechanism: Optional[str] = None
     started = time.perf_counter()
@@ -428,8 +423,8 @@ def _journaled_analyzer(scenario, tech, library, path: str,
     return StaticTimingAnalyzer(
         tech, library=library,
         execution=ExecutionConfig(
-            backend=scenario.backend, workers=scenario.workers,
-            journal_path=path, resume=resume, deadline=deadline),
+            workers=scenario.workers, journal_path=path, resume=resume,
+            deadline=deadline),
         resilience=EscalationPolicy())
 
 
@@ -483,8 +478,7 @@ def _runner_deadline(scenario, plan, tech, library, graph):
 
     analyzer = StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(backend=scenario.backend,
-                                  workers=scenario.workers,
+        execution=ExecutionConfig(workers=scenario.workers,
                                   deadline=scenario.deadline),
         resilience=EscalationPolicy())
     # Mechanism None: the verdict falls through to the worst arrival

@@ -253,8 +253,7 @@ class TestAuditor:
             self, tech, library, decoder_graph):
         def run(backend):
             execution = (None if backend == "serial"
-                         else ExecutionConfig(workers=2,
-                                              backend=backend))
+                         else ExecutionConfig(workers=2))
             analyzer = StaticTimingAnalyzer(tech, library=library,
                                             execution=execution)
             result, report = analyze_with_audit(

@@ -5,7 +5,7 @@ Covers the run-durability contract DESIGN.md §14 states: a
 quality tags (the admission controller clamps the ladder full →
 no-spice → bound, never the reverse), and a ``--journal`` run killed
 between waves resumes bit-identically from its last flushed
-checkpoint — on the serial and process backends alike.
+checkpoint — in-process and on a process pool alike.
 """
 
 import json
@@ -265,11 +265,10 @@ class TestRunJournal:
 # ----------------------------------------------------------------------
 # Kill -> resume bit-identity (the acceptance criterion).
 # ----------------------------------------------------------------------
-def _journaled(tech, library, path, resume=False, backend="serial",
-               workers=1):
+def _journaled(tech, library, path, resume=False, workers=1):
     return StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(backend=backend, workers=workers,
+        execution=ExecutionConfig(workers=workers,
                                   journal_path=str(path), resume=resume))
 
 
@@ -321,10 +320,9 @@ class TestKillResume:
                          seed=0)
         with faults.installed(plan):
             with pytest.raises(RunKilled):
-                _journaled(tech, library, path, backend="process",
+                _journaled(tech, library, path,
                            workers=2).analyze(decoder_graph)
         resumed = _journaled(tech, library, path, resume=True,
-                             backend="process",
                              workers=2).analyze(decoder_graph)
         baseline = StaticTimingAnalyzer(
             tech, library=library).analyze(decoder_graph)
@@ -385,6 +383,29 @@ class TestDeadlineRuns:
         assert result.worst is not None
         # Bounded answers are one run's compromise, not reusable truth.
         assert len(cache) == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_clamped_run_counts_cache_misses_for_any_worker_count(
+            self, tech, library, decoder_graph, workers):
+        """A pooled clamped run counts its misses as in-process does.
+
+        Every arc of a bound-clamped run looks the cache up and misses
+        (nothing clamped is ever stored), whether the lookup happens in
+        the main process or in a pool worker.
+        """
+        cache = StageResultCache()
+        analyzer = StaticTimingAnalyzer(
+            tech, library=library,
+            execution=ExecutionConfig(workers=workers, cache=True,
+                                      deadline=600.0),
+            cache=cache)
+        plan = FaultPlan((FaultSpec("deadline_exhaust", count=1),))
+        with faults.installed(plan):
+            result = analyzer.analyze(decoder_graph)
+        qualities = {a.quality for a in result.arrivals.values()
+                     if a.quality is not None}
+        assert qualities == {"bounded"}
+        assert (cache.hits, cache.misses, len(cache)) == (0, 28, 0)
 
 
 # ----------------------------------------------------------------------
@@ -462,8 +483,7 @@ class TestWorkerDeathRecovery:
             with faults.installed(plan):
                 result = StaticTimingAnalyzer(
                     tech, library=library,
-                    execution=ExecutionConfig(backend="process",
-                                              workers=2)
+                    execution=ExecutionConfig(workers=2)
                 ).analyze(graph)
             redispatched = metrics.counter(
                 "sta.parallel.redispatch").total() - redispatch0

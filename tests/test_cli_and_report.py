@@ -172,6 +172,32 @@ class TestCli:
         assert "n-table" in out
         assert "Ion(n)" in out
 
+    def test_sta_workers_runs_a_process_pool(self, tmp_path, capsys):
+        import json as json_mod
+
+        metrics_path = tmp_path / "metrics.json"
+        code = main(["--metrics", str(metrics_path), "sta", "--bits", "2",
+                     "--workers", "2"])
+        capsys.readouterr()
+        assert code == 0
+        dump = json_mod.loads(metrics_path.read_text())
+        series = dump["metrics"]["sta.parallel.dispatch"]["series"]
+        # All ten decoder stages go to the pool, none run in-process.
+        assert series == [{"labels": {"backend": "process"},
+                           "value": 10.0}]
+
+    @pytest.mark.parametrize("flags,partner", [
+        (["--resume"], "journal"),
+        (["--grace", "1"], "deadline"),
+        (["--history"], "--audit"),
+        (["--workers", "0"], "workers"),
+    ], ids=["resume", "grace", "history", "workers-0"])
+    def test_sta_rejects_flag_without_partner(self, flags, partner,
+                                              capsys):
+        code = main(["sta", "--bits", "2"] + flags)
+        assert code == 2
+        assert partner in capsys.readouterr().err
+
 
 class TestCliStats:
     """The ``repro stats`` cost-breakdown command."""

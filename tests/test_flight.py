@@ -419,8 +419,7 @@ class TestCacheAttribution:
         graph = extract_stages(netlist, tech=tech)
         analyzer = StaticTimingAnalyzer(
             tech, library=library,
-            execution=ExecutionConfig(workers=2, backend="thread",
-                                      cache=True),
+            execution=ExecutionConfig(cache=True),
             cache=StageResultCache())
         analyzer.analyze(graph)
 

@@ -196,7 +196,7 @@ class TestFlightLedgerBudget:
     def _parallel_ctx(self):
         return LintContext(
             options=QWMOptions(),
-            execution=SimpleNamespace(workers=4, backend="thread"))
+            execution=SimpleNamespace(workers=4))
 
     def test_warns_on_unbounded_parallel_capture(self):
         from repro.obs import FlightConfig, configure_flight, \
@@ -235,8 +235,7 @@ class TestFlightLedgerBudget:
             bare = solver_report(LintContext(options=QWMOptions()))
             serial = solver_report(LintContext(
                 options=QWMOptions(),
-                execution=SimpleNamespace(workers=1,
-                                          backend="serial")))
+                execution=SimpleNamespace(workers=1)))
         finally:
             disable_flight()
         for report in (bare, serial):

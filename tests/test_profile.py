@@ -196,7 +196,7 @@ def decoder_graph(tech):
                           tech=tech)
 
 
-def _profiled_op_totals(tech, library, graph, backend, workers):
+def _profiled_op_totals(tech, library, graph, workers):
     """Operation counts per frame path for one profiled analysis.
 
     Device characterization subtrees are excluded: process workers
@@ -208,7 +208,7 @@ def _profiled_op_totals(tech, library, graph, backend, workers):
     try:
         analyzer = StaticTimingAnalyzer(
             tech, library=library,
-            execution=ExecutionConfig(workers=workers, backend=backend))
+            execution=ExecutionConfig(workers=workers))
         analyzer.analyze(graph)
         ledger = profiler().drain()
     finally:
@@ -222,30 +222,6 @@ def _profiled_op_totals(tech, library, graph, backend, workers):
         for op, amount in cell["ops"].items():
             totals[path + (op,)] = totals.get(path + (op,), 0) + amount
     return totals
-
-
-def test_thread_backend_counts_match_serial(tech, library,
-                                            decoder_graph):
-    """Thread workers merge into the same solver counts as serial.
-
-    ``table_evaluations`` is excluded here: threads share the library's
-    table objects, so the per-solve query meter attributes a query to
-    whichever concurrent solve drains the shared counter first.  The
-    totals the solver controls directly (regions, Newton iterations,
-    linear solves, ...) must still agree exactly; the process backend
-    test below covers every op including table queries because each
-    worker owns its tables.
-    """
-    def solver_ops(totals):
-        return {key: amount for key, amount in totals.items()
-                if key[-1] != "table_evaluations"}
-
-    serial = _profiled_op_totals(tech, library, decoder_graph,
-                                 "serial", 1)
-    threaded = _profiled_op_totals(tech, library, decoder_graph,
-                                   "thread", 2)
-    assert serial
-    assert solver_ops(threaded) == solver_ops(serial)
 
 
 def test_engine_extract_and_initial_once_per_evaluate(tech, library,
@@ -285,12 +261,9 @@ def test_process_backend_counts_match_serial_and_repeat(
     independent of worker scheduling — so two process runs and a serial
     run must agree on every operation count exactly.
     """
-    serial = _profiled_op_totals(tech, library, decoder_graph,
-                                 "serial", 1)
-    first = _profiled_op_totals(tech, library, decoder_graph,
-                                "process", 2)
-    second = _profiled_op_totals(tech, library, decoder_graph,
-                                 "process", 2)
+    serial = _profiled_op_totals(tech, library, decoder_graph, 1)
+    first = _profiled_op_totals(tech, library, decoder_graph, 2)
+    second = _profiled_op_totals(tech, library, decoder_graph, 2)
     assert serial, "serial run recorded no profiled operations"
     assert any(path[-1] == "newton_iterations" for path in serial)
     assert first == serial

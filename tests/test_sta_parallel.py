@@ -17,7 +17,6 @@ from repro.analysis.parallel import (
     arc_cache_key,
     canonical_stage_form,
     canonical_form_for,
-    quantize_slew,
     stage_fingerprint,
 )
 from repro.circuit import builders, extract_stages
@@ -60,35 +59,27 @@ def assert_same_arrivals(result, reference):
 
 
 # ----------------------------------------------------------------------
-# Determinism across backends, worker counts and cache settings.
+# Determinism across worker counts and cache settings.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend,workers", [
-    ("serial", 1),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    pytest.param("process", 2, marks=pytest.mark.slow),
-])
+#: In-process, and a pool of two worker processes.
+WORKERS = [pytest.param(1, id="serial-1"), pytest.param(2, id="process-2")]
+
+
+@pytest.mark.parametrize("workers", WORKERS)
 def test_parallel_matches_serial(tech, library, decoder_graph,
-                                 serial_result, backend, workers):
+                                 serial_result, workers):
     analyzer = StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(workers=workers, backend=backend))
+        execution=ExecutionConfig(workers=workers))
     assert_same_arrivals(analyzer.analyze(decoder_graph), serial_result)
 
 
-@pytest.mark.parametrize("backend,workers", [
-    ("serial", 1),
-    ("thread", 2),
-    pytest.param("process", 2, marks=pytest.mark.slow),
-])
+@pytest.mark.parametrize("workers", WORKERS)
 def test_cached_run_matches_serial(tech, library, decoder_graph,
-                                   serial_result, warm_cache, backend,
-                                   workers):
+                                   serial_result, warm_cache, workers):
     analyzer = StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(workers=workers, backend=backend,
-                                  cache=True),
+        execution=ExecutionConfig(workers=workers, cache=True),
         cache=warm_cache)
     assert_same_arrivals(analyzer.analyze(decoder_graph), serial_result)
 
@@ -225,20 +216,11 @@ def test_cache_roundtrip_json(tmp_path):
     assert hit == (4.2e-11, 6.0e-11, "qwm")
 
 
-def test_quantize_slew_buckets():
-    assert quantize_slew(None, 5e-12) is None
-    assert quantize_slew(2.3e-11, None) == 2.3e-11
-    assert quantize_slew(2.3e-11, 5e-12) == pytest.approx(2.5e-11)
-    assert quantize_slew(2.2e-11, 5e-12) == pytest.approx(2.0e-11)
-
-
 def test_execution_config_validation():
     with pytest.raises(ValueError):
-        ExecutionConfig(backend="gpu")
-    with pytest.raises(ValueError):
         ExecutionConfig(workers=0)
-    with pytest.raises(ValueError):
-        ExecutionConfig(cache_slew_bucket=-1e-12)
+    with pytest.raises(ValueError, match="grace requires deadline"):
+        ExecutionConfig(grace=1.0)
     assert ExecutionConfig(cache_path="x.json").wants_cache
     assert not ExecutionConfig().wants_cache
 
@@ -246,7 +228,7 @@ def test_execution_config_validation():
 def test_engine_reports_dispatch_waves(tech, library, decoder_graph):
     analyzer = StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(workers=2, backend="thread"))
+        execution=ExecutionConfig(workers=2))
     engine = ParallelStaEngine(analyzer, analyzer.execution)
     result = engine.run(decoder_graph)
     assert result.worst is not None
