@@ -829,8 +829,7 @@ class ParallelStaEngine:
         """Levelized wave (longest-path depth) of every stage."""
         waves: Dict[str, int] = {}
         for stage in order:
-            preds = [p for p in graph.graph.predecessors(stage.name)
-                     if p != stage.name]
+            preds = graph.fanin[stage.name]
             waves[stage.name] = (max(waves[p] for p in preds) + 1
                                  if preds else 0)
         return waves
@@ -950,9 +949,8 @@ class ParallelStaEngine:
         stage_names = {stage.name for stage in active}
         indegree: Dict[str, int] = {}
         for stage in active:
-            preds = [p for p in graph.graph.predecessors(stage.name)
-                     if p != stage.name and p in stage_names]
-            indegree[stage.name] = len(preds)
+            indegree[stage.name] = sum(
+                p in stage_names for p in graph.fanin[stage.name])
         by_name = {stage.name: stage for stage in active}
         stats_by_stage: Dict[str, SimulationStats] = {}
 
@@ -1004,9 +1002,8 @@ class ParallelStaEngine:
                                            wave_deltas[wave],
                                            wave_stats[wave]):
                         faults.wave_gate(wave)
-            for successor in graph.graph.successors(stage.name):
-                if successor == stage.name \
-                        or successor not in indegree:
+            for successor in graph.fanout[stage.name]:
+                if successor not in indegree:
                     continue
                 indegree[successor] -= 1
                 if indegree[successor] == 0:

@@ -10,7 +10,9 @@ quadratic ("with a theoretically inferior convergence rate, SC can
 evaluate each iteration much faster").
 
 This implementation factors the chord matrix once per run (dense LU via
-numpy) and iterates ``v <- v - A_chord^{-1} F(v)`` at every step.
+scipy, imported by :meth:`SuccessiveChordsSimulator.run` so that nothing
+else in the package loads it) and iterates ``v <- v - A_chord^{-1} F(v)``
+at every step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.circuit.netlist import LogicStage
 from repro.devices.technology import Technology
@@ -106,6 +107,8 @@ class SuccessiveChordsSimulator:
     def run(self, inputs: Dict[str, SourceLike],
             initial: Optional[Dict[str, float]] = None) -> TransientResult:
         """Run the SC transient analysis (backward Euler)."""
+        import scipy.linalg
+
         eq = self.equations
         opts = self.options
         sources = {name: as_source(src) for name, src in inputs.items()}

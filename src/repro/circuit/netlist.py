@@ -235,17 +235,3 @@ class LogicStage:
         return (f"LogicStage({self.name!r}, nodes={len(self._nodes)}, "
                 f"edges={len(self._edges)}, inputs={self.inputs}, "
                 f"outputs={[n.name for n in self.outputs]})")
-
-    def to_networkx(self):
-        """Export the stage as a ``networkx.MultiDiGraph`` (for analysis)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=self.name)
-        for node in self._nodes.values():
-            graph.add_node(node.name, load_cap=node.load_cap,
-                           is_output=node.is_output)
-        for edge in self._edges.values():
-            graph.add_edge(edge.src.name, edge.snk.name, key=edge.name,
-                           kind=edge.kind.value, w=edge.w, l=edge.l,
-                           gate_input=edge.gate_input)
-        return graph

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
-
 from repro.circuit.netlist import GND_NODE, VDD_NODE, LogicStage
 
 
@@ -134,15 +132,17 @@ class StageGraph:
         stages: extracted logic stages.
         stage_of_net: maps each non-supply channel net to its stage.
         driver_of: maps a net to the stage that produces it (if any).
-        graph: ``networkx.DiGraph`` over stage names; an edge A->B means
-            an output net of A drives a gate input of B.
+        fanin: for every stage name, the stages whose outputs drive one
+            of its gate inputs, in first-connection order, no repeats.
+        fanout: for every stage name, the stages it drives, likewise.
     """
 
     name: str
     stages: List[LogicStage]
     stage_of_net: Dict[str, LogicStage]
     driver_of: Dict[str, LogicStage] = field(default_factory=dict)
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    fanin: Dict[str, List[str]] = field(default_factory=dict)
+    fanout: Dict[str, List[str]] = field(default_factory=dict)
 
     def stage(self, name: str) -> LogicStage:
         for stage in self.stages:
@@ -153,10 +153,38 @@ class StageGraph:
     def topological_order(self) -> List[LogicStage]:
         """Stages in evaluation order (inputs before consumers).
 
+        Kahn's algorithm by generations.  The first generation is every
+        stage without fan-in, in stage order.  Each generation is
+        scanned in order, each stage's fan-out in order, and a stage
+        joins the next generation when its last fan-in is consumed.
+        Serial dispatch follows this order, so it decides which of two
+        isomorphic stages is solved first and where an ``nth``-armed
+        fault lands.
+
         Raises:
-            nx.NetworkXUnfeasible: on combinational feedback loops.
+            ValueError: on a combinational loop; the message names the
+                stages left with unresolved fan-in, in stage order.
         """
-        order = list(nx.topological_sort(self.graph))
+        pending = {name: len(preds) for name, preds in self.fanin.items()
+                   if preds}
+        generation = [s.name for s in self.stages
+                      if not self.fanin[s.name]]
+        order: List[str] = []
+        while generation:
+            order.extend(generation)
+            ready: List[str] = []
+            for name in generation:
+                for successor in self.fanout[name]:
+                    pending[successor] -= 1
+                    if not pending[successor]:
+                        del pending[successor]
+                        ready.append(successor)
+            generation = ready
+        if pending:
+            stuck = [s.name for s in self.stages if s.name in pending]
+            raise ValueError(
+                f"combinational loop: stages {', '.join(stuck)} are "
+                "left with unresolved fan-in")
         by_name = {s.name: s for s in self.stages}
         return [by_name[n] for n in order]
 
@@ -230,16 +258,15 @@ def extract_stages(netlist: FlatNetlist,
                 node.load_cap += netlist.load_caps[node.name]
         stages.append(stage)
 
-    # Wire up outputs and the stage-level graph.
+    # Wire up outputs and the stage-level fan-in / fan-out.
     gate_uses: Dict[str, List[LogicStage]] = {}
     for stage in stages:
         for input_net in stage.inputs:
             gate_uses.setdefault(input_net, []).append(stage)
 
-    graph = nx.DiGraph()
     driver_of: Dict[str, LogicStage] = {}
-    for stage in stages:
-        graph.add_node(stage.name)
+    fanin: Dict[str, List[str]] = {stage.name: [] for stage in stages}
+    fanout: Dict[str, List[str]] = {stage.name: [] for stage in stages}
     for net, stage in stage_of_net.items():
         drives = gate_uses.get(net, [])
         is_primary_out = net in netlist.primary_outputs
@@ -247,8 +274,10 @@ def extract_stages(netlist: FlatNetlist,
             stage.mark_output(net)
             driver_of[net] = stage
         for consumer in drives:
-            if consumer is not stage:
-                graph.add_edge(stage.name, consumer.name)
+            if consumer is not stage \
+                    and consumer.name not in fanout[stage.name]:
+                fanout[stage.name].append(consumer.name)
+                fanin[consumer.name].append(stage.name)
         if tech is not None and drives:
             # Inter-stage loading: consumer gate caps load this output.
             from repro.devices.capacitance import gate_capacitance
@@ -263,4 +292,4 @@ def extract_stages(netlist: FlatNetlist,
 
     return StageGraph(name=netlist.name, stages=stages,
                       stage_of_net=stage_of_net, driver_of=driver_of,
-                      graph=graph)
+                      fanin=fanin, fanout=fanout)

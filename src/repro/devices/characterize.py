@@ -17,7 +17,7 @@ NMOS-like; the mirroring is undone at query time by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import List, Sequence
 
 import numpy as np
@@ -176,39 +176,26 @@ class CharacterizationGrid:
         return 7 * self.vs_values.size * self.vg_values.size
 
 
-def _conduction_currents(model: MosfetModel, vdd: float, w: float,
-                         l: float, vg_f: float, vs_f: float,
-                         vd_f: np.ndarray) -> np.ndarray:
-    """Forward currents in the conduction frame (NMOS-like, ``vd_f >= vs_f``).
+def _polyfit_batch(x: np.ndarray, y: np.ndarray, mask: np.ndarray,
+                   deg: int) -> np.ndarray:
+    """``np.polyfit(x[k][mask[k]], y[k][mask[k]], deg)`` for every row k.
 
-    For NMOS the frame is the identity.  For PMOS, frame voltage ``u``
-    maps to actual voltage ``vdd - u``; the frame drain (high frame
-    voltage) is the actual *low* node, so the frame-forward current is
-    the current flowing out of the actual high node into the low one.
-    One array call samples a grid point's whole Vd sweep, bit-identical
-    to querying :meth:`MosfetModel.ids` per sample.
+    ``x``, ``y`` and ``mask`` are ``(K, M)`` arrays; every row needs at
+    least ``deg + 1`` distinct masked samples.  As in polyfit, each
+    Vandermonde column is scaled to unit norm; masked-out samples become
+    zero rows, and all rows' least-squares problems are solved by one
+    stacked QR factorization.
+
+    Returns:
+        ``(K, deg + 1)`` coefficients, highest power first.
     """
-    if model.polarity == "n":
-        return model.ids_array(w, l, vg_f, v_src=vd_f, v_snk=vs_f)
-    return model.ids_array(w, l, vdd - vg_f, v_src=vdd - vs_f,
-                           v_snk=vdd - vd_f)
-
-
-def _conduction_threshold(model: MosfetModel, vdd: float, vs_f: float) -> float:
-    """Threshold at a conduction-frame source voltage."""
-    if model.polarity == "n":
-        return model.threshold(vs_f)
-    return model.threshold(vdd - vs_f)
-
-
-def _conduction_vdsat(model: MosfetModel, vdd: float, w: float, l: float,
-                      vg_f: float, vs_f: float) -> float:
-    """Saturation voltage at a conduction-frame bias point."""
-    vd_probe = vs_f + max(vdd - vs_f, 0.1)
-    if model.polarity == "n":
-        return model.vdsat(w, l, vg_f, v_src=vd_probe, v_snk=vs_f)
-    return model.vdsat(w, l, vdd - vg_f, v_src=vdd - vd_probe,
-                       v_snk=vdd - vs_f)
+    weight = mask.astype(float)
+    lhs = np.stack([weight * x ** k for k in range(deg, -1, -1)], axis=-1)
+    scale = np.sqrt((lhs * lhs).sum(axis=1))
+    lhs /= scale[:, None, :]
+    q, r = np.linalg.qr(lhs)
+    rhs = q.transpose(0, 2, 1) @ (weight * y)[..., None]
+    return np.linalg.solve(r, rhs)[..., 0] / scale
 
 
 def characterize_device(model: MosfetModel, tech: Technology,
@@ -220,6 +207,12 @@ def characterize_device(model: MosfetModel, tech: Technology,
     Sweeps Vs and Vg from 0 to vdd with ``grid_step`` (the paper's 0.1 V),
     samples the golden model's Vd dependence at ``vds_step`` resolution,
     and fits the two-piece polynomial model at every grid point.
+
+    The whole grid is sampled in one array call and fitted in one
+    batched solve, into the paper's packed ``(Nvs, Nvg, 7)`` table; the
+    fits match per-point :func:`fit_iv_curve` to rounding.  A point with
+    too few samples for either fit goes through :func:`fit_iv_curve`
+    itself, which owns the degenerate cases.
 
     Args:
         model: the golden analytic model to sample (plays HSPICE/BSIM3).
@@ -235,26 +228,64 @@ def characterize_device(model: MosfetModel, tech: Technology,
     l = tech.lmin if l is None else l
     vdd = tech.vdd
     axis = np.round(np.arange(0.0, vdd + 0.5 * grid_step, grid_step), 9)
+    n = axis.size
+    vs = axis[:, None]
+    vg = axis[None, :]
 
-    fits: List[List[FittedIV]] = []
-    for vs_f in axis:
-        row: List[FittedIV] = []
-        vds_max = max(vdd - vs_f, grid_step)
-        base = np.arange(0.0, vds_max + 0.5 * vds_step, vds_step)
-        for vg_f in axis:
-            vth = _conduction_threshold(model, vdd, float(vs_f))
-            vdsat = _conduction_vdsat(model, vdd, w, l, float(vg_f),
-                                      float(vs_f))
-            # Always sample the region boundary so both fits anchor there.
-            vds_samples = np.unique(
-                np.clip(np.append(base, [vdsat, min(vdsat * 0.5, vds_max)]),
-                        0.0, vds_max))
-            ids_samples = _conduction_currents(
-                model, vdd, w, l, float(vg_f), float(vs_f),
-                vs_f + vds_samples)
-            row.append(fit_iv_curve(vds_samples, ids_samples, vth, vdsat))
-        fits.append(row)
+    # Conduction frame: the identity for NMOS.  PMOS voltages mirror
+    # about vdd, so the frame drain (high frame voltage) is the actual
+    # low node and the frame-forward current flows out of the actual
+    # high node.
+    vd_probe = vs + np.maximum(vdd - vs, 0.1)
+    if model.polarity == "n":
+        vth = [model.threshold(v) for v in axis]
+        vdsat = model.vdsat_array(w, l, vg, v_src=vd_probe, v_snk=vs)
+    else:
+        vth = [model.threshold(vdd - v) for v in axis]
+        vdsat = model.vdsat_array(w, l, vdd - vg, v_src=vdd - vd_probe,
+                                  v_snk=vdd - vs)
 
+    # Each point samples its row's Vd sweep plus the region boundary
+    # and half of it (so both fits anchor there), clipped to the sweep
+    # and de-duplicated: sorted, NaN-padded to one (n, n, M) array.
+    vds_max = np.maximum(vdd - axis, grid_step)
+    sweeps = [np.arange(0.0, top + 0.5 * vds_step, vds_step)
+              for top in vds_max]
+    vds = np.full((n, n, max(s.size for s in sweeps) + 2), np.nan)
+    for i, sweep in enumerate(sweeps):
+        vds[i, :, :sweep.size] = sweep
+    vds[..., -2] = vdsat
+    vds[..., -1] = np.minimum(vdsat * 0.5, vds_max[:, None])
+    vds = np.sort(np.clip(vds, 0.0, vds_max[:, None, None]), axis=-1)
+    valid = ~np.isnan(vds)
+    valid[..., 1:] &= vds[..., 1:] != vds[..., :-1]
+    vds[~valid] = 0.0
+
+    # The bias planes, broadcast over each point's samples.
+    vs3, vg3 = vs[..., None], vg[..., None]
+    if model.polarity == "n":
+        ids = model.ids_array(w, l, vg3, v_src=vs3 + vds, v_snk=vs3)
+    else:
+        ids = model.ids_array(w, l, vdd - vg3, v_src=vdd - vs3,
+                              v_snk=vdd - (vs3 + vds))
+
+    # The paper's seven parameters per point, in FittedIV field order.
+    table = np.empty((n, n, 7))
+    table[..., 5] = np.array(vth)[:, None]
+    table[..., 6] = vdsat
+    triode = valid & (vds <= vdsat[..., None])
+    sat = valid & ~triode
+    batched = (triode.sum(axis=-1) >= 3) & (sat.sum(axis=-1) >= 2)
+    table[batched, 2:5] = _polyfit_batch(vds[batched], ids[batched],
+                                         triode[batched], 2)
+    table[batched, 0:2] = _polyfit_batch(vds[batched], ids[batched],
+                                         sat[batched], 1)
+    for i, j in zip(*np.nonzero(~batched)):
+        fit = fit_iv_curve(vds[i, j][valid[i, j]], ids[i, j][valid[i, j]],
+                           vth[i], vdsat[i, j])
+        table[i, j] = astuple(fit)
+
+    fits = [[FittedIV(*point) for point in row] for row in table.tolist()]
     return CharacterizationGrid(
         polarity=model.polarity, w_ref=w, l_ref=l, vdd=vdd,
         vs_values=axis, vg_values=axis.copy(), fits=fits)

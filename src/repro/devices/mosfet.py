@@ -116,14 +116,8 @@ def _forward(params: MosParams, lref: float, w: float, l: float,
     return i, gm, gds, gmb, vth, vdsat, saturated
 
 
-def _forward_current(params: MosParams, lref: float, w: float, l: float,
-                     vgs, vds: np.ndarray, vsb) -> np.ndarray:
-    """Array twin of :func:`_forward`'s current, elementwise over ``vds``.
-
-    Every float operation runs in :func:`_forward`'s order, so each
-    element is bit-identical to the scalar result; both branches are
-    evaluated and the region test picks one per element.
-    """
+def _forward_vdsat(params: MosParams, l: float, vgs, vsb):
+    """Array twin of :func:`_forward`'s ``(vgt, vdsat)``, in its order."""
     vsb_clamped = np.maximum(vsb, 0.0)
     sqrt_term = np.sqrt(params.phi + vsb_clamped)
     vth = params.vth0 + params.gamma * (sqrt_term - math.sqrt(params.phi))
@@ -133,12 +127,25 @@ def _forward_current(params: MosParams, lref: float, w: float, l: float,
     root = np.sqrt(vgt_raw * vgt_raw + 4.0 * delta * delta)
     vgt = 0.5 * (vgt_raw + root)
 
+    ecl = params.ecrit * l
+    sat_root = np.sqrt(1.0 + 2.0 * vgt / ecl)
+    vdsat = ecl * (sat_root - 1.0)
+    return vgt, vdsat
+
+
+def _forward_current(params: MosParams, lref: float, w: float, l: float,
+                     vgs, vds: np.ndarray, vsb) -> np.ndarray:
+    """Array twin of :func:`_forward`'s current, elementwise over ``vds``.
+
+    Every float operation runs in :func:`_forward`'s order, so each
+    element is bit-identical to the scalar result; both branches are
+    evaluated and the region test picks one per element.
+    """
+    vgt, vdsat = _forward_vdsat(params, l, vgs, vsb)
+
     beta = params.kp * (w / l)
     ecl = params.ecrit * l
     lam = params.lambda_ * (lref / l)
-
-    sat_root = np.sqrt(1.0 + 2.0 * vgt / ecl)
-    vdsat = ecl * (sat_root - 1.0)
 
     clm = 1.0 + lam * vds
     u = vgt * vds - 0.5 * vds * vds
@@ -150,15 +157,32 @@ def _forward_current(params: MosParams, lref: float, w: float, l: float,
     return np.where(vds <= vdsat, i_triode, i_sat)
 
 
-def _ncore_current(params: MosParams, lref: float, w: float, l: float,
-                   v_gate, v_src, v_snk, v_bulk: float) -> np.ndarray:
-    """Array twin of ``_ncore(...).ids`` with the same terminal swap."""
+def _ncore_bias(v_gate, v_src, v_snk, v_bulk: float):
+    """Array twin of :func:`_ncore`'s terminal swap.
+
+    Returns ``(forward, vgs, vds, vsb)``; ``forward`` is False where the
+    structural sink acts as the drain.
+    """
     forward = v_src >= v_snk
     vgs = np.where(forward, v_gate - v_snk, v_gate - v_src)
     vds = np.where(forward, v_src - v_snk, v_snk - v_src)
     vsb = np.where(forward, v_snk - v_bulk, v_src - v_bulk)
+    return forward, vgs, vds, vsb
+
+
+def _ncore_current(params: MosParams, lref: float, w: float, l: float,
+                   v_gate, v_src, v_snk, v_bulk: float) -> np.ndarray:
+    """Array twin of ``_ncore(...).ids`` with the same terminal swap."""
+    forward, vgs, vds, vsb = _ncore_bias(v_gate, v_src, v_snk, v_bulk)
     i = _forward_current(params, lref, w, l, vgs, vds, vsb)
     return np.where(forward, i, -i)
+
+
+def _ncore_vdsat(params: MosParams, l: float, v_gate, v_src, v_snk,
+                 v_bulk: float) -> np.ndarray:
+    """Array twin of ``_ncore(...).vdsat`` with the same terminal swap."""
+    _, vgs, _, vsb = _ncore_bias(v_gate, v_src, v_snk, v_bulk)
+    return _forward_vdsat(params, l, vgs, vsb)[1]
 
 
 def _ncore(params: MosParams, lref: float, w: float, l: float,
@@ -290,6 +314,21 @@ class MosfetModel:
               v_src: float, v_snk: float) -> float:
         """Saturation voltage at the given bias [V]."""
         return self.evaluate(w, l, v_gate, v_src, v_snk).vdsat
+
+    def vdsat_array(self, w: float, l: float, v_gate, v_src,
+                    v_snk) -> np.ndarray:
+        """:meth:`vdsat` over broadcast arrays of node voltages.
+
+        Bit-identical to calling :meth:`vdsat` per element, as
+        :meth:`ids_array` is to :meth:`ids`.
+        """
+        if w <= 0 or l <= 0:
+            raise ValueError("device geometry must be positive")
+        if self.polarity == "n":
+            return _ncore_vdsat(self.params, l, v_gate, v_src, v_snk,
+                                self.v_bulk)
+        return _ncore_vdsat(self.params, l, -v_gate, -v_src, -v_snk,
+                            -self.v_bulk)
 
 
 def nmos_model(tech: Technology) -> MosfetModel:

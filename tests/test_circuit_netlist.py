@@ -101,12 +101,6 @@ class TestQueries:
     def test_iteration(self, inv):
         assert {e.name for e in inv} == {"MP", "MN"}
 
-    def test_to_networkx(self, inv):
-        g = inv.to_networkx()
-        assert g.number_of_nodes() == 3
-        assert g.number_of_edges() == 2
-        assert g.nodes["out"]["is_output"]
-
     def test_node_degree_and_other_edges(self, inv):
         out = inv.node("out")
         assert out.degree == 2

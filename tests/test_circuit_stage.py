@@ -58,7 +58,71 @@ class TestChain:
         net.add_pmos("p2", "m", VDD_NODE, "y", 1e-6, tech.lmin)
         net.mark_output("y")
         graph = extract_stages(net)
-        assert graph.graph.number_of_edges() == 1
+        assert sum(len(drives) for drives in graph.fanout.values()) == 1
+
+
+def _inverter(net, name, inp, out, tech):
+    net.add_pmos(f"{name}p", inp, VDD_NODE, out, 2e-6, tech.lmin)
+    net.add_nmos(f"{name}n", inp, out, GND_NODE, 1e-6, tech.lmin)
+
+
+class TestTopologicalOrder:
+    """The order serial dispatch follows, pinned to literals.
+
+    Both literals were recorded from ``networkx.topological_sort`` before
+    the stage graph dropped networkx: the dispatch order decides which of
+    two isomorphic stages is solved first and where an ``nth``-armed
+    fault lands, so it must not drift.
+    """
+
+    def test_later_index_in_earlier_generation(self, tech):
+        # Stage indices follow sorted component names, not logic depth:
+        # the inverter driving "z" is stage4 but has no fan-in, so it
+        # joins the first generation ahead of stage1 and stage2.
+        net = FlatNetlist("gen", vdd=tech.vdd)
+        _inverter(net, "A", "a", "z", tech)
+        _inverter(net, "B", "c", "d", tech)
+        _inverter(net, "C", "z", "m", tech)
+        net.add_pmos("Dp1", "m", VDD_NODE, "q", 2e-6, tech.lmin)
+        net.add_pmos("Dp2", "d", VDD_NODE, "q", 2e-6, tech.lmin)
+        net.add_nmos("Dn1", "m", "q", "qx", 1e-6, tech.lmin)
+        net.add_nmos("Dn2", "d", "qx", GND_NODE, 1e-6, tech.lmin)
+        _inverter(net, "E", "d", "e", tech)
+        for pin in ("a", "c"):
+            net.mark_input(pin)
+        for pin in ("q", "e"):
+            net.mark_output(pin)
+        graph = extract_stages(net, tech=tech)
+        assert graph.stage_of_net["z"].name == "gen.stage4"
+        assert graph.fanout == {
+            "gen.stage0": ["gen.stage1", "gen.stage3"],
+            "gen.stage1": [],
+            "gen.stage2": ["gen.stage3"],
+            "gen.stage3": [],
+            "gen.stage4": ["gen.stage2"],
+        }
+        assert graph.fanin["gen.stage3"] == ["gen.stage0", "gen.stage2"]
+        assert [s.name for s in graph.topological_order()] == [
+            "gen.stage0", "gen.stage4", "gen.stage1", "gen.stage2",
+            "gen.stage3"]
+
+    def test_decoder3_order(self, tech):
+        graph = extract_stages(builders.decoder_netlist(tech, bits=3),
+                               tech=tech)
+        expected = [0, 1, 2, 10, 9, 7, 8, 3, 4, 5, 6,
+                    18, 17, 15, 16, 11, 12, 13, 14]
+        assert [s.name for s in graph.topological_order()] == [
+            f"decoder3.stage{i}" for i in expected]
+
+    def test_ring_raises_naming_the_loop(self, tech):
+        net = FlatNetlist("ring", vdd=tech.vdd)
+        for k in range(3):
+            _inverter(net, f"x{k}", f"x{k}", f"x{(k + 1) % 3}", tech)
+        net.mark_output("x0")
+        graph = extract_stages(net)
+        with pytest.raises(ValueError, match="combinational loop") as info:
+            graph.topological_order()
+        assert "ring.stage0, ring.stage1, ring.stage2" in str(info.value)
 
 
 class TestPassTransistorMerge:

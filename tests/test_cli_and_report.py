@@ -1,5 +1,9 @@
 """Tests for the timing reports and the CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.analysis import IncrementalTimer
@@ -23,6 +27,18 @@ Mn1 y n0 0 0 nmos W=1u L=0.35u
 Cy y 0 5f
 .input a
 .output y
+.end
+"""
+
+RING_DECK = """
+* three inverters in a ring: x0 -> x1 -> x2 -> x0
+Mp0 x1 x0 VDD VDD pmos W=2u L=0.35u
+Mn0 x1 x0 0 0 nmos W=1u L=0.35u
+Mp1 x2 x1 VDD VDD pmos W=2u L=0.35u
+Mn1 x2 x1 0 0 nmos W=1u L=0.35u
+Mp2 x0 x2 VDD VDD pmos W=2u L=0.35u
+Mn2 x0 x2 0 0 nmos W=1u L=0.35u
+.output x0
 .end
 """
 
@@ -163,6 +179,31 @@ class TestCli:
     def test_missing_deck(self, capsys):
         code = main(["sta", "/nonexistent/deck.sp"])
         assert code == 2
+
+    def test_sta_rejects_combinational_loop(self, tmp_path, capsys):
+        deck = tmp_path / "ring.sp"
+        deck.write_text(RING_DECK)
+        code = main(["sta", str(deck)])
+        assert code == 2
+        assert "loop" in capsys.readouterr().err
+
+    def test_sta_imports_neither_scipy_nor_networkx(self):
+        # A fresh interpreter: the test run may already have imported scipy.
+        script = (
+            "import contextlib, io, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['sta', '--bits', '2'])\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[0] in ('scipy', 'networkx'))\n"
+            "print(code, loaded)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0 []"
 
     def test_characterize_command(self, capsys):
         code = main(["characterize", "--polarity", "n",

@@ -196,3 +196,18 @@ def test_ids_array_bit_identical_to_scalar(polarity):
 def test_ids_array_rejects_bad_geometry(nmos):
     with pytest.raises(ValueError):
         nmos.ids_array(0.0, L, 1.0, np.array([1.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+def test_vdsat_array_bit_identical_to_scalar(polarity):
+    model = nmos_model(TECH) if polarity == "n" else pmos_model(TECH)
+    gate, src, snk = _bias_points(model).T
+    scalar = np.array([model.vdsat(W, L, g, a, b)
+                       for g, a, b in zip(gate, src, snk)])
+    array = model.vdsat_array(W, L, gate, src, snk)
+    assert array.tobytes() == scalar.tobytes()
+
+
+def test_vdsat_array_rejects_bad_geometry(nmos):
+    with pytest.raises(ValueError):
+        nmos.vdsat_array(W, 0.0, 1.0, np.array([1.0]), np.array([0.0]))
