@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.circuit.netlist import LogicStage
 from repro.core import QWMSolution, WaveformEvaluator
-from repro.obs import span, telemetry
+from repro.obs import frame, telemetry
 from repro.spice import (
     ConstantSource,
     StepSource,
@@ -91,7 +91,7 @@ def run_spice(stage: LogicStage, tech, inputs, dt: float, t_stop: float,
               initial: Optional[Dict[str, float]] = None
               ) -> TransientResult:
     """One reference transient run at a fixed step size."""
-    with span("bench.spice", stage=stage.name, dt=dt):
+    with frame("bench.spice", stage=stage.name, dt=dt):
         sim = TransientSimulator(stage, tech,
                                  TransientOptions(t_stop=t_stop, dt=dt))
         return sim.run(inputs, initial=initial)
@@ -105,7 +105,7 @@ def compare_engines(stage: LogicStage, tech,
                     precharge: str = "full",
                     name: str = "") -> ExperimentRow:
     """Run both step sizes of the reference plus QWM; build a row."""
-    with span("bench.compare", circuit=name or stage.name):
+    with frame("bench.compare", circuit=name or stage.name):
         res_1ps = run_spice(stage, tech, inputs, 1e-12, t_stop, initial)
         res_10ps = run_spice(stage, tech, inputs, 10e-12, t_stop,
                              initial)
@@ -194,7 +194,7 @@ def save_metrics(filename: str,
     The CI bench job uploads these dumps (``BENCH_headline.json``) as
     artifacts so the perf trajectory accumulates across commits.  When
     the run profiled itself, ``phases`` (frame label -> exclusive
-    seconds, see :func:`repro.obs.profile.phase_self_seconds`) is
+    seconds, see :func:`repro.obs.frames.phase_self_seconds`) is
     embedded as a top-level ``phases`` section so the artifact carries
     the cost attribution alongside the counters; ``accuracy`` (the
     ``BENCH_ACCURACY=1`` per-circuit error section) embeds the same
@@ -219,12 +219,12 @@ def save_metrics(filename: str,
 
 
 def save_speedscope(filename: str) -> str:
-    """Write the current profiler ledger as a speedscope artifact."""
-    from repro.obs.profile import export_speedscope, profiler
+    """Write the current profile view as a speedscope artifact."""
+    from repro.obs.frames import export_speedscope, ledger
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
-    return export_speedscope(profiler(), path, name=filename)
+    return export_speedscope(ledger(), path, name=filename)
 
 
 def _git_sha() -> str:

@@ -52,10 +52,10 @@ from repro.analysis.sta import (ArrivalTime, Event, StaResult,
                                 primary_input_arrivals)
 from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
-from repro.obs import inc, set_gauge, span
-from repro.obs.accuracy import observatory
+from repro.obs import (count, drain_delta, frame, inc, install_worker_state,
+                       interval, merge_delta, set_gauge, worker_state)
+from repro.obs.accuracy import slew_token
 from repro.obs.flight import flight
-from repro.obs.profile import profile_add, profiler
 from repro.resilience import faults
 from repro.resilience.budget import (CLAMP_FULL, AdmissionController,
                                      RunBudget)
@@ -268,16 +268,12 @@ def canonical_form_for(stage: LogicStage,
     return canonical_stage_form(stage, context=context)
 
 
-def _slew_token(input_slew: Optional[float]) -> str:
-    return "step" if not input_slew else repr(float(input_slew))
-
-
 def arc_cache_key(fingerprint: str, output: str, direction: str,
                   switching_input: str,
                   input_slew: Optional[float]) -> CacheKey:
     return (fingerprint,
             f"{output}|{direction}|{switching_input}|"
-            f"{_slew_token(input_slew)}")
+            f"{slew_token(input_slew)}")
 
 
 class StageResultCache:
@@ -323,7 +319,7 @@ class StageResultCache:
                 value = self._data[key]
                 self.hits += 1
                 inc("sta.cache", result="hit")
-                profile_add("cache_hits", 1, root="sta.cache")
+                count("cache_hits", 1, root="sta.cache")
                 return value
             self.misses += 1
             inc("sta.cache", result="miss")
@@ -566,34 +562,18 @@ _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
 
 def _process_worker_init(tech, library, options, propagate_slews,
-                         input_slew, flight_config=None,
-                         fault_plan=None, profile_config=None,
-                         accuracy_config=None) -> None:
+                         input_slew, obs_state,
+                         fault_plan=None) -> None:
     global _WORKER_ANALYZER
     _WORKER_ANALYZER = StaticTimingAnalyzer(
         tech, library=library, options=options,
         propagate_slews=propagate_slews, input_slew=input_slew)
-    if profile_config is not None and profile_config.enabled:
-        # Workers accumulate into their own ledgers; each stage task
-        # drains its ledger into the return payload so the parent can
-        # merge deterministically (cell-wise addition is commutative).
-        from repro.obs.profile import configure_profile
-
-        configure_profile(profile_config)
-    if accuracy_config is not None and accuracy_config.enabled:
-        # Same delta-shipping shape as the profiler: workers note arc
-        # candidates locally, each stage task drains them into the
-        # payload, and the parent's merge is a set union — so the
-        # audited candidate set does not depend on the worker count.
-        from repro.obs.accuracy import configure_accuracy
-
-        configure_accuracy(accuracy_config)
-    if flight_config is not None and flight_config.enabled:
-        # Workers record into their own ledgers; bundles (the durable
-        # artifact) land in the shared bundle_dir either way.
-        from repro.obs.flight import configure_flight
-
-        configure_flight(flight_config)
+    # Workers record into their own profile cells, accuracy arcs and
+    # flight ledger; each stage task drains one delta into its return
+    # payload and the parent merges it (both merges commute, so the
+    # totals do not depend on the worker count).  Flight bundles (the
+    # durable artifact) land in the shared bundle_dir either way.
+    install_worker_state(obs_state)
     # Fault plans follow the work into the pool so worker-scoped
     # faults (crash/hang) and solver faults fire where the chaos
     # harness aimed them; the worker marks itself so crash faults can
@@ -611,12 +591,13 @@ def _process_stage_task(stage: LogicStage,
     """Worker-process task: :func:`_evaluate_stage` on shipped entries.
 
     The shipped entries fill a worker-local cache.  Returns (arrivals,
-    stats, new cache entries, cache hits, cache misses, drained profile
-    ledger or None, drained accuracy ledger or None); the parent merges
-    the new entries into the shared cache so later dispatches of equal
-    configurations hit, folds the hit/miss counts into the shared
-    cache's counters, and merges the ledgers into the parent profiler /
-    accuracy observatory.
+    stats, new cache entries, cache hits, cache misses, obs delta); the
+    parent merges the new entries into the shared cache so later
+    dispatches of equal configurations hit, folds the hit/miss counts
+    into the shared cache's counters, and merges the delta (see
+    :func:`repro.obs.merge_delta`).  The task runs in the same
+    ``sta.stage.task`` frame the serial loop opens, so merged profile
+    paths equal the serial run's.
     """
     analyzer = _WORKER_ANALYZER
     assert analyzer is not None, "worker pool initializer did not run"
@@ -625,8 +606,9 @@ def _process_stage_task(stage: LogicStage,
     if shipped is not None:
         cache = StageResultCache()
         cache.merge(shipped)
-    computed, stats = _evaluate_stage(analyzer, stage, snapshot, cache,
-                                      form, clamp)
+    with frame("sta.stage.task", stage=stage.name):
+        computed, stats = _evaluate_stage(analyzer, stage, snapshot,
+                                          cache, form, clamp)
     new_entries: Dict[CacheKey, CachedArc] = {}
     hits = misses = 0
     if cache is not None and form is not None:
@@ -634,12 +616,7 @@ def _process_stage_task(stage: LogicStage,
                        in cache.entries_for(form.fingerprint).items()
                        if key not in shipped}
         hits, misses = cache.hits, cache.misses
-    prof = profiler()
-    ledger = prof.drain() if prof.enabled else None
-    acc = observatory()
-    accuracy_delta = acc.drain() if acc.enabled else None
-    return computed, stats, new_entries, hits, misses, ledger, \
-        accuracy_delta
+    return computed, stats, new_entries, hits, misses, drain_delta()
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +658,7 @@ class ParallelStaEngine:
                         if analyzer.propagate_slews else None)
         arrivals, driven = primary_input_arrivals(
             graph, input_arrivals, primary_slew)
-        with span("sta.levelize", stages=len(graph.stages)):
+        with frame("sta.levelize", stages=len(graph.stages)):
             order = list(graph.topological_order())
         waves = self._wave_indices(graph, order)
         if waves:
@@ -870,8 +847,8 @@ class ParallelStaEngine:
                 clamp = None if level == CLAMP_FULL else level
             started = time.perf_counter()
             inc("sta.parallel.dispatch", backend="serial")
-            with span("sta.stage.task", stage=stage.name,
-                      wave=waves[stage.name]):
+            with frame("sta.stage.task", stage=stage.name,
+                       wave=waves[stage.name]):
                 computed, stats = _evaluate_stage(
                     self.analyzer, stage, arrivals, self.cache,
                     forms[stage.name], clamp=clamp)
@@ -902,9 +879,8 @@ class ParallelStaEngine:
             initializer=_process_worker_init,
             initargs=(self.analyzer.tech, evaluator.library,
                       evaluator.options, self.analyzer.propagate_slews,
-                      self.analyzer.input_slew, flight().config,
-                      faults.active_plan(), profiler().config,
-                      observatory().config))
+                      self.analyzer.input_slew, worker_state(),
+                      faults.active_plan()))
 
     def _run_pooled(self, graph: StageGraph, order: List[LogicStage],
                     arrivals: Dict[Event, ArrivalTime],
@@ -954,9 +930,10 @@ class ParallelStaEngine:
         by_name = {stage.name: stage for stage in active}
         stats_by_stage: Dict[str, SimulationStats] = {}
 
-        # Per-wave spans: a wave's span opens when its first stage is
-        # dispatched and closes when its last stage merges.  The same
-        # pending counts drive the journal checkpoints.
+        # Per-wave spans: a wave's interval opens when its first stage
+        # is dispatched and closes when its last stage merges (waves
+        # overlap, so they stay off the frame stack).  The same pending
+        # counts drive the journal checkpoints.
         wave_pending: Dict[int, int] = {}
         for stage in active:
             wave = waves[stage.name]
@@ -996,7 +973,7 @@ class ParallelStaEngine:
             wave_pending[wave] -= 1
             if wave_pending[wave] == 0:
                 if wave in wave_spans:
-                    wave_spans.pop(wave).__exit__(None, None, None)
+                    wave_spans.pop(wave).close()
                 if journal is not None:
                     if journal.record_wave(wave, wave_names[wave],
                                            wave_deltas[wave],
@@ -1018,8 +995,8 @@ class ParallelStaEngine:
                 fl.record("escalation", from_rung="worker",
                           to_rung="serial", reason=reason,
                           stage=stage.name)
-            with span("sta.stage.task", stage=stage.name,
-                      wave=waves[stage.name], redispatch=reason):
+            with frame("sta.stage.task", stage=stage.name,
+                       wave=waves[stage.name], redispatch=reason):
                 computed, stats = _evaluate_stage(
                     analyzer, stage, arrivals, self.cache,
                     forms[stage.name], clamp=clamp)
@@ -1030,11 +1007,9 @@ class ParallelStaEngine:
                 return
             wave = waves[stage.name]
             if wave not in wave_spans and wave_pending[wave] > 0:
-                handle = span("sta.wave", index=wave,
-                              stages=wave_pending[wave],
-                              backend="process")
-                handle.__enter__()
-                wave_spans[wave] = handle
+                wave_spans[wave] = interval(
+                    "sta.wave", index=wave, stages=wave_pending[wave],
+                    backend="process")
             inc("sta.parallel.dispatch", backend="process")
             clamp = admit_clamp(stage)
             if stage.name in serial_only:
@@ -1055,15 +1030,11 @@ class ParallelStaEngine:
             submitted_at[future] = time.monotonic()
 
         def merge_payload(stage: LogicStage, payload) -> None:
-            (computed, stats, new_entries, hits, misses, ledger,
-             accuracy_delta) = payload
+            computed, stats, new_entries, hits, misses, delta = payload
             if self.cache is not None:
                 self.cache.merge(new_entries)
                 self.cache.record_external(hits, misses)
-            if ledger is not None:
-                profiler().merge(ledger)
-            if accuracy_delta is not None:
-                observatory().merge(accuracy_delta)
+            merge_delta(delta)
             complete(stage, computed, stats)
 
         def recover_broken_pool(first_casualty: LogicStage) -> None:
@@ -1143,7 +1114,7 @@ class ParallelStaEngine:
                         run_in_parent(stage, "stage_timeout")
         finally:
             for handle in wave_spans.values():
-                handle.__exit__(None, None, None)
+                handle.close()
             # A hung worker would block a waiting shutdown forever;
             # once any task has been abandoned, leave the pool to
             # reap itself.

@@ -28,10 +28,9 @@ from repro.core.engine import WaveformEvaluator
 from repro.core.qwm import QWMOptions
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
-from repro.obs import inc, observe, span
+from repro.obs import count, frame, inc, observe
 from repro.obs.accuracy import note_arc_candidate
 from repro.obs.flight import flight
-from repro.obs.profile import profile_add, profile_phase
 from repro.resilience import faults
 from repro.resilience.budget import CLAMP_BOUND, CLAMP_NO_SPICE
 from repro.resilience.ladder import (
@@ -356,9 +355,8 @@ class StaticTimingAnalyzer:
         arc_ctx = (fl.context(arc_input=switching_input)
                    if fl.enabled else _NULL_CTX)
         result: Optional[Arc]
-        with profile_phase("sta.arc", tag=stage.name), \
-                span("sta.stage", stage=stage.name, output=output,
-                     direction=out_direction, input=switching_input), \
+        with frame("sta.arc", stage.name, output=output,
+                   direction=out_direction, input=switching_input), \
                 arc_ctx, \
                 faults.scope(stage=stage.name, arc_start=arc_start):
             def qwm_attempt(evaluator: WaveformEvaluator
@@ -432,7 +430,7 @@ class StaticTimingAnalyzer:
             except ValueError:
                 continue
             inc("sta.stage.solves")
-            profile_add("solves", 1, root="sta.arc")
+            count("solves", 1, root="sta.arc")
             # The run total counts every solve actually performed,
             # including sensitizations rejected just below.
             if stats is not None:
@@ -540,6 +538,6 @@ class StaticTimingAnalyzer:
 
         engine = ParallelStaEngine(self, self.execution or ExecutionConfig(),
                                    cache=self.cache)
-        with span("sta.analyze", stages=len(graph.stages),
-                  workers=engine.config.workers):
+        with frame("sta.analyze", stages=len(graph.stages),
+                   workers=engine.config.workers):
             return engine.run(graph, input_arrivals)

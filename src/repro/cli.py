@@ -100,8 +100,8 @@ Commands
     plus the raw metrics dump.
 
 ``profile [TARGET]``
-    Run a workload under the phase-level cost-attribution profiler
-    (:mod:`repro.obs.profile`) and print self-/cumulative-time tables
+    Run a workload under the phase-level cost-attribution profile
+    (:mod:`repro.obs.frames`) and print self-/cumulative-time tables
     plus the hottest ``(phase, stage)`` cells.  TARGET is a pytest
     file (``repro profile benchmarks/bench_headline.py``, run
     in-process), a single-stage deck, or empty for a built-in circuit.
@@ -111,12 +111,13 @@ Commands
 Global flags: ``--trace FILE`` writes a Chrome ``trace_event`` file
 (load at chrome://tracing or https://ui.perfetto.dev), ``--metrics
 FILE`` writes the metrics-registry JSON dump (both enable telemetry
-for any command), and ``--profile FILE`` enables the phase profiler
+for any command), and ``--profile FILE`` enables the phase profile
 for any command and writes a speedscope profile on exit.  The three
-compose freely; precedence is irrelevant because each drives its own
-subsystem.  Telemetry and profiling are disabled by default and cost
-one attribute check per instrumentation point when off; the profiler
-adds < 5 % wall time when on (asserted in the benchmark suite).
+compose freely: the trace and the profile are two views of the same
+instrumentation frames, and switching one never clears the other.
+Telemetry and profiling are disabled by default and cost one attribute
+check per instrumentation point when off; the profile adds < 5 % wall
+time when on (asserted in the benchmark suite).
 
 Voltage/time values accept SPICE suffixes (``20p``, ``3.3``, ``50f``).
 Source specs: ``name=step:v0:v1:t``, ``name=ramp:v0:v1:t0:trise``,
@@ -143,18 +144,19 @@ from repro.devices import CMOSP35, TableModelLibrary
 from repro.devices.corners import all_corners
 from repro.io import ascii_plot, parse_spice_netlist
 from repro.io.spice_netlist import parse_value
-from repro.obs import ObsConfig, configure, disable, format_span_tree, telemetry
-from repro.resilience.ladder import QUALITY_ORDER, QUALITY_RANK
-from repro.obs.profile import (
+from repro.obs import ObsConfig, configure, disable, telemetry
+from repro.obs.frames import (
     ProfileConfig,
     configure_profile,
     disable_profile,
     export_speedscope,
-    profiler,
+    format_span_tree,
+    ledger,
     render_profile,
     summarize_profile,
     to_collapsed,
 )
+from repro.resilience.ladder import QUALITY_ORDER, QUALITY_RANK
 from repro.spice import (
     ConstantSource,
     RampSource,
@@ -636,7 +638,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                 "arc_quality": arc_quality,
             },
             "metrics": registry.to_json(),
-            "trace": bundle.tracer.stats(),
+            "trace": ledger().trace_stats(),
         }
         if audit_record is not None:
             document["accuracy"] = audit_record
@@ -684,8 +686,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print()
     print("wall-time tree")
     print(rule)
-    print(format_span_tree(bundle.tracer.records(),
-                           dropped=bundle.tracer.stats()["dropped"]))
+    print(format_span_tree(ledger().spans(),
+                           dropped=ledger().trace_stats()["dropped"]))
     return 0
 
 
@@ -718,20 +720,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for _ in range(max(1, args.repeat)):
             _, workload, _, _ = _evaluate_single_arc(args, library)
 
-    ledger = prof.to_json()
-    summary = summarize_profile(ledger)
+    document = prof.profile_json()
+    summary = summarize_profile(document)
     if args.collapsed:
         with open(args.collapsed, "w", encoding="utf-8") as handle:
-            handle.write(to_collapsed(ledger))
+            handle.write(to_collapsed(document))
         print(f"profile: wrote collapsed stacks to {args.collapsed}",
               file=sys.stderr)
     if args.speedscope:
-        export_speedscope(ledger, args.speedscope,
+        export_speedscope(document, args.speedscope,
                           name=f"repro profile {workload}")
         print(f"profile: wrote speedscope profile to {args.speedscope}",
               file=sys.stderr)
     if args.json:
-        print(json.dumps({"workload": workload, "ledger": ledger,
+        print(json.dumps({"workload": workload, "ledger": document,
                           "summary": summary},
                          indent=2, sort_keys=True))
     else:
@@ -1406,7 +1408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 bundle.export_metrics(args.metrics)
             disable()
         if wants_profile:
-            export_speedscope(profiler(), args.profile)
+            export_speedscope(ledger(), args.profile)
         if wants_profile or args.command == "profile":
             disable_profile()
 

@@ -30,9 +30,8 @@ from repro.circuit.netlist import LogicStage
 from repro.core.path import DischargePath, extract_path
 from repro.core.qwm import QWMOptions, QWMSolution, QWMSolver
 from repro.linalg.newton import NewtonConvergenceError
-from repro.obs import inc, span
+from repro.obs import frame, inc
 from repro.obs.flight import flight
-from repro.obs.profile import profile_phase
 from repro.resilience import faults
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
@@ -77,7 +76,7 @@ class WaveformEvaluator:
             return
         from repro.lint import LintContext, preflight
 
-        with span("engine.preflight", stage=stage.name):
+        with frame("engine.preflight", stage=stage.name):
             ctx = LintContext.from_stage(stage, tech=self.tech,
                                          options=self.options)
             ctx.grid_step = getattr(self.library, "grid_step", None)
@@ -209,13 +208,12 @@ class WaveformEvaluator:
             The QWM solution (waveforms + stats).
         """
         faults.check_stage_timeout()
-        with profile_phase("engine.evaluate", tag=stage.name), \
-                span("engine.evaluate", stage=stage.name, output=output,
-                     direction=direction):
+        with frame("engine.evaluate", stage.name, output=output,
+                   direction=direction):
             self._preflight_stage(stage)
-            with profile_phase("engine.extract"):
+            with frame("engine.extract"):
                 path = self.extract(stage, output, direction, inputs)
-            with profile_phase("engine.initial", tag=precharge):
+            with frame("engine.initial", precharge):
                 start = self.default_initial(path, precharge,
                                              inputs=inputs,
                                              t_start=t_start)

@@ -33,9 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.path import DischargePath
-from repro.obs import inc
-from repro.obs.accuracy import CONDITION_TAGS, note_region
-from repro.obs.profile import profile_add
+from repro.obs import count, inc
 from repro.linalg.sherman_morrison import solve_bordered_tridiagonal
 from repro.linalg.tridiagonal import TridiagonalMatrix
 from repro.linalg.newton import (
@@ -297,8 +295,8 @@ class RegionSystem:
             _, matrix, last_col = self.residual_and_parts(x)
             return (matrix, last_col)
 
-        # Linear-solve kinds are tallied in plain ints here and flushed
-        # to the profiler once per region solve — never per Newton
+        # Linear-solve kinds are tallied in plain ints here and counted
+        # on the region's frame once per solve — never per Newton
         # iteration (see lint rule SOL006).
         sm_solves = 0
         lu_solves = 0
@@ -321,19 +319,11 @@ class RegionSystem:
             return np.linalg.solve(dense, rhs)
 
         try:
-            result = solver.solve(self.residual, jacobian, x0,
-                                  linear_solve=linear_solve,
-                                  trajectory=trajectory)
-            # Accuracy-observatory residual export: when an audit has
-            # armed a region capture on this thread, note the converged
-            # region's final residual norm under the same taxonomy the
-            # profiler uses.  Unarmed, this is one thread-local read.
-            note_region(CONDITION_TAGS.get(type(self.condition).__name__,
-                                           "region"),
-                        self.m, result.residual_norm, result.iterations)
-            return result
+            return solver.solve(self.residual, jacobian, x0,
+                                linear_solve=linear_solve,
+                                trajectory=trajectory)
         finally:
             if sm_solves:
-                profile_add("sherman_morrison", sm_solves)
+                count("sherman_morrison", sm_solves)
             if lu_solves:
-                profile_add("dense_lu", lu_solves)
+                count("dense_lu", lu_solves)

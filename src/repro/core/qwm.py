@@ -41,10 +41,9 @@ from repro.circuit.elements import DeviceKind
 from repro.core.path import DischargePath
 from repro.core.waveforms import PiecewiseQuadraticWaveform, QuadraticPiece
 from repro.linalg.newton import NewtonConvergenceError, NewtonOptions
-from repro.obs import inc, observe, span
-from repro.obs.accuracy import accuracy_region_phase
+from repro.obs import frame, inc, observe
+from repro.obs.accuracy import note_region
 from repro.obs.flight import flight
-from repro.obs.profile import profile_phase
 from repro.resilience import faults
 from repro.spice.results import SimulationStats, TransientResult
 from repro.spice.sources import SourceLike, as_source
@@ -166,7 +165,8 @@ def _condition_json(condition) -> Dict[str, object]:
     return {"kind": type(condition).__name__}
 
 
-#: Profiler region-kind tags (the taxonomy's middle axis).
+#: Region-kind frame tags (the profile and accuracy taxonomy's middle
+#: axis).
 _CONDITION_TAGS = {"TurnOnCondition": "turn_on",
                    "CrossingCondition": "crossing",
                    "TimeCondition": "time"}
@@ -239,8 +239,8 @@ class QWMSolver:
         else:
             self._fl = None
             self._solve_id = 0
-        with span("qwm.solve", k=self.path.length,
-                  direction=self.path.direction) as sp, \
+        with frame("qwm.solve", k=self.path.length,
+                   direction=self.path.direction) as sp, \
                 faults.scope_default(rung="qwm",
                                      stage=self.path.stage.name):
             solution = self._run_schedule(inputs, initial, t_start)
@@ -726,20 +726,17 @@ class QWMSolver:
                   for s in [1.0, 0.3, 3.0, 0.1][:max(opts.max_retries, 1)]]
         if opts.waveform_order != 1:
             scales += [(1.0, 1), (0.3, 1)]
-        region_span = span("qwm.region", kind=type(condition).__name__,
-                           active=active)
-        # Profiler frame: (solver phase, region kind) — op counts are
-        # accumulated locally and flushed once at frame exit, never
-        # inside the Newton iteration loop (see lint rule SOL006).
-        region_phase = profile_phase(phase, tag=_CONDITION_TAGS.get(
-            type(condition).__name__, "region"))
+        tag = _CONDITION_TAGS.get(type(condition).__name__, "region")
         region_start = time.perf_counter()
         attempts = 0
         reasons: List[str] = []
         failed_iterations = 0
         region_queries = 0
-        with region_phase as prof, region_span, \
-                accuracy_region_phase(phase):
+        # One frame per region, labelled (solver phase, region kind): op
+        # counts are accumulated locally and flushed once at frame exit,
+        # never inside the Newton iteration loop (see lint rule SOL006).
+        with frame(phase, tag, kind=type(condition).__name__,
+                   active=active) as region:
             for scale, order in scales:
                 attempts += 1
                 region_iterations = 0
@@ -765,6 +762,12 @@ class QWMSolver:
                     except NewtonConvergenceError as exc:
                         result = None
                         outcome = exc.reason
+                    else:
+                        # Residual export for an armed accuracy capture
+                        # (one thread-local read otherwise).
+                        note_region(phase, tag, active,
+                                    result.residual_norm,
+                                    result.iterations)
                     if result is not None:
                         tau_new = float(result.x[active])
                         if not tau_new > tau:
@@ -804,10 +807,10 @@ class QWMSolver:
                 if meter is not None:
                     drained = meter.drain(stats)
                     region_queries += drained
-                    prof.count("table_evaluations", drained)
+                    region.count("table_evaluations", drained)
                 if result is None:
                     inc("newton.convergence.failures")
-                    prof.count("newton_failures")
+                    region.count("newton_failures")
                     continue
                 delta = tau_new - tau
                 order_f = float(order)
@@ -821,11 +824,11 @@ class QWMSolver:
                 observe("qwm.newton.iterations", region_iterations)
                 observe("qwm.region.wall_seconds",
                         time.perf_counter() - region_start)
-                prof.count("regions")
-                prof.count("newton_iterations", region_iterations)
-                prof.count("attempts", attempts)
-                region_span.set(iterations=region_iterations,
-                                attempts=attempts, order=order)
+                region.count("regions")
+                region.count("newton_iterations", region_iterations)
+                region.count("attempts", attempts)
+                region.set(iterations=region_iterations,
+                           attempts=attempts, order=order)
                 if rec is not None:
                     rec.record(
                         "region_solved", solve_id=self._solve_id,

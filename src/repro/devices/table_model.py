@@ -22,8 +22,7 @@ from repro.devices.capacitance import equivalent_junction_cap, gate_capacitance
 from repro.devices.characterize import CharacterizationGrid, characterize_device
 from repro.devices.mosfet import MosfetModel, nmos_model, pmos_model
 from repro.devices.technology import MosParams, Technology
-from repro.obs import inc, span
-from repro.obs.profile import profile_phase
+from repro.obs import frame, inc
 
 
 @dataclass(frozen=True)
@@ -240,9 +239,7 @@ class TableModelLibrary:
         key = (polarity, round(length, 12))
         if key not in self._cache:
             inc("device.table.cache", result="miss")
-            with profile_phase("device.characterize", tag=polarity), \
-                    span("device.characterize", polarity=polarity,
-                         length=length):
+            with frame("device.characterize", polarity, length=length):
                 grid = characterize_device(
                     self._golden[polarity], self.tech, l=length,
                     grid_step=self.grid_step)

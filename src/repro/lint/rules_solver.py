@@ -289,7 +289,8 @@ class TelemetryBudgetRule(LintRule):
                 _opts_loc("telemetry"),
                 hint="configure(ObsConfig(enabled=True)) — the "
                      "newton.convergence.failures counter and "
-                     "qwm.region spans pinpoint failing regions")
+                     "qwm.phase12/qwm.phase3 spans pinpoint failing "
+                     "regions")
 
 
 @register
@@ -332,10 +333,9 @@ class FlightLedgerBudgetRule(LintRule):
 # ======================================================================
 #: Packages whose inner loops are the measured hot path.
 _HOT_PACKAGES = ("core", "linalg", "spice", "devices")
-#: Module-level telemetry/profiler helpers (called by bare name).
+#: Module-level instrumentation helpers (called by bare name).
 _BARE_INSTRUMENTATION = frozenset({
-    "span", "inc", "observe", "set_gauge",
-    "profile_phase", "profile_add"})
+    "frame", "count", "inc", "observe", "set_gauge"})
 #: Method-style instrumentation sinks (``recorder.record(...)``).
 _ATTR_INSTRUMENTATION = frozenset(
     _BARE_INSTRUMENTATION | {"record", "add_event"})
@@ -414,9 +414,9 @@ class HotLoopInstrumentationRule(LintRule):
                     "on every iteration of the hot path it measures",
                     _loc(source, node.lineno),
                     hint="accumulate into a local counter and flush "
-                         "once after the loop (profile_add / "
-                         "PhaseFrame.count), or guard the call with a "
-                         "sampling test (e.g. `if i % stride == 0`)")
+                         "once after the loop (count / Frame.count), "
+                         "or guard the call with a sampling test "
+                         "(e.g. `if i % stride == 0`)")
 
     @staticmethod
     def _enclosing_iteration_loop(source, node: ast.Call

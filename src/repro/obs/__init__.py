@@ -1,20 +1,23 @@
-"""Telemetry: hierarchical tracing, metrics and pluggable sinks.
+"""Telemetry: instrumentation frames, metrics and pluggable sinks.
 
-The solvers are instrumented against one process-wide
-:class:`Telemetry` bundle (tracer + metrics registry + sink), reached
-through module-level helpers so call sites stay one-liners::
+The solvers are instrumented against process-wide state reached
+through module-level helpers, so call sites stay one-liners::
 
-    from repro.obs import configure, span, inc, observe
+    from repro.obs import configure, frame, inc, observe
 
     configure(ObsConfig(enabled=True))
-    with span("qwm.region", k=2):
+    with frame("qwm.phase3", "crossing", active=2):
         inc("device.table.evaluations", 17)
         observe("qwm.newton.iterations", 4)
 
+A frame (:mod:`repro.obs.frames`) feeds the trace view and the profile
+view; :func:`configure` switches the trace view and installs a fresh
+:class:`Telemetry` bundle (metrics registry + live span sink).
+
 By default telemetry is *disabled* and every helper degrades to a
-single attribute check (plus a shared no-op span), so instrumented hot
-paths cost effectively nothing when un-observed.  ``configure`` swaps
-the whole bundle atomically; ``disable()`` restores the default.
+single attribute check (plus a shared no-op frame), so instrumented hot
+paths cost effectively nothing when un-observed.  ``disable()``
+restores the default.
 
 See DESIGN.md ("Observability") for the metric catalog and how the
 names map onto the paper's cost model.
@@ -22,7 +25,7 @@ names map onto the paper's cost model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.accuracy import (AccuracyConfig, AccuracyObservatory,
                                 accuracy_regressions,
@@ -35,52 +38,48 @@ from repro.obs.config import ObsConfig, SINK_KINDS
 from repro.obs.flight import (FlightConfig, FlightRecorder, LedgerEvent,
                               configure_flight, disable_flight, flight,
                               render_report, summarize_ledger)
+from repro.obs.frames import (NOOP_FRAME, Frame, FrameLedger,
+                              ProfileConfig, configure_profile, count,
+                              disable_profile, export_speedscope,
+                              format_span_tree, frame, fresh_ledger,
+                              interval, ledger, phase_self_seconds,
+                              render_profile, summarize_profile,
+                              to_collapsed, to_speedscope)
 from repro.obs.metrics import (CATALOG, Counter, Gauge, Histogram,
                                MetricsRegistry)
-from repro.obs.profile import (PhaseProfiler, ProfileConfig,
-                               configure_profile, disable_profile,
-                               export_speedscope, phase_self_seconds,
-                               profile_add, profile_phase, profiler,
-                               render_profile, summarize_profile,
-                               to_collapsed, to_speedscope)
 from repro.obs.sinks import (JsonlSink, NullSink, Sink, StderrSink,
                              make_sink)
-from repro.obs.trace import (NOOP_SPAN, SpanRecord, Tracer,
-                             format_span_tree)
 
 __all__ = [
     "ObsConfig", "SINK_KINDS", "Telemetry", "telemetry", "configure",
-    "disable", "span", "inc", "observe", "set_gauge", "CATALOG",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sink",
-    "NullSink", "StderrSink", "JsonlSink", "make_sink", "Tracer",
-    "SpanRecord", "NOOP_SPAN", "format_span_tree",
+    "disable", "frame", "interval", "count", "inc", "observe",
+    "set_gauge", "CATALOG", "Counter", "Gauge", "Histogram",
+    "MetricsRegistry", "Sink", "NullSink", "StderrSink", "JsonlSink",
+    "make_sink", "Frame", "FrameLedger", "ledger", "NOOP_FRAME",
+    "format_span_tree",
     "FlightConfig", "FlightRecorder", "LedgerEvent", "flight",
     "configure_flight", "disable_flight", "summarize_ledger",
     "render_report",
-    "ProfileConfig", "PhaseProfiler", "profiler", "configure_profile",
-    "disable_profile", "profile_phase", "profile_add", "to_collapsed",
-    "to_speedscope", "export_speedscope", "summarize_profile",
-    "render_profile", "phase_self_seconds",
+    "ProfileConfig", "configure_profile", "disable_profile",
+    "to_collapsed", "to_speedscope", "export_speedscope",
+    "summarize_profile", "render_profile", "phase_self_seconds",
     "AccuracyConfig", "AccuracyObservatory", "observatory",
     "configure_accuracy", "disable_accuracy", "capture_regions",
     "note_region", "attribute_regions", "history_entry",
     "append_history_entry", "load_history_entries",
     "accuracy_regressions", "worst_regression",
+    "worker_state", "install_worker_state", "drain_delta",
+    "merge_delta",
 ]
 
 
 class Telemetry:
-    """One configured observability stack (tracer + metrics + sink)."""
+    """One configured telemetry bundle: metrics registry + live sink."""
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config or ObsConfig()
         self.sink = make_sink(self.config)
-        self.tracer = Tracer(
-            enabled=self.config.enabled and self.config.trace,
-            limit=self.config.trace_limit, sink=self.sink)
-        self.metrics = MetricsRegistry(
-            enabled=self.config.enabled and self.config.metrics,
-            max_series=self.config.max_series)
+        self.metrics = MetricsRegistry(enabled=self.config.enabled)
 
     @property
     def enabled(self) -> bool:
@@ -88,8 +87,8 @@ class Telemetry:
 
     # ------------------------------------------------------------------
     def export_trace(self, path: str) -> str:
-        """Write the span buffer as a Chrome ``trace_event`` file."""
-        return self.tracer.export_chrome(path)
+        """Write the trace view as a Chrome ``trace_event`` file."""
+        return ledger().export_chrome(path)
 
     def export_metrics(self, path: str) -> str:
         """Write the metrics registry as a JSON dump."""
@@ -111,13 +110,16 @@ def telemetry() -> Telemetry:
 def configure(config: ObsConfig) -> Telemetry:
     """Install a new telemetry bundle and return it.
 
-    The previous bundle's sink is closed.  Instrumented code reads the
-    bundle through the module-level helpers at each call, so the swap
-    takes effect immediately everywhere.
+    The previous bundle's sink is closed and the trace view restarts
+    empty (on when ``config.enabled``); the profile view is untouched.
+    Instrumented code reads the bundle through the module-level
+    helpers at each call, so the swap takes effect immediately
+    everywhere.
     """
     global _TELEMETRY
     _TELEMETRY.close()
     _TELEMETRY = Telemetry(config)
+    ledger().set_trace(config.enabled, _TELEMETRY.sink)
     return _TELEMETRY
 
 
@@ -127,16 +129,62 @@ def disable() -> Telemetry:
 
 
 # ----------------------------------------------------------------------
+# Pool workers: one obs state in, one delta out per stage task.
+# ----------------------------------------------------------------------
+def worker_state() -> Tuple[FlightConfig, ProfileConfig, bool]:
+    """What a pool worker needs to record like this process.
+
+    The flight recorder's and the profile view's configs and the
+    accuracy observatory's switch; the trace view and the metrics stay
+    with the parent.
+    """
+    return (flight().config, ledger().profile_config,
+            observatory().enabled)
+
+
+def install_worker_state(state: Tuple[FlightConfig, ProfileConfig, bool]
+                         ) -> None:
+    """Set a pool worker up from the parent's :func:`worker_state`.
+
+    The worker gets a fresh frame ledger: forked, it would inherit the
+    parent's open frames, and its cells would carry their path twice.
+    """
+    flight_config, profile_config, accuracy = state
+    fresh_ledger()
+    configure_profile(profile_config)
+    configure_accuracy(AccuracyConfig(enabled=accuracy))
+    configure_flight(flight_config)
+
+
+def drain_delta() -> Dict[str, Any]:
+    """The profile cells and accuracy arcs recorded since the last drain.
+
+    A pool worker returns one per stage task; each part is None while
+    its view is off.
+    """
+    led, acc = ledger(), observatory()
+    profile = led.profile_json(drain=True) if led.profiling else None
+    accuracy = acc.drain() if acc.enabled else None
+    return {"profile": profile, "accuracy": accuracy}
+
+
+def merge_delta(delta: Dict[str, Any]) -> None:
+    """Fold a worker's :func:`drain_delta` into this process.
+
+    The profile cells land under the frame path open here (see
+    :meth:`FrameLedger.merge_profile`); the accuracy arcs are a set
+    union.  Both merges commute, so the totals do not depend on the
+    order workers finish in.
+    """
+    if delta["profile"] is not None:
+        ledger().merge_profile(delta["profile"])
+    if delta["accuracy"] is not None:
+        observatory().merge(delta["accuracy"])
+
+
+# ----------------------------------------------------------------------
 # Hot-path helpers — one attribute check when telemetry is disabled.
 # ----------------------------------------------------------------------
-def span(name: str, **attrs):
-    """Open a span on the current tracer (no-op when disabled)."""
-    tracer = _TELEMETRY.tracer
-    if not tracer.enabled:
-        return NOOP_SPAN
-    return tracer.span(name, attrs)
-
-
 def inc(name: str, amount: float = 1.0, **labels) -> None:
     """Increment a counter (no-op when disabled)."""
     registry = _TELEMETRY.metrics

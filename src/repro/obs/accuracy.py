@@ -1,25 +1,26 @@
 """Accuracy observatory: error ledgers and residual attribution.
 
-The repo's other observability legs watch *time* (the phase profiler),
+The repo's other observability legs watch *time* (the frame profile),
 *events* (the flight recorder) and *counts* (metrics); this module
 watches *error* — the quantity the paper's headline claim ("average
 accuracy of 99%") is actually about.  It has three pieces:
 
 * **Arc-candidate ledger** — while an audited STA run executes, every
   attempted stage arc is noted into a process-wide observatory (one
-  attribute check when disabled, mirroring the profiler).  Process
+  attribute check when disabled, mirroring the profile view).  Process
   workers drain their ledgers into the task payload and the parent
   merges them, so the candidate set is identical in-process and on a
   process pool by construction.  The shadow-SPICE
   auditor (:mod:`repro.analysis.audit`) samples from this set.
 
 * **Region capture** — a thread-local recorder the auditor arms around
-  a QWM re-solve.  :meth:`repro.core.matching.RegionSystem.newton_solve`
-  notes every converged region's final residual norm into the active
-  capture, tagged with the same taxonomy the profiler uses (region
-  condition, active-node count K, ``qwm.phase12`` vs ``qwm.phase3``),
-  so a per-arc error is attributable to a *phase*, not just a case.
-  When no capture is armed the hook is a thread-local read.
+  a QWM re-solve.  :meth:`repro.core.qwm.QWMSolver._solve_region`
+  notes every converged Newton solve's final residual norm into the
+  active capture, passing the phase and tag of the frame it runs in
+  (``qwm.phase12`` vs ``qwm.phase3``, region condition) and the
+  active-node count K, so a per-arc error is attributable to a
+  *phase*, not just a case.  When no capture is armed the hook is a
+  thread-local read.
 
 * **History ledger** — append-only ``ACCURACY_history.jsonl`` entries
   (format :data:`HISTORY_FORMAT`) fed by the golden suite, audits and
@@ -38,17 +39,18 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "AccuracyConfig", "AccuracyObservatory", "observatory",
     "configure_accuracy", "disable_accuracy", "note_arc_candidate",
-    "RegionCapture", "capture_regions", "accuracy_region_phase",
-    "note_region", "attribute_regions",
-    "history_entry", "append_history_entry", "load_history_entries",
+    "RegionCapture", "capture_regions", "note_region",
+    "attribute_regions", "slew_token", "history_entry",
+    "append_history_entry", "load_history_entries",
     "accuracy_regressions", "worst_regression",
-    "LEDGER_FORMAT", "HISTORY_FORMAT", "CONDITION_TAGS",
+    "LEDGER_FORMAT", "HISTORY_FORMAT", "MAX_RECORDS",
 ]
 
 #: Audit-ledger format tag (bumped on incompatible record changes).
@@ -56,20 +58,19 @@ LEDGER_FORMAT = "repro-accuracy-audit/1"
 #: History-ledger format tag (one JSONL entry per golden/audit run).
 HISTORY_FORMAT = "repro-accuracy-history/1"
 
-#: Region condition class -> attribution tag — the same mapping the
-#: phase profiler uses (:data:`repro.core.qwm._CONDITION_TAGS`), kept
-#: here so :mod:`repro.core.matching` can tag captures without
-#: importing :mod:`repro.core.qwm` (matching is imported *by* qwm).
-CONDITION_TAGS = {"TurnOnCondition": "turn_on",
-                  "CrossingCondition": "crossing",
-                  "TimeCondition": "time"}
+#: Retained audit records; records for new arcs beyond it are dropped
+#: and counted (the candidate set is bounded by the design's arc count).
+MAX_RECORDS = 4096
 
 #: One arc candidate: (stage, output, direction, input, slew token).
 ArcKey = Tuple[str, str, str, str, str]
 
 
 def slew_token(input_slew: Optional[float]) -> str:
-    """Canonical string form of an arc's input slew (``step`` for None)."""
+    """Canonical string form of an arc's input slew (``step`` for None).
+
+    Shared by the audit arc keys and the stage cache's arc keys.
+    """
     return "step" if not input_slew else repr(float(input_slew))
 
 
@@ -86,23 +87,15 @@ class AccuracyConfig:
         enabled: master switch.  When False (the default) the arc
             noting hook is a single attribute check and no state
             accumulates.
-        max_records: cap on retained audit records; records beyond the
-            cap are dropped and counted (the candidate set itself is
-            bounded by the design's arc count).
     """
 
     enabled: bool = False
-    max_records: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_records < 1:
-            raise ValueError("max_records must be >= 1")
 
 
 class AccuracyObservatory:
     """Thread-safe arc-candidate set + audit-record ledger.
 
-    Mirrors :class:`repro.obs.profile.PhaseProfiler`: process-wide,
+    Mirrors the profile view of :mod:`repro.obs.frames`: process-wide,
     disabled by default, with :meth:`drain`/:meth:`merge` shaped so
     per-worker deltas shipped through task payloads recombine into
     exactly the serial run's ledger (set union and keyed insertion
@@ -111,7 +104,7 @@ class AccuracyObservatory:
 
     def __init__(self, config: Optional[AccuracyConfig] = None):
         self.config = config or AccuracyConfig()
-        #: Fast-path switch (plain attribute, mirrors ``Tracer.enabled``).
+        #: Fast-path switch (a plain attribute).
         self.enabled = self.config.enabled
         self._lock = threading.Lock()
         self._arcs: Dict[ArcKey, None] = {}
@@ -132,41 +125,25 @@ class AccuracyObservatory:
         """Store one audit record, keyed by its arc.
 
         Re-auditing an arc overwrites (records are deterministic, so
-        the values are identical); records beyond ``max_records`` for
-        *new* arcs are dropped and counted.
+        the values are identical); records beyond :data:`MAX_RECORDS`
+        for *new* arcs are dropped and counted.
         """
         key = tuple(record["arc"])
         with self._lock:
             if key not in self._records \
-                    and len(self._records) >= self.config.max_records:
+                    and len(self._records) >= MAX_RECORDS:
                 self._dropped += 1
                 return
             self._records[key] = record
 
     # ------------------------------------------------------------------
-    def arc_candidates(self) -> List[ArcKey]:
-        """Every noted arc, sorted (scheduler-order independent)."""
-        with self._lock:
-            return sorted(self._arcs)
+    def to_json(self, drain: bool = False) -> Dict[str, Any]:
+        """The ledger as a JSON-serializable dict (sorted keys).
 
-    def to_json(self) -> Dict[str, Any]:
-        """The ledger as a JSON-serializable dict (sorted keys)."""
-        with self._lock:
-            return {
-                "format": LEDGER_FORMAT,
-                "arcs": [list(key) for key in sorted(self._arcs)],
-                "records": [self._records[key]
-                            for key in sorted(self._records)],
-                "dropped_records": self._dropped,
-            }
-
-    def drain(self) -> Dict[str, Any]:
-        """Snapshot the ledger and reset it atomically.
-
-        The process backend drains the worker's observatory after
-        every stage task and ships the delta back with the payload;
-        the parent merges, so the parent's candidate set equals the
-        serial run's no matter how stages were scheduled.
+        ``drain=True`` also resets it: a pool worker drains after every
+        stage task and ships the delta back with the payload; the
+        parent merges, so the parent's candidate set equals the serial
+        run's no matter how stages were scheduled.
         """
         with self._lock:
             snapshot = {
@@ -176,10 +153,15 @@ class AccuracyObservatory:
                             for key in sorted(self._records)],
                 "dropped_records": self._dropped,
             }
-            self._arcs = {}
-            self._records = {}
-            self._dropped = 0
-            return snapshot
+            if drain:
+                self._arcs = {}
+                self._records = {}
+                self._dropped = 0
+        return snapshot
+
+    def drain(self) -> Dict[str, Any]:
+        """Snapshot the ledger and reset it atomically."""
+        return self.to_json(drain=True)
 
     def merge(self, payload: Dict[str, Any]) -> None:
         """Fold a drained ledger into this one (union; commutative)."""
@@ -237,15 +219,13 @@ def note_arc_candidate(stage: str, output: str, direction: str,
 class RegionCapture:
     """Accumulates per-region residual notes during one QWM solve."""
 
-    __slots__ = ("notes", "phases")
+    __slots__ = ("notes",)
 
     def __init__(self) -> None:
         self.notes: List[Dict[str, Any]] = []
-        self.phases: List[str] = []
 
-    def note(self, tag: str, k: int, residual_norm: float,
+    def note(self, phase: str, tag: str, k: int, residual_norm: float,
              iterations: int) -> None:
-        phase = self.phases[-1] if self.phases else "qwm"
         self.notes.append({
             "phase": phase,
             "tag": tag,
@@ -258,85 +238,28 @@ class RegionCapture:
 _LOCAL = threading.local()
 
 
-def _active_capture() -> Optional[RegionCapture]:
-    return getattr(_LOCAL, "capture", None)
-
-
-class _CaptureScope:
-    """Context manager arming a :class:`RegionCapture` on this thread."""
-
-    __slots__ = ("capture", "_previous")
-
-    def __init__(self) -> None:
-        self.capture = RegionCapture()
-        self._previous: Optional[RegionCapture] = None
-
-    def __enter__(self) -> RegionCapture:
-        self._previous = getattr(_LOCAL, "capture", None)
-        _LOCAL.capture = self.capture
-        return self.capture
-
-    def __exit__(self, *exc: Any) -> None:
-        _LOCAL.capture = self._previous
-
-
-def capture_regions() -> _CaptureScope:
+@contextmanager
+def capture_regions() -> Iterator[RegionCapture]:
     """Arm region capture for the enclosed solve (thread-local)."""
-    return _CaptureScope()
+    previous = getattr(_LOCAL, "capture", None)
+    _LOCAL.capture = RegionCapture()
+    try:
+        yield _LOCAL.capture
+    finally:
+        _LOCAL.capture = previous
 
 
-class _NoopContext:
-    """Shared do-nothing context when no capture is armed."""
+def note_region(phase: str, tag: str, k: int, residual_norm: float,
+                iterations: int) -> None:
+    """Note one converged region into the active capture (if armed).
 
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopContext":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NOOP_CONTEXT = _NoopContext()
-
-
-class _PhaseScope:
-    """Pushes a solver-phase label onto the active capture."""
-
-    __slots__ = ("_capture", "_phase")
-
-    def __init__(self, capture: RegionCapture, phase: str):
-        self._capture = capture
-        self._phase = phase
-
-    def __enter__(self) -> "_PhaseScope":
-        self._capture.phases.append(self._phase)
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._capture.phases.pop()
-
-
-def accuracy_region_phase(phase: str):
-    """Label subsequent region notes with ``phase`` (no-op unarmed).
-
-    :meth:`repro.core.qwm.QWMSolver._solve_region` opens this around
-    each region solve with its profiler phase (``qwm.phase12`` for the
-    cascade, ``qwm.phase3`` for the milestone regions), so captured
-    residual notes carry the same phase taxonomy the profiler reports.
+    ``phase`` and ``tag`` are the caller's frame label parts
+    (``qwm.phase3``, ``crossing``), so captured residuals carry the
+    profile's taxonomy.
     """
     capture = getattr(_LOCAL, "capture", None)
-    if capture is None:
-        return _NOOP_CONTEXT
-    return _PhaseScope(capture, phase)
-
-
-def note_region(tag: str, k: int, residual_norm: float,
-                iterations: int) -> None:
-    """Note one converged region into the active capture (if armed)."""
-    capture = getattr(_LOCAL, "capture", None)
     if capture is not None:
-        capture.note(tag, k, residual_norm, iterations)
+        capture.note(phase, tag, k, residual_norm, iterations)
 
 
 def attribute_regions(notes: Sequence[Dict[str, Any]]

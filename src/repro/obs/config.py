@@ -1,10 +1,12 @@
 """Telemetry configuration.
 
-One :class:`ObsConfig` governs the whole observability stack: whether
-anything is recorded at all (``enabled``), which halves are active
-(``trace`` / ``metrics``), where live span events stream to (``sink``)
-and the safety bounds that keep an instrumented long-running process
-from growing without limit (``trace_limit``, ``max_series``).
+One :class:`ObsConfig` governs the telemetry bundle: whether anything
+is recorded at all (``enabled``: the trace view and the metrics
+registry) and where live span events stream to (``sink``).  The
+safety bounds that keep an instrumented long-running process from
+growing without limit are module constants:
+:data:`repro.obs.frames.TRACE_LIMIT` and
+:data:`repro.obs.metrics.MAX_SERIES`.
 
 The default configuration is *disabled*: every instrumentation point in
 the solvers degrades to a single attribute check, so the un-observed
@@ -26,29 +28,17 @@ class ObsConfig:
     """Controls for the telemetry subsystem.
 
     Attributes:
-        enabled: master switch.  When False (the default) spans and
-            metric operations are no-ops.
-        trace: record hierarchical spans (requires ``enabled``).
-        metrics: record counters/gauges/histograms (requires
-            ``enabled``).
+        enabled: master switch.  When False (the default) frames feed no
+            spans and metric operations are no-ops.
         sink: live event sink — ``"null"`` (keep in memory only),
             ``"stderr"`` (log one line per finished span) or
             ``"jsonl"`` (append JSON lines to ``sink_path``).
         sink_path: output file for the ``"jsonl"`` sink.
-        trace_limit: maximum retained span records; once full, further
-            spans are timed but dropped from the buffer (and counted).
-        max_series: per-metric cap on distinct label sets; observations
-            for label sets beyond the cap are dropped and counted in
-            the registry's ``dropped_series`` total.
     """
 
     enabled: bool = False
-    trace: bool = True
-    metrics: bool = True
     sink: str = "null"
     sink_path: Optional[str] = None
-    trace_limit: int = 100_000
-    max_series: int = 256
 
     def __post_init__(self) -> None:
         if self.sink not in SINK_KINDS:
@@ -56,7 +46,3 @@ class ObsConfig:
                 f"sink must be one of {SINK_KINDS}, got {self.sink!r}")
         if self.sink == "jsonl" and not self.sink_path:
             raise ValueError("sink='jsonl' needs a sink_path")
-        if self.trace_limit < 1:
-            raise ValueError("trace_limit must be >= 1")
-        if self.max_series < 1:
-            raise ValueError("max_series must be >= 1")

@@ -43,8 +43,12 @@ from typing import Any, Dict, Iterator, List, Optional
 __all__ = [
     "FlightConfig", "LedgerEvent", "FlightRecorder", "flight",
     "configure_flight", "disable_flight", "summarize_ledger",
-    "render_report",
+    "render_report", "MAX_BUNDLES",
 ]
+
+#: Bundles written per recorder lifetime (a failing sweep should not
+#: fill the disk).
+MAX_BUNDLES = 16
 
 
 @dataclass
@@ -59,24 +63,18 @@ class FlightConfig:
             the SOL005 lint rule warns about it in parallel runs.
         capture_bundles: serialize a debug bundle on solve failure or
             when a caller forces capture (golden band violations).
-        bundle_dir: directory debug bundles are written into.
-        max_bundles: cap on bundles written per recorder lifetime (a
-            failing sweep should not fill the disk).
-        verbose: echo ledger events to stderr as they are recorded.
+        bundle_dir: directory debug bundles are written into (at most
+            :data:`MAX_BUNDLES` per recorder lifetime).
     """
 
     enabled: bool = False
     event_limit: Optional[int] = 20_000
     capture_bundles: bool = False
     bundle_dir: str = "flight-bundles"
-    max_bundles: int = 16
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.event_limit is not None and self.event_limit < 1:
             raise ValueError("event_limit must be >= 1 or None (unbounded)")
-        if self.max_bundles < 0:
-            raise ValueError("max_bundles must be non-negative")
 
 
 @dataclass
@@ -197,21 +195,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, solve_id: int = 0, **data: Any) -> None:
         """Append one event to the ledger (drop + count when full)."""
-        cfg = self.config
         with self._lock:
-            limit = cfg.event_limit
+            limit = self.config.event_limit
             if limit is not None and len(self._events) >= limit:
                 self._dropped += 1
                 return
             self._seq += 1
-            event = LedgerEvent(seq=self._seq, solve_id=solve_id,
-                                kind=kind, data=data)
-            self._events.append(event)
-        if cfg.verbose:
-            import sys
-
-            print(f"[flight] #{event.seq} solve={solve_id} {kind} "
-                  f"{_brief(data)}", file=sys.stderr)
+            self._events.append(LedgerEvent(
+                seq=self._seq, solve_id=solve_id, kind=kind, data=data))
 
     # ------------------------------------------------------------------
     # Cache attribution (parallel engine)
@@ -247,7 +238,7 @@ class FlightRecorder:
     def claim_bundle_slot(self) -> bool:
         """Reserve one bundle write; False once the budget is spent."""
         with self._lock:
-            if self._bundles_written >= self.config.max_bundles:
+            if self._bundles_written >= MAX_BUNDLES:
                 return False
             self._bundles_written += 1
             return True
@@ -282,18 +273,6 @@ class FlightRecorder:
                 "solves": self._solve_counter,
                 "provenance": prov,
             }
-
-
-def _brief(data: Dict[str, Any]) -> str:
-    parts = []
-    for key, value in data.items():
-        if isinstance(value, (list, dict)):
-            parts.append(f"{key}=<{len(value)}>")
-        elif isinstance(value, float):
-            parts.append(f"{key}={value:.4g}")
-        else:
-            parts.append(f"{key}={value}")
-    return " ".join(parts)
 
 
 #: The process-wide recorder; disabled until ``configure_flight``.

@@ -14,8 +14,9 @@ text exposition (dots become underscores, histograms expand into
 ``_bucket``/``_sum``/``_count`` series).
 
 Label cardinality is bounded: once a metric holds ``max_series``
-distinct label sets, observations for *new* label sets are dropped and
-counted in :attr:`MetricsRegistry.dropped_series`.
+(default :data:`MAX_SERIES`) distinct label sets, observations for
+*new* label sets are dropped and counted in
+:attr:`MetricsRegistry.dropped_series`.
 
 Known solver metrics are pre-declared in :data:`CATALOG` so hot-path
 call sites need only a name — help text and histogram buckets are
@@ -29,6 +30,8 @@ import math
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
+#: Default per-metric cap on distinct label sets.
+MAX_SERIES = 256
 #: Buckets for iteration-count style histograms (Fibonacci-ish).
 ITERATION_BUCKETS = (1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0)
 #: Buckets for wall-time histograms [s], ~1 us .. 10 s log scale.
@@ -289,7 +292,8 @@ class MetricsRegistry:
         max_series: per-metric label-cardinality cap.
     """
 
-    def __init__(self, enabled: bool = True, max_series: int = 256):
+    def __init__(self, enabled: bool = True,
+                 max_series: int = MAX_SERIES):
         self.enabled = enabled
         self.max_series = max_series
         self._metrics: Dict[str, _Metric] = {}

@@ -47,9 +47,8 @@ import numpy as np
 from repro.core.engine import WaveformEvaluator
 from repro.core.qwm import QWMOptions
 from repro.linalg.newton import NewtonConvergenceError
-from repro.obs import inc
+from repro.obs import count, frame, inc
 from repro.obs.flight import flight
-from repro.obs.profile import profile_add, profile_phase
 from repro.resilience import faults
 from repro.resilience.faults import StageTimeoutError
 from repro.spice.adaptive import (
@@ -323,7 +322,7 @@ class EscalationLadder:
               stage, output: str, out_direction: str,
               switching_input: str) -> None:
         inc("resilience.escalations", rung=from_rung)
-        profile_add("escalations", 1, root="resilience")
+        count("escalations", 1, root="resilience")
         fl = flight()
         if fl.enabled:
             fl.record("escalation", from_rung=from_rung,
@@ -368,7 +367,7 @@ class EscalationLadder:
                                switching_input)
                     continue
             try:
-                with profile_phase("resilience.rung", tag=rung), \
+                with frame("resilience.rung", rung), \
                         faults.scope(rung=rung):
                     arc = attempt()
             except _RUNG_FAILURES as exc:

@@ -32,8 +32,7 @@ from repro.linalg.newton import (
     NewtonOptions,
     NewtonSolver,
 )
-from repro.obs import inc
-from repro.obs.profile import profile_phase
+from repro.obs import frame, inc
 from repro.resilience import faults
 from repro.spice.dc import logic_initial_condition, solve_dc
 from repro.spice.mna import StageEquations
@@ -113,13 +112,13 @@ class AdaptiveTransientSimulator:
     def run(self, inputs: Dict[str, SourceLike],
             initial: Optional[Dict[str, float]] = None) -> TransientResult:
         """Run the adaptive analysis (same interface as the fixed engine)."""
-        with profile_phase("spice.adaptive", tag=self.stage.name) as pp, \
+        with frame("spice.adaptive", self.stage.name) as fr, \
                 faults.scope_default(rung="spice",
                                      stage=self.stage.name):
             result = self._run(inputs, initial)
-            pp.count("steps", result.stats.steps)
-            pp.count("newton_iterations", result.stats.newton_iterations)
-            pp.count("device_evaluations",
+            fr.count("steps", result.stats.steps)
+            fr.count("newton_iterations", result.stats.newton_iterations)
+            fr.count("device_evaluations",
                      result.stats.device_evaluations)
             return result
 

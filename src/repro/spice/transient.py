@@ -19,8 +19,7 @@ import numpy as np
 from repro.circuit.netlist import LogicStage
 from repro.devices.technology import Technology
 from repro.linalg.newton import NewtonOptions, NewtonSolver
-from repro.obs import inc, span
-from repro.obs.profile import profile_phase
+from repro.obs import frame, inc
 from repro.spice.dc import logic_initial_condition, solve_dc
 from repro.spice.mna import StageEquations
 from repro.spice.results import SimulationStats, TransientResult
@@ -87,16 +86,14 @@ class TransientSimulator:
         Returns:
             Waveforms for every internal node, with solver statistics.
         """
-        with profile_phase("spice.transient", tag=self.stage.name) as pp, \
-                span("spice.transient", stage=self.stage.name,
-                     method=self.options.method,
-                     dt=self.options.dt) as sp:
+        with frame("spice.transient", self.stage.name,
+                   method=self.options.method, dt=self.options.dt) as fr:
             result = self._run(inputs, initial)
-            sp.set(steps=result.stats.steps,
+            fr.set(steps=result.stats.steps,
                    newton_iterations=result.stats.newton_iterations)
-            pp.count("steps", result.stats.steps)
-            pp.count("newton_iterations", result.stats.newton_iterations)
-            pp.count("device_evaluations",
+            fr.count("steps", result.stats.steps)
+            fr.count("newton_iterations", result.stats.newton_iterations)
+            fr.count("device_evaluations",
                      result.stats.device_evaluations)
         stats = result.stats
         inc("spice.steps", stats.steps)

@@ -32,11 +32,11 @@ from repro.analysis.sta import StaticTimingAnalyzer
 from repro.circuit import builders
 from repro.circuit.stage import extract_stages
 from repro.cli import main
+from repro.obs import accuracy as accuracy_obs
 from repro.obs.accuracy import (
     AccuracyConfig,
     AccuracyObservatory,
     accuracy_regressions,
-    accuracy_region_phase,
     attribute_regions,
     capture_regions,
     configure_accuracy,
@@ -138,9 +138,9 @@ class TestObservatoryLedger:
         assert payload["arcs"] == [["s", "out", "fall", "a", "step"]]
         assert obs.stats() == {"arcs": 0, "records": 0, "dropped": 0}
 
-    def test_record_cap_counts_drops(self):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True,
-                                                 max_records=1))
+    def test_record_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(accuracy_obs, "MAX_RECORDS", 1)
+        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
         obs.record_audit({"arc": ["a", "o", "fall", "x", "step"]})
         obs.record_audit({"arc": ["b", "o", "fall", "x", "step"]})
         assert obs.stats() == {"arcs": 0, "records": 1, "dropped": 1}
@@ -171,9 +171,7 @@ class TestRegionCapture:
 
     def test_no_capture_is_noop(self, tech, evaluator):
         # Outside a capture scope the hooks must not accumulate state.
-        note_region("crossing", 2, 1e-12, 3)
-        with accuracy_region_phase("qwm.phase3"):
-            pass
+        note_region("qwm.phase3", "crossing", 2, 1e-12, 3)
         with capture_regions() as capture:
             pass
         assert capture.notes == []
@@ -427,9 +425,7 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     start = time.perf_counter()
     for _ in range(n_calls):
         note_arc_candidate("s", "out", "fall", "a", None)
-        note_region("crossing", 2, 1e-12, 3)
-        with accuracy_region_phase("qwm.phase12"):
-            pass
+        note_region("qwm.phase12", "crossing", 2, 1e-12, 3)
     per_op = (time.perf_counter() - start) / n_calls
 
     stage = builders.nand_gate(tech, 3)
@@ -439,8 +435,8 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     solution = evaluator.evaluate(stage, output="out",
                                   direction="fall", inputs=sources)
     stats = solution.stats
-    # Hook sites: one arc note, one note_region + one phase context per
-    # region solved — then doubled for margin.
+    # Hook sites: one arc note, and one note_region per converged
+    # Newton solve (at most two per region) — then doubled for margin.
     ops = 2 * (2 * stats.steps + 2)
     overhead = ops * per_op
     assert overhead < 0.01 * stats.wall_time + 1e-4, (

@@ -256,7 +256,7 @@ class TestCliStats:
         assert "sherman-morrison" in out
         assert "wall-time tree" in out
         assert "qwm.solve" in out
-        assert "qwm.region" in out
+        assert "qwm.phase" in out
 
     def test_json_document(self, capsys):
         import json as json_mod

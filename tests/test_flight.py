@@ -1,6 +1,7 @@
 """Flight recorder: ledger, debug bundles, deterministic replay, reports."""
 
 import copy
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,10 @@ from repro.obs import (
 )
 from repro.obs import bundles as fb
 from repro.spice import ConstantSource, PWLSource, RampSource, StepSource
+
+# ``repro.obs.flight`` the attribute is the accessor function; the
+# module holds the constants the cap tests patch.
+flight_mod = importlib.import_module("repro.obs.flight")
 
 
 @pytest.fixture(autouse=True)
@@ -49,8 +54,6 @@ class TestRecorder:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="event_limit"):
             FlightConfig(event_limit=0)
-        with pytest.raises(ValueError, match="max_bundles"):
-            FlightConfig(max_bundles=-1)
         # None means unbounded, explicitly legal.
         FlightConfig(event_limit=None)
 
@@ -105,8 +108,9 @@ class TestRecorder:
         (hit, _) = [e for e in rec.events() if e.kind == "cache_hit"]
         assert hit.data["origin_solve_ids"] == [1, 2]
 
-    def test_bundle_slot_budget(self):
-        rec = FlightRecorder(FlightConfig(enabled=True, max_bundles=2))
+    def test_bundle_slot_budget(self, monkeypatch):
+        monkeypatch.setattr(flight_mod, "MAX_BUNDLES", 2)
+        rec = FlightRecorder(FlightConfig(enabled=True))
         assert rec.claim_bundle_slot()
         assert rec.claim_bundle_slot()
         assert not rec.claim_bundle_slot()

@@ -281,10 +281,10 @@ class TestSol006HotLoopInstrumentation:
 
     def test_flags_profile_add_in_iteration_for_loop(self):
         report = sol006_report({"core/sweep.py": (
-            "from repro.obs.profile import profile_add\n"
+            "from repro.obs import count\n"
             "def run(max_iterations):\n"
             "    for i in range(max_iterations):\n"
-            "        profile_add('newton_iterations')\n"
+            "        count('newton_iterations')\n"
         )})
         assert len(sol006_hits(report)) == 1
 

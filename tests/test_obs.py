@@ -8,31 +8,45 @@ import pytest
 
 from repro.circuit import builders
 from repro.obs import (
-    NOOP_SPAN,
+    NOOP_FRAME,
     MetricsRegistry,
     ObsConfig,
+    ProfileConfig,
     Telemetry,
     configure,
+    configure_profile,
     disable,
+    disable_profile,
     format_span_tree,
+    frame,
     inc,
+    ledger,
     observe,
     set_gauge,
-    span,
     telemetry,
 )
+from repro.obs import frames as frames_mod
+from repro.obs.flight import FlightConfig
 from repro.obs.metrics import ITERATION_BUCKETS
 from repro.obs.sinks import JsonlSink, StderrSink, make_sink
-from repro.obs.trace import Tracer
 from repro.spice import StepSource
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test starts and ends with the disabled default bundle."""
+    """Every test starts and ends with both frame views off."""
     disable()
+    disable_profile()
     yield
     disable()
+    disable_profile()
+
+
+@pytest.fixture
+def tracing():
+    """The trace view on (the process-wide ledger)."""
+    configure(ObsConfig(enabled=True))
+    return ledger()
 
 
 class TestConfig:
@@ -50,101 +64,147 @@ class TestConfig:
             ObsConfig(sink="jsonl")
 
     def test_rejects_non_positive_bounds(self):
+        # The trace and series caps are module constants; the settable
+        # bounds are the profile's cell cap and the flight's event limit.
         with pytest.raises(ValueError):
-            ObsConfig(trace_limit=0)
+            ProfileConfig(max_cells=0)
         with pytest.raises(ValueError):
-            ObsConfig(max_series=0)
+            FlightConfig(event_limit=0)
 
 
 class TestTracer:
-    def test_nesting_assigns_parents(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+    def test_nesting_assigns_parents(self, tracing):
+        with frame("outer"):
+            with frame("inner"):
                 pass
-        inner, outer = sorted(tracer.records(), key=lambda r: r.name)
+        inner, outer = sorted(tracing.spans(), key=lambda r: r.name)
         assert outer.parent_id is None
         assert inner.parent_id == outer.span_id
 
-    def test_sibling_spans_share_parent(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("a"):
+    def test_sibling_spans_share_parent(self, tracing):
+        with frame("root"):
+            with frame("a"):
                 pass
-            with tracer.span("b"):
+            with frame("b"):
                 pass
-        by_name = {r.name: r for r in tracer.records()}
+        by_name = {r.name: r for r in tracing.spans()}
         assert by_name["a"].parent_id == by_name["root"].span_id
         assert by_name["b"].parent_id == by_name["root"].span_id
 
-    def test_timing_is_monotone(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+    def test_timing_is_monotone(self, tracing):
+        with frame("outer"):
+            with frame("inner"):
                 time.sleep(0.003)
-        by_name = {r.name: r for r in tracer.records()}
+        by_name = {r.name: r for r in tracing.spans()}
         assert by_name["inner"].duration >= 0.003
         assert by_name["outer"].duration >= by_name["inner"].duration
 
-    def test_attrs_at_entry_and_via_set(self):
-        tracer = Tracer()
-        with tracer.span("work", {"k": 3}) as sp:
-            sp.set(result="ok")
-        (record,) = tracer.records()
-        assert record.attrs == {"k": 3, "result": "ok"}
+    def test_attrs_at_entry_and_via_set(self, tracing):
+        with frame("work", "tagged", k=3) as fr:
+            fr.set(result="ok")
+        (record,) = tracing.spans()
+        assert record.name == "work"
+        assert record.attrs == {"k": 3, "tag": "tagged", "result": "ok"}
 
     def test_disabled_returns_shared_noop(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.span("x") is NOOP_SPAN
-        with tracer.span("x") as sp:
-            sp.set(ignored=True)
-        assert tracer.records() == []
+        assert frame("x") is NOOP_FRAME
+        with frame("x") as fr:
+            fr.set(ignored=True)
+            fr.count("ignored")
+        assert ledger().spans() == []
 
-    def test_limit_drops_and_counts(self):
-        tracer = Tracer(limit=2)
+    def test_limit_drops_and_counts(self, tracing, monkeypatch):
+        monkeypatch.setattr(frames_mod, "TRACE_LIMIT", 2)
         for _ in range(5):
-            with tracer.span("s"):
+            with frame("s"):
                 pass
-        assert tracer.stats() == {"recorded": 2, "dropped": 3}
+        assert tracing.trace_stats() == {"recorded": 2, "dropped": 3}
 
-    def test_threads_get_independent_stacks(self):
-        tracer = Tracer()
-
+    def test_threads_get_independent_stacks(self, tracing):
         def worker():
-            with tracer.span("threaded"):
+            with frame("threaded"):
                 pass
 
-        with tracer.span("main-root"):
+        with frame("main-root"):
             thread = threading.Thread(target=worker)
             thread.start()
             thread.join()
-        by_name = {r.name: r for r in tracer.records()}
+        by_name = {r.name: r for r in tracing.spans()}
         # The other thread's span must NOT parent under main's root.
         assert by_name["threaded"].parent_id is None
 
-    def test_chrome_export_round_trip(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("qwm.region", {"k": 2}):
+    def test_chrome_export_round_trip(self, tracing, tmp_path):
+        with frame("qwm.phase3", "crossing", k=2):
             pass
-        path = tracer.export_chrome(str(tmp_path / "trace.json"))
+        path = tracing.export_chrome(str(tmp_path / "trace.json"))
         document = json.loads(open(path).read())
         (event,) = document["traceEvents"]
         assert event["ph"] == "X"
-        assert event["name"] == "qwm.region"
+        assert event["name"] == "qwm.phase3"
         assert event["cat"] == "qwm"
-        assert event["args"] == {"k": 2}
+        assert event["args"] == {"k": 2, "tag": "crossing"}
         assert event["dur"] >= 0.0
 
-    def test_format_span_tree_merges_siblings(self):
-        tracer = Tracer()
-        with tracer.span("solve"):
+    def test_format_span_tree_merges_siblings(self, tracing):
+        with frame("solve"):
             for _ in range(3):
-                with tracer.span("region"):
+                with frame("region"):
                     pass
-        text = format_span_tree(tracer.records())
+        text = format_span_tree(tracing.spans())
         assert "solve" in text
         assert "region x3" in text
         assert "ms" in text
+
+
+class TestViews:
+    """One frame stack, two views: switching one keeps the other."""
+
+    def test_frame_feeds_both_views(self, tracing):
+        configure_profile(ProfileConfig(enabled=True))
+        with frame("outer", "a") as fr:
+            fr.count("ops", 2)
+            with frame("inner"):
+                pass
+        assert {r.name for r in tracing.spans()} == {"outer", "inner"}
+        cells = {tuple(c["path"]): c
+                 for c in tracing.profile_json()["cells"]}
+        assert set(cells) == {("outer:a",), ("outer:a", "inner")}
+        assert cells[("outer:a",)]["ops"] == {"ops": 2}
+
+    def test_disabling_one_view_keeps_the_other(self, tracing):
+        configure_profile(ProfileConfig(enabled=True))
+        with frame("work"):
+            pass
+        disable()
+        assert not tracing.tracing and tracing.profiling
+        assert [c["path"] for c in tracing.profile_json()["cells"]] \
+            == [["work"]]
+        configure(ObsConfig(enabled=True))
+        with frame("work"):
+            pass
+        disable_profile()
+        assert tracing.tracing and not tracing.profiling
+        assert [r.name for r in tracing.spans()] == ["work"]
+
+    def test_interval_is_traced_off_the_stack(self, tracing):
+        configure_profile(ProfileConfig(enabled=True))
+        with frame("run"):
+            first = frames_mod.interval("wave", index=0)
+            second = frames_mod.interval("wave", index=1)
+            with frame("task"):
+                pass
+            first.close()
+            second.close()
+        by_name = {}
+        for record in tracing.spans():
+            by_name.setdefault(record.name, []).append(record)
+        run = by_name["run"][0]
+        # Overlapping intervals parent on the open frame, never on each
+        # other, and the frame under them keeps a well-nested path.
+        assert [w.parent_id for w in by_name["wave"]] == [run.span_id] * 2
+        assert by_name["task"][0].parent_id == run.span_id
+        paths = {tuple(c["path"]) for c in tracing.profile_json()["cells"]}
+        assert paths == {("run",), ("run", "task")}
 
 
 class TestMetrics:
@@ -283,9 +343,9 @@ class TestSinks:
         path = str(tmp_path / "events.jsonl")
         bundle = configure(ObsConfig(enabled=True, sink="jsonl",
                                      sink_path=path))
-        with span("qwm.region", k=1):
+        with frame("qwm.phase3", k=1):
             pass
-        with span("qwm.region", k=2):
+        with frame("qwm.phase3", k=2):
             pass
         bundle.close()
         lines = [json.loads(line)
@@ -308,18 +368,18 @@ class TestSinks:
 
 class TestModuleHelpers:
     def test_disabled_helpers_record_nothing(self):
-        assert span("anything") is NOOP_SPAN
+        assert frame("anything") is NOOP_FRAME
         inc("c")
         observe("h", 1.0)
         set_gauge("g", 1.0)
         bundle = telemetry()
         assert bundle.metrics.names() == []
-        assert bundle.tracer.records() == []
+        assert ledger().spans() == []
 
     def test_configure_swaps_bundle(self):
         first = configure(ObsConfig(enabled=True))
         assert telemetry() is first
-        with span("x"):
+        with frame("x"):
             inc("c")
         second = disable()
         assert telemetry() is second
@@ -330,7 +390,7 @@ class TestModuleHelpers:
 
     def test_telemetry_export_helpers(self, tmp_path):
         bundle = configure(ObsConfig(enabled=True))
-        with span("s"):
+        with frame("s"):
             inc("c", 4)
         trace_path = bundle.export_trace(str(tmp_path / "t.json"))
         metrics_path = bundle.export_metrics(str(tmp_path / "m.json"))
@@ -361,9 +421,9 @@ class TestSolverIntegration:
             assert evals >= 1
             solves = registry.get("linalg.solve.sherman_morrison")
             assert solves.total() > 0
-            names = {r.name for r in bundle.tracer.records()}
-            assert {"engine.evaluate", "qwm.solve",
-                    "qwm.region"} <= names
+            names = {r.name for r in ledger().spans()}
+            assert {"engine.evaluate", "qwm.solve", "qwm.phase12",
+                    "qwm.phase3"} <= names
         finally:
             disable()
 
@@ -390,7 +450,7 @@ class TestSolverIntegration:
         n_calls = 20000
         start = time.perf_counter()
         for _ in range(n_calls):
-            with span("x"):
+            with frame("x"):
                 pass
             inc("c")
             observe("h", 1.0)
@@ -401,7 +461,7 @@ class TestSolverIntegration:
                                       direction="fall",
                                       inputs=_nand3_sources(tech))
         stats = solution.stats
-        # Call sites per solve: one span+2 observes+2 incs per region,
+        # Call sites per solve: one frame+2 observes+2 incs per region,
         # one inc per Newton iteration (linalg), plus a fixed handful —
         # then doubled for margin.
         ops = 2 * (6 * stats.steps + stats.newton_iterations + 20)
@@ -460,21 +520,21 @@ class TestPrometheusExposition:
 
 
 class TestTraceDropVisibility:
-    def test_dropped_spans_feed_counter_and_tree_footer(self):
-        configure(ObsConfig(enabled=True, trace_limit=2))
+    def test_dropped_spans_feed_counter_and_tree_footer(self, tracing,
+                                                        monkeypatch):
+        monkeypatch.setattr(frames_mod, "TRACE_LIMIT", 2)
         for _ in range(5):
-            with span("s"):
+            with frame("s"):
                 pass
-        bundle = telemetry()
-        assert bundle.tracer.stats() == {"recorded": 2, "dropped": 3}
-        assert bundle.metrics.counter("obs.trace.dropped").value() == 3
-        text = format_span_tree(bundle.tracer.records(),
-                                dropped=bundle.tracer.stats()["dropped"])
+        assert tracing.trace_stats() == {"recorded": 2, "dropped": 3}
+        metrics = telemetry().metrics
+        assert metrics.counter("obs.trace.dropped").value() == 3
+        text = format_span_tree(tracing.spans(),
+                                dropped=tracing.trace_stats()["dropped"])
         assert "trace truncated: 3 spans dropped" in text
 
-    def test_no_footer_when_nothing_dropped(self):
-        tracer = Tracer()
-        with tracer.span("s"):
+    def test_no_footer_when_nothing_dropped(self, tracing):
+        with frame("s"):
             pass
-        text = format_span_tree(tracer.records(), dropped=0)
+        text = format_span_tree(tracing.spans(), dropped=0)
         assert "truncated" not in text

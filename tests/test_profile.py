@@ -1,4 +1,4 @@
-"""Phase-level cost-attribution profiler (``repro.obs.profile``).
+"""Phase-level cost attribution: the profile view of ``repro.obs.frames``.
 
 Pins down the ledger arithmetic (self vs cumulative time, op
 accumulation, merge commutativity), the disabled-mode overhead budget,
@@ -18,18 +18,19 @@ from repro.analysis import StaticTimingAnalyzer
 from repro.analysis.parallel import ExecutionConfig
 from repro.circuit import builders, extract_stages
 from repro.cli import main
-from repro.obs.profile import (
+from repro.obs import ObsConfig, configure, disable
+from repro.obs.frames import (
     LEDGER_FORMAT,
-    NOOP_PHASE,
-    PhaseProfiler,
+    NOOP_FRAME,
+    FrameLedger,
     ProfileConfig,
     configure_profile,
+    count,
     disable_profile,
     export_speedscope,
+    frame,
+    ledger,
     phase_self_seconds,
-    profile_add,
-    profile_phase,
-    profiler,
     render_profile,
     summarize_profile,
     to_collapsed,
@@ -40,10 +41,16 @@ from repro.spice import ConstantSource, StepSource
 
 @pytest.fixture(autouse=True)
 def _profiler_off():
-    """Every test starts and ends with the module profiler disabled."""
+    """Every test starts and ends with the profile view off."""
     disable_profile()
     yield
     disable_profile()
+
+
+@pytest.fixture
+def prof():
+    """The process-wide ledger with the profile view on."""
+    return configure_profile(ProfileConfig(enabled=True))
 
 
 def _cells_by_path(ledger):
@@ -54,20 +61,19 @@ def _cells_by_path(ledger):
 # Ledger arithmetic
 # ----------------------------------------------------------------------
 class TestLedger:
-    def test_nesting_splits_self_and_cumulative(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
-        with prof.phase("outer"):
+    def test_nesting_splits_self_and_cumulative(self, prof):
+        with frame("outer"):
             time.sleep(0.002)
-            with prof.phase("inner"):
+            with frame("inner"):
                 time.sleep(0.005)
-        cells = _cells_by_path(prof.to_json())
+        cells = _cells_by_path(prof.profile_json())
         outer = cells[("outer",)]
         inner = cells[("outer", "inner")]
         assert outer["calls"] == 1 and inner["calls"] == 1
         # The child's wall time is excluded from the parent's self time.
         assert inner["self_seconds"] >= 0.004
         assert outer["self_seconds"] < inner["self_seconds"]
-        summary = summarize_profile(prof.to_json())
+        summary = summarize_profile(prof.profile_json())
         frames = {f["frame"]: f for f in summary["frames"]}
         outer_cum = frames["outer"]["cum_seconds"]
         inner_cum = frames["inner"]["cum_seconds"]
@@ -75,76 +81,92 @@ class TestLedger:
         assert outer_cum == pytest.approx(
             outer["self_seconds"] + inner["self_seconds"])
 
-    def test_tag_joins_into_frame_label(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
-        with prof.phase("qwm.phase3", tag="crossing"):
+    def test_tag_joins_into_frame_label(self, prof):
+        with frame("qwm.phase3", "crossing"):
             pass
-        assert ("qwm.phase3:crossing",) in _cells_by_path(prof.to_json())
+        assert ("qwm.phase3:crossing",) in _cells_by_path(
+            prof.profile_json())
 
-    def test_ops_accumulate_within_a_frame(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
-        with prof.phase("solve") as frame:
-            frame.count("newton_iterations", 3)
-            frame.count("newton_iterations", 2)
-            frame.count("regions")
-        ops = _cells_by_path(prof.to_json())[("solve",)]["ops"]
+    def test_ops_accumulate_within_a_frame(self, prof):
+        with frame("solve") as fr:
+            fr.count("newton_iterations", 3)
+            fr.count("newton_iterations", 2)
+            fr.count("regions")
+        ops = _cells_by_path(prof.profile_json())[("solve",)]["ops"]
         assert ops == {"newton_iterations": 5, "regions": 1}
 
-    def test_add_attributes_to_current_frame_or_root(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
-        with prof.phase("outer"):
-            prof.add("solves", 2)
-        prof.add("cache_hits", root="sta.cache")
-        cells = _cells_by_path(prof.to_json())
+    def test_add_attributes_to_current_frame_or_root(self, prof):
+        with frame("outer"):
+            count("solves", 2)
+        count("cache_hits", root="sta.cache")
+        cells = _cells_by_path(prof.profile_json())
         assert cells[("outer",)]["ops"] == {"solves": 2}
         assert cells[("sta.cache",)]["ops"] == {"cache_hits": 1}
 
-    def test_merge_is_commutative(self):
+    def test_merge_is_commutative(self, prof):
         def payload(n):
-            prof = PhaseProfiler(ProfileConfig(enabled=True))
-            with prof.phase("a") as frame:
-                frame.count("x", n)
-                with prof.phase("b"):
-                    prof.add("y", n)
-            return prof.drain()
+            with frame("a") as fr:
+                fr.count("x", n)
+                with frame("b"):
+                    count("y", n)
+            return prof.profile_json(drain=True)
 
         one, two = payload(1), payload(2)
-        ab = PhaseProfiler(ProfileConfig(enabled=True))
-        ba = PhaseProfiler(ProfileConfig(enabled=True))
-        ab.merge(one), ab.merge(two)
-        ba.merge(two), ba.merge(one)
-        assert ab.to_json() == ba.to_json()
-        merged = _cells_by_path(ab.to_json())
+        ab, ba = FrameLedger(), FrameLedger()
+        for merged in (ab, ba):
+            merged.set_profile(ProfileConfig(enabled=True))
+        ab.merge_profile(one), ab.merge_profile(two)
+        ba.merge_profile(two), ba.merge_profile(one)
+        assert ab.profile_json() == ba.profile_json()
+        merged = _cells_by_path(ab.profile_json())
         assert merged[("a",)]["ops"] == {"x": 3}
         assert merged[("a", "b")]["ops"] == {"y": 3}
         assert merged[("a",)]["calls"] == 2
 
-    def test_drain_snapshots_and_resets(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True))
-        with prof.phase("a"):
+    def test_merge_lands_under_the_open_frame(self, prof):
+        with frame("task") as fr:
+            fr.count("x")
+        delta = prof.profile_json(drain=True)
+        with frame("analyze"):
+            prof.merge_profile(delta)
+        assert set(_cells_by_path(prof.profile_json())) == {
+            ("analyze",), ("analyze", "task")}
+
+    def test_drain_snapshots_and_resets(self, prof):
+        with frame("a"):
             pass
-        first = prof.drain()
+        first = prof.profile_json(drain=True)
         assert first["format"] == LEDGER_FORMAT
         assert len(first["cells"]) == 1
-        assert prof.stats() == {"cells": 0, "dropped": 0}
-        assert prof.drain()["cells"] == []
+        assert prof.profile_stats() == {"cells": 0, "dropped": 0}
+        assert prof.profile_json(drain=True)["cells"] == []
 
     def test_max_cells_cap_counts_drops(self):
-        prof = PhaseProfiler(ProfileConfig(enabled=True, max_cells=2))
+        prof = configure_profile(ProfileConfig(enabled=True, max_cells=2))
         for root in ("a", "b", "c", "d"):
-            prof.add("x", root=root)
-        stats = prof.stats()
+            count("x", root=root)
+        stats = prof.profile_stats()
         assert stats["cells"] == 2
         assert stats["dropped"] == 2
-        assert prof.to_json()["dropped_cells"] == 2
+        assert prof.profile_json()["dropped_cells"] == 2
+
+    def test_summary_of_a_live_ledger_reports_dropped_cells(self):
+        prof = configure_profile(ProfileConfig(enabled=True, max_cells=1))
+        for name in ("a", "b"):
+            with frame(name):
+                pass
+        assert prof.profile_stats()["dropped"] == 1
+        summary = summarize_profile(prof)
+        assert summary["dropped_cells"] == 1
+        assert "1 cell(s) dropped" in render_profile(summary)
 
     def test_disabled_helpers_are_noops(self):
-        assert not profiler().enabled
-        assert profile_phase("x", tag="y") is NOOP_PHASE
-        with profile_phase("x") as frame:
-            frame.count("op")
-        profile_add("op")
-        assert profiler().stats() == {"cells": 0, "dropped": 0}
+        assert not ledger().profiling
+        assert frame("x", "y") is NOOP_FRAME
+        with frame("x") as fr:
+            fr.count("op")
+        count("op")
+        assert ledger().profile_stats() == {"cells": 0, "dropped": 0}
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +189,9 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     n_calls = 20000
     start = time.perf_counter()
     for _ in range(n_calls):
-        with profile_phase("x", tag="y"):
+        with frame("x", "y"):
             pass
-        profile_add("op")
+        count("op")
     per_op = (time.perf_counter() - start) / n_calls
 
     stage = builders.nand_gate(tech, 3)
@@ -177,7 +199,7 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
                                   direction="fall",
                                   inputs=_nand3_sources(tech))
     stats = solution.stats
-    # Hook sites per solve: one phase frame + ~4 counts per region,
+    # Hook sites per solve: one frame + ~4 counts per region,
     # one add per Newton iteration, a fixed handful elsewhere — then
     # doubled for margin.
     ops = 2 * (5 * stats.steps + stats.newton_iterations + 20)
@@ -204,17 +226,17 @@ def _profiled_op_totals(tech, library, graph, workers):
     library never does, so those frames differ by construction. Every
     solver-side count must still agree bit-for-bit.
     """
-    configure_profile(ProfileConfig(enabled=True))
+    prof = configure_profile(ProfileConfig(enabled=True))
     try:
         analyzer = StaticTimingAnalyzer(
             tech, library=library,
             execution=ExecutionConfig(workers=workers))
         analyzer.analyze(graph)
-        ledger = profiler().drain()
+        document = prof.profile_json(drain=True)
     finally:
         disable_profile()
     totals = {}
-    for cell in ledger["cells"]:
+    for cell in document["cells"]:
         path = tuple(cell["path"])
         if any(label.startswith("device.characterize")
                for label in path):
@@ -233,33 +255,54 @@ def test_engine_extract_and_initial_once_per_evaluate(tech, library,
     start from the DC pre-state), whether the pre-state was solved or
     came from the evaluator's memo.
     """
-    configure_profile(ProfileConfig(enabled=True))
+    prof = configure_profile(ProfileConfig(enabled=True))
     try:
         StaticTimingAnalyzer(tech, library=library).analyze(decoder_graph)
-        ledger = profiler().drain()
+        document = prof.profile_json(drain=True)
     finally:
         disable_profile()
     calls = {}
-    for cell in ledger["cells"]:
+    for cell in document["cells"]:
         path = tuple(cell["path"])
         if path[-1].startswith("engine.evaluate:"):
             calls[path] = calls.get(path, 0) + cell["calls"]
     assert calls
-    cells = _cells_by_path(ledger)
+    cells = _cells_by_path(document)
     for path, evaluates in calls.items():
         assert cells[path + ("engine.extract",)]["calls"] == evaluates
         assert cells[path + ("engine.initial:dc",)]["calls"] == evaluates
 
 
-@pytest.mark.slow
+def test_trace_and_profile_name_the_same_frames(tech, library,
+                                                decoder_graph):
+    """Both views of one serial decoder STA show the same frame tree.
+
+    Every span name is a profile leaf label with its ``:tag`` removed
+    and vice versa: each instrumented site opens one frame, and the
+    frame feeds both views.
+    """
+    configure(ObsConfig(enabled=True))
+    prof = configure_profile(ProfileConfig(enabled=True))
+    try:
+        StaticTimingAnalyzer(tech, library=library).analyze(decoder_graph)
+        spans = {record.name for record in prof.spans()}
+        leaves = {cell["path"][-1].partition(":")[0]
+                  for cell in prof.profile_json()["cells"]}
+    finally:
+        disable()
+    assert {"sta.analyze", "sta.arc", "qwm.phase12"} <= spans
+    assert spans == leaves
+
+
 def test_process_backend_counts_match_serial_and_repeat(
         tech, library, decoder_graph):
     """Process-pool ledgers merge to the serial counts, repeatably.
 
-    Workers drain their ledger per task and ship the delta with the
-    payload; commutative cell-wise merging makes the parent's totals
-    independent of worker scheduling — so two process runs and a serial
-    run must agree on every operation count exactly.
+    Workers drain one delta per task and ship it with the payload; the
+    parent merges it cell-wise under its open ``sta.analyze`` frame, so
+    the paths match the serial run's and the totals do not depend on
+    worker scheduling — two process runs and a serial run must agree on
+    every operation count exactly.
     """
     serial = _profiled_op_totals(tech, library, decoder_graph, 1)
     first = _profiled_op_totals(tech, library, decoder_graph, 2)
@@ -319,13 +362,13 @@ SPEEDSCOPE_SCHEMA = {
 
 
 def _sample_ledger():
-    prof = PhaseProfiler(ProfileConfig(enabled=True))
-    with prof.phase("sta.arc", tag="nand2"):
-        with prof.phase("engine.evaluate", tag="nand2") as frame:
-            frame.count("regions", 4)
+    prof = configure_profile(ProfileConfig(enabled=True))
+    with frame("sta.arc", "nand2"):
+        with frame("engine.evaluate", "nand2") as fr:
+            fr.count("regions", 4)
             time.sleep(0.002)
         time.sleep(0.001)
-    return prof.to_json()
+    return prof.profile_json()
 
 
 class TestExports:
@@ -415,8 +458,8 @@ class TestCli:
         assert any("qwm.phase" in frame for frame in frames)
         assert json.loads(scope.read_text())["profiles"]
         assert collapsed.read_text().strip()
-        # The subcommand owns its profiler lifecycle: off afterwards.
-        assert not profiler().enabled
+        # The subcommand owns its profile lifecycle: off afterwards.
+        assert not ledger().profiling
 
     def test_profile_text_report(self, capsys):
         code = main(["profile", "--circuit", "inverter",
@@ -459,7 +502,7 @@ class TestCli:
         capsys.readouterr()
         doc = json.loads(scope.read_text())
         assert doc["profiles"][0]["samples"]
-        assert not profiler().enabled
+        assert not ledger().profiling
 
     def test_stats_reports_resilience_ladder(self, tmp_path, capsys):
         from repro.resilience.ladder import QUALITY_ORDER
