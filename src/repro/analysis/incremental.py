@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.analysis.parallel import StageResultCache
+from repro.analysis.parallel import ExecutionConfig, StageResultCache
 from repro.analysis.sta import Event, StaResult, StaticTimingAnalyzer
 from repro.circuit.stage import StageGraph
 from repro.devices.capacitance import gate_capacitance
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
+from repro.resilience.ladder import EscalationPolicy
 
 
 @dataclass
@@ -54,15 +55,27 @@ class IncrementalTimer:
         graph: the partitioned design (stages are edited in place
             through the editing methods below).
         library: shared table-model library.
+        cache: the stage-result cache to re-run against (default: a
+            new one that lives as long as the timer).
+        execution: scheduling policy for every pass (see
+            :class:`repro.analysis.parallel.ExecutionConfig`).
+        resilience: escalation policy for failed arc solves (see
+            :class:`repro.resilience.ladder.EscalationPolicy`).
     """
 
     def __init__(self, tech: Technology, graph: StageGraph,
-                 library: Optional[TableModelLibrary] = None):
+                 library: Optional[TableModelLibrary] = None,
+                 cache: Optional[StageResultCache] = None,
+                 execution: Optional[ExecutionConfig] = None,
+                 resilience: Optional[EscalationPolicy] = None):
         self.tech = tech
         self.graph = graph
-        self.cache = StageResultCache()
+        # An empty cache is falsy (it has a length), hence `is None`.
+        self.cache = cache if cache is not None else StageResultCache()
         self.analyzer = StaticTimingAnalyzer(tech, library=library,
-                                             cache=self.cache)
+                                             execution=execution,
+                                             cache=self.cache,
+                                             resilience=resilience)
         self.last_stats = IncrementalStats()
 
     # ------------------------------------------------------------------

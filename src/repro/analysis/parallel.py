@@ -6,21 +6,23 @@ across whole-graph analysis in two orthogonal ways:
 
 * **Scheduling** — :class:`ParallelStaEngine` is the only STA
   scheduler: :meth:`repro.analysis.sta.StaticTimingAnalyzer.analyze`
-  always runs it.  It walks the levelized stage graph in-process or,
-  with ``workers > 1``, dispatches it onto one pool of worker
-  processes.  Pooled dispatch is dependency-aware: a stage is
-  submitted as soon as every fanin stage has merged its arrival
-  waveforms, not when its whole level barrier clears.  Workers change
-  *scheduling only*: every stage is evaluated by one function,
-  :func:`_evaluate_stage`, in the main process and in every worker, so
-  arrival times are identical across worker counts bit for bit.
+  always runs it.  One dependency-counting loop pops stages off a FIFO
+  ready queue: a stage joins the queue as soon as every fanin stage
+  has merged its arrival waveforms, not when its whole level barrier
+  clears.  With one worker the loop evaluates each ready stage in the
+  main process; with ``workers > 1`` it submits them to one pool of
+  worker processes.  Workers change *scheduling only*: every stage is
+  evaluated by one function, :func:`_evaluate_stage`, in the main
+  process and in every worker, so arrival times are identical across
+  worker counts bit for bit.
 
 * **Stage-result caching** — :class:`StageResultCache` memoizes arc
   results ``(delay, output_slew, quality)`` keyed by a canonical hash of
   stage topology, device geometry, loads, technology, solver options and
   the input slew.  Repeated gate configurations — the common case in
-  decoders and the Table-1 gate set — are solved once, and :class:`repro.analysis.incremental.IncrementalTimer` re-times
-  an edited design against the same cache.  Hit/miss counts feed the
+  decoders and the Table-1 gate set — are solved once, and
+  :class:`repro.analysis.incremental.IncrementalTimer` re-times an
+  edited design against the same cache.  Hit/miss counts feed the
   ``sta.cache`` metric in :mod:`repro.obs`, and the cache can persist to
   an on-disk JSON store.
 
@@ -38,7 +40,7 @@ import os
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 Executor, ProcessPoolExecutor, wait)
 from contextlib import contextmanager
@@ -591,13 +593,14 @@ def _process_stage_task(stage: LogicStage,
     """Worker-process task: :func:`_evaluate_stage` on shipped entries.
 
     The shipped entries fill a worker-local cache.  Returns (arrivals,
-    stats, new cache entries, cache hits, cache misses, obs delta); the
-    parent merges the new entries into the shared cache so later
-    dispatches of equal configurations hit, folds the hit/miss counts
-    into the shared cache's counters, and merges the delta (see
-    :func:`repro.obs.merge_delta`).  The task runs in the same
-    ``sta.stage.task`` frame the serial loop opens, so merged profile
-    paths equal the serial run's.
+    stats, new cache entries, cache hits, cache misses, obs delta,
+    elapsed seconds); the parent merges the new entries into the shared
+    cache so later dispatches of equal configurations hit, folds the
+    hit/miss counts into the shared cache's counters, merges the delta
+    (see :func:`repro.obs.merge_delta`) and notes the elapsed time as
+    the stage's cost.  The task runs in the same ``sta.stage.task``
+    frame as an in-process stage, so merged profile paths equal an
+    in-process run's.
     """
     analyzer = _WORKER_ANALYZER
     assert analyzer is not None, "worker pool initializer did not run"
@@ -606,9 +609,11 @@ def _process_stage_task(stage: LogicStage,
     if shipped is not None:
         cache = StageResultCache()
         cache.merge(shipped)
+    started = time.perf_counter()
     with frame("sta.stage.task", stage=stage.name):
         computed, stats = _evaluate_stage(analyzer, stage, snapshot,
                                           cache, form, clamp)
+    elapsed = time.perf_counter() - started
     new_entries: Dict[CacheKey, CachedArc] = {}
     hits = misses = 0
     if cache is not None and form is not None:
@@ -616,7 +621,8 @@ def _process_stage_task(stage: LogicStage,
                        in cache.entries_for(form.fingerprint).items()
                        if key not in shipped}
         hits, misses = cache.hits, cache.misses
-    return computed, stats, new_entries, hits, misses, drain_delta()
+    return (computed, stats, new_entries, hits, misses, drain_delta(),
+            elapsed)
 
 
 # ----------------------------------------------------------------------
@@ -642,8 +648,8 @@ class ParallelStaEngine:
         if cache is None and config.wants_cache:
             cache = StageResultCache(path=config.cache_path)
         self.cache = cache
-        # Set by the SIGINT/SIGTERM handlers (and tests); the schedulers
-        # stop dispatching at the next stage boundary, the last flushed
+        # Set by the SIGINT/SIGTERM handlers (and tests); the dispatch
+        # loop stops at the next stage boundary, the last flushed
         # journal checkpoint stands, and run() returns a partial result.
         self._interrupt = threading.Event()
 
@@ -681,14 +687,9 @@ class ParallelStaEngine:
         self._interrupt.clear()
         with self._signal_guard(controller is not None
                                 or journal is not None):
-            if config.workers == 1 or len(order) <= 1:
-                stats_by_stage = self._run_serial(
-                    order, arrivals, waves, forms,
-                    controller=controller, journal=journal, done=done)
-            else:
-                stats_by_stage = self._run_pooled(
-                    graph, order, arrivals, waves, forms,
-                    controller=controller, journal=journal, done=done)
+            stats_by_stage = self._dispatch(
+                graph, order, arrivals, waves, forms,
+                controller=controller, journal=journal, done=done)
 
         stats = SimulationStats()
         stats.accumulate(replayed_stats)
@@ -769,12 +770,13 @@ class ParallelStaEngine:
     def _signal_guard(self, enabled: bool) -> Iterator[None]:
         """SIGINT/SIGTERM → graceful stop, for budgeted/journaled runs.
 
-        The handler only sets :attr:`_interrupt`; the schedulers stop
-        at the next stage boundary, so the final journal checkpoint is
-        never torn and run() returns a partial, quality-tagged result
-        instead of dying mid-write.  No-op off the main thread or when
-        neither a budget nor a journal is configured (plain runs keep
-        the default KeyboardInterrupt behavior).
+        The handler only sets :attr:`_interrupt`; the dispatch loop
+        stops at the next stage boundary, so the final journal
+        checkpoint is never torn and run() returns a partial,
+        quality-tagged result instead of dying mid-write.  No-op off
+        the main thread or when neither a budget nor a journal is
+        configured (plain runs keep the default KeyboardInterrupt
+        behavior).
         """
         if not enabled or threading.current_thread() \
                 is not threading.main_thread():
@@ -811,67 +813,6 @@ class ParallelStaEngine:
                                  if preds else 0)
         return waves
 
-    def _run_serial(self, order: List[LogicStage],
-                    arrivals: Dict[Event, ArrivalTime],
-                    waves: Dict[str, int],
-                    forms: Dict[str, Optional[CanonicalForm]],
-                    controller: Optional[AdmissionController] = None,
-                    journal: Optional[RunJournal] = None,
-                    done: FrozenSet[str] = frozenset()
-                    ) -> Dict[str, SimulationStats]:
-        stats_by_stage: Dict[str, SimulationStats] = {}
-        remaining = sum(1 for stage in order
-                        if stage.name not in done)
-        # Per-wave journal accumulation: a wave checkpoints when its
-        # last not-yet-done stage merges (waves whose segment was
-        # replayed never re-record — record_wave is idempotent).
-        wave_pending: Dict[int, int] = {}
-        wave_deltas: Dict[int, Dict[Event, ArrivalTime]] = {}
-        wave_stats: Dict[int, SimulationStats] = {}
-        wave_names: Dict[int, List[str]] = {}
-        if journal is not None:
-            for stage in order:
-                if stage.name in done:
-                    continue
-                wave = waves[stage.name]
-                wave_pending[wave] = wave_pending.get(wave, 0) + 1
-        for stage in order:
-            if stage.name in done:
-                continue
-            if self._interrupt.is_set():
-                inc("sta.parallel.interrupted", backend="serial")
-                break
-            clamp: Optional[str] = None
-            if controller is not None:
-                level = controller.admit(waves[stage.name], remaining)
-                clamp = None if level == CLAMP_FULL else level
-            started = time.perf_counter()
-            inc("sta.parallel.dispatch", backend="serial")
-            with frame("sta.stage.task", stage=stage.name,
-                       wave=waves[stage.name]):
-                computed, stats = _evaluate_stage(
-                    self.analyzer, stage, arrivals, self.cache,
-                    forms[stage.name], clamp=clamp)
-            arrivals.update(computed)
-            stats_by_stage[stage.name] = stats
-            remaining -= 1
-            if controller is not None:
-                elapsed = time.perf_counter() - started
-                controller.note_stage_cost(elapsed)
-            if journal is not None:
-                wave = waves[stage.name]
-                wave_deltas.setdefault(wave, {}).update(computed)
-                wave_stats.setdefault(
-                    wave, SimulationStats()).accumulate(stats)
-                wave_names.setdefault(wave, []).append(stage.name)
-                wave_pending[wave] -= 1
-                if wave_pending[wave] == 0:
-                    if journal.record_wave(wave, wave_names[wave],
-                                           wave_deltas[wave],
-                                           wave_stats[wave]):
-                        faults.wave_gate(wave)
-        return stats_by_stage
-
     def _make_executor(self) -> Executor:
         evaluator = self.analyzer.evaluator
         return ProcessPoolExecutor(
@@ -882,36 +823,46 @@ class ParallelStaEngine:
                       self.analyzer.input_slew, worker_state(),
                       faults.active_plan()))
 
-    def _run_pooled(self, graph: StageGraph, order: List[LogicStage],
-                    arrivals: Dict[Event, ArrivalTime],
-                    waves: Dict[str, int],
-                    forms: Dict[str, Optional[CanonicalForm]],
-                    controller: Optional[AdmissionController] = None,
-                    journal: Optional[RunJournal] = None,
-                    done: FrozenSet[str] = frozenset()
-                    ) -> Dict[str, SimulationStats]:
-        """Dependency-counting dispatch onto a worker pool.
+    def _dispatch(self, graph: StageGraph, order: List[LogicStage],
+                  arrivals: Dict[Event, ArrivalTime],
+                  waves: Dict[str, int],
+                  forms: Dict[str, Optional[CanonicalForm]],
+                  controller: Optional[AdmissionController] = None,
+                  journal: Optional[RunJournal] = None,
+                  done: FrozenSet[str] = frozenset()
+                  ) -> Dict[str, SimulationStats]:
+        """Dependency-counting dispatch over one FIFO ready queue.
 
-        A stage is submitted the moment its last fanin stage merges —
-        there is no per-level barrier, so a deep narrow cone and a wide
-        shallow one overlap freely.  The main thread owns ``arrivals``
+        The queue starts with the stages that have no fan-in, in
+        ``order``; a stage joins it, in fan-out order, the moment its
+        last fanin stage completes.  There is no per-level barrier, so
+        a deep narrow cone and a wide shallow one overlap freely.  With
+        one worker (or one stage to run) every ready stage is evaluated
+        in the main process, and the queue then yields exactly
+        ``graph.topological_order()``; with more, ready stages are
+        submitted to a worker pool.  The main thread owns ``arrivals``
         and the cache merge; workers only ever see immutable snapshots.
         Stages in ``done`` (replayed from a run journal) are never
         dispatched and never count as dependencies.
+
+        While the first pool task of a canonical form is in flight,
+        later stages of that form are held back; they rejoin the queue
+        when it completes, so they hit the entries it solved instead of
+        solving the same arcs side by side.
 
         Worker failures degrade, they do not kill the run:
 
         * a *dead pool* (a worker segfaulted / was OOM-killed) re-runs
           only the stage whose future surfaced the breakage in the main
-          process (pinned serial thereafter — a deterministic crasher
-          must not kill the replacement pool too), rebuilds the pool,
-          and resubmits the other in-flight stages to it;
-        * an ordinary *task exception* gets one serial retry in the
-          main process (a deterministic bug then re-raises there, with
-          a real traceback);
+          process (a deterministic crasher must not kill the
+          replacement pool too), rebuilds the pool, and resubmits the
+          other in-flight stages to it;
+        * an ordinary *task exception* gets one retry in the main
+          process (a deterministic bug then re-raises there, with a
+          real traceback);
         * with ``config.stage_timeout`` set, a task that outlives its
           watchdog is abandoned (its worker may be hung) and the stage
-          is re-dispatched serially.
+          is re-run in the main process.
 
         Each main-process recovery increments
         ``sta.parallel.redispatch``; surviving stages resubmitted to a
@@ -919,7 +870,6 @@ class ParallelStaEngine:
         flight recorder is on, recoveries record an ``escalation``
         event with ``from_rung="worker"``.
         """
-        analyzer = self.analyzer
         config = self.config
         active = [stage for stage in order if stage.name not in done]
         stage_names = {stage.name for stage in active}
@@ -928,12 +878,20 @@ class ParallelStaEngine:
             indegree[stage.name] = sum(
                 p in stage_names for p in graph.fanin[stage.name])
         by_name = {stage.name: stage for stage in active}
+        ready = deque(stage for stage in active
+                      if indegree[stage.name] == 0)
+        # Canonical fingerprint -> the first stage dispatched with it,
+        # and the stages held back while that one is in flight.
+        first_of_form: Dict[str, str] = {}
+        held: Dict[str, List[LogicStage]] = {}
         stats_by_stage: Dict[str, SimulationStats] = {}
 
-        # Per-wave spans: a wave's interval opens when its first stage
-        # is dispatched and closes when its last stage merges (waves
-        # overlap, so they stay off the frame stack).  The same pending
-        # counts drive the journal checkpoints.
+        # Per-wave journal accumulation: a wave checkpoints when its
+        # last not-yet-done stage completes (waves whose segment was
+        # replayed never re-record — record_wave is idempotent).  On a
+        # pool, a wave's span opens when its first stage is submitted
+        # and closes with its last (waves overlap, so the spans stay
+        # off the frame stack).
         wave_pending: Dict[int, int] = {}
         for stage in active:
             wave = waves[stage.name]
@@ -943,27 +901,20 @@ class ParallelStaEngine:
         wave_stats: Dict[int, SimulationStats] = {}
         wave_names: Dict[int, List[str]] = {}
 
-        executor = self._make_executor()
+        pooled = config.workers > 1 and len(active) > 1
+        backend = "process" if pooled else "serial"
+        executor = self._make_executor() if pooled else None
         futures: Dict[object, LogicStage] = {}
         submitted_at: Dict[object, float] = {}
-        serial_only: Set[str] = set()
-        retried: Set[str] = set()
         abandoned_workers = False
-
-        def admit_clamp(stage: LogicStage) -> Optional[str]:
-            if controller is None:
-                return None
-            remaining = len(active) - len(stats_by_stage)
-            level = controller.admit(waves[stage.name], remaining)
-            return None if level == CLAMP_FULL else level
 
         def complete(stage: LogicStage,
                      computed: Dict[Event, ArrivalTime],
-                     stats: SimulationStats) -> None:
+                     stats: SimulationStats, elapsed: float) -> None:
             arrivals.update(computed)
             stats_by_stage[stage.name] = stats
             if controller is not None:
-                controller.note_stage_cost(stats.wall_time)
+                controller.note_stage_cost(elapsed)
             wave = waves[stage.name]
             if journal is not None:
                 wave_deltas.setdefault(wave, {}).update(computed)
@@ -979,42 +930,52 @@ class ParallelStaEngine:
                                            wave_deltas[wave],
                                            wave_stats[wave]):
                         faults.wave_gate(wave)
+            form = forms[stage.name]
+            if form is not None:
+                ready.extend(held.pop(form.fingerprint, ()))
             for successor in graph.fanout[stage.name]:
                 if successor not in indegree:
                     continue
                 indegree[successor] -= 1
                 if indegree[successor] == 0:
-                    submit(by_name[successor])
+                    ready.append(by_name[successor])
 
-        def run_in_parent(stage: LogicStage, reason: str,
-                          clamp: Optional[str] = None) -> None:
-            """Serial re-dispatch: same arc math, main process."""
+        def evaluate_here(stage: LogicStage, clamp: Optional[str] = None,
+                          **attrs: object) -> None:
+            started = time.perf_counter()
+            with frame("sta.stage.task", stage=stage.name,
+                       wave=waves[stage.name], **attrs):
+                computed, stats = _evaluate_stage(
+                    self.analyzer, stage, arrivals, self.cache,
+                    forms[stage.name], clamp=clamp)
+            elapsed = time.perf_counter() - started
+            complete(stage, computed, stats, elapsed)
+
+        def run_in_parent(stage: LogicStage, reason: str) -> None:
+            """Re-run a pool casualty: same arc math, main process."""
             inc("sta.parallel.redispatch", reason=reason)
             fl = flight()
             if fl.enabled:
                 fl.record("escalation", from_rung="worker",
                           to_rung="serial", reason=reason,
                           stage=stage.name)
-            with frame("sta.stage.task", stage=stage.name,
-                       wave=waves[stage.name], redispatch=reason):
-                computed, stats = _evaluate_stage(
-                    analyzer, stage, arrivals, self.cache,
-                    forms[stage.name], clamp=clamp)
-            complete(stage, computed, stats)
+            evaluate_here(stage, redispatch=reason)
 
-        def submit(stage: LogicStage) -> None:
-            if self._interrupt.is_set():
+        def dispatch(stage: LogicStage) -> None:
+            inc("sta.parallel.dispatch", backend=backend)
+            clamp: Optional[str] = None
+            if controller is not None:
+                level = controller.admit(waves[stage.name],
+                                         len(active) - len(stats_by_stage))
+                clamp = None if level == CLAMP_FULL else level
+            if executor is None:
+                evaluate_here(stage, clamp)
                 return
             wave = waves[stage.name]
-            if wave not in wave_spans and wave_pending[wave] > 0:
+            if wave not in wave_spans:
                 wave_spans[wave] = interval(
                     "sta.wave", index=wave, stages=wave_pending[wave],
                     backend="process")
-            inc("sta.parallel.dispatch", backend="process")
-            clamp = admit_clamp(stage)
-            if stage.name in serial_only:
-                run_in_parent(stage, "serial_only", clamp=clamp)
-                return
             form = forms[stage.name]
             relevant = set(stage.inputs)
             relevant.update(node.name for node in stage.outputs)
@@ -1030,25 +991,25 @@ class ParallelStaEngine:
             submitted_at[future] = time.monotonic()
 
         def merge_payload(stage: LogicStage, payload) -> None:
-            computed, stats, new_entries, hits, misses, delta = payload
+            (computed, stats, new_entries, hits, misses, delta,
+             elapsed) = payload
             if self.cache is not None:
                 self.cache.merge(new_entries)
                 self.cache.record_external(hits, misses)
             merge_delta(delta)
-            complete(stage, computed, stats)
+            complete(stage, computed, stats, elapsed)
 
         def recover_broken_pool(first_casualty: LogicStage) -> None:
             """A worker died and took the pool with it.
 
             ``first_casualty`` is the stage whose future surfaced the
             breakage (already popped by the caller).  Only it re-runs
-            in the main process (and stays pinned serial — a
-            deterministic crasher must not kill the replacement pool
-            too); the other in-flight stages lost nothing but their
-            dispatch, so they resubmit to a fresh pool instead of
-            serializing the whole wave.  A survivor that *is* the
-            crasher simply surfaces as the next broken future and
-            becomes the next first casualty.
+            in the main process (a deterministic crasher must not kill
+            the replacement pool too); the other in-flight stages lost
+            nothing but their dispatch, so they resubmit to a fresh
+            pool instead of serializing the whole wave.  A survivor
+            that *is* the crasher simply surfaces as the next broken
+            future and becomes the next first casualty.
             """
             nonlocal executor
             survivors = [stage for stage in futures.values()
@@ -1060,22 +1021,31 @@ class ParallelStaEngine:
             except Exception:
                 pass
             executor = self._make_executor()
-            serial_only.add(first_casualty.name)
             run_in_parent(first_casualty, "worker_crash")
             for stage in survivors:
                 inc("sta.parallel.resubmit", reason="worker_crash")
-                submit(stage)
+                dispatch(stage)
 
         poll = (max(0.02, config.stage_timeout / 4.0)
                 if config.stage_timeout is not None else None)
         try:
-            for stage in active:
-                if indegree[stage.name] == 0:
-                    submit(stage)
-            while futures:
+            while ready or futures:
                 if self._interrupt.is_set():
-                    inc("sta.parallel.interrupted", backend="process")
+                    inc("sta.parallel.interrupted", backend=backend)
                     break
+                if ready:
+                    stage = ready.popleft()
+                    form = forms[stage.name]
+                    if form is not None:
+                        first = first_of_form.setdefault(
+                            form.fingerprint, stage.name)
+                        if first != stage.name \
+                                and first not in stats_by_stage:
+                            held.setdefault(form.fingerprint,
+                                            []).append(stage)
+                            continue
+                    dispatch(stage)
+                    continue
                 finished, _ = wait(list(futures), timeout=poll,
                                    return_when=FIRST_COMPLETED)
                 for future in finished:
@@ -1089,13 +1059,10 @@ class ParallelStaEngine:
                         recover_broken_pool(stage)
                         break
                     except Exception:
-                        # One serial retry: a worker-only fault (or a
-                        # transient environment failure) is absorbed; a
-                        # deterministic bug re-raises with a main-
-                        # process traceback.
-                        if stage.name in retried:
-                            raise
-                        retried.add(stage.name)
+                        # One retry in the main process: a worker-only
+                        # fault (or a transient environment failure) is
+                        # absorbed; a deterministic bug re-raises with a
+                        # main-process traceback.
                         run_in_parent(stage, "task_error")
                         continue
                     merge_payload(stage, payload)
@@ -1110,7 +1077,6 @@ class ParallelStaEngine:
                             continue
                         future.cancel()
                         abandoned_workers = True
-                        serial_only.add(stage.name)
                         run_in_parent(stage, "stage_timeout")
         finally:
             for handle in wave_spans.values():
@@ -1118,6 +1084,7 @@ class ParallelStaEngine:
             # A hung worker would block a waiting shutdown forever;
             # once any task has been abandoned, leave the pool to
             # reap itself.
-            executor.shutdown(wait=not abandoned_workers,
-                              cancel_futures=True)
+            if executor is not None:
+                executor.shutdown(wait=not abandoned_workers,
+                                  cancel_futures=True)
         return stats_by_stage

@@ -157,9 +157,9 @@ class StageGraph:
         stage without fan-in, in stage order.  Each generation is
         scanned in order, each stage's fan-out in order, and a stage
         joins the next generation when its last fan-in is consumed.
-        Serial dispatch follows this order, so it decides which of two
-        isomorphic stages is solved first and where an ``nth``-armed
-        fault lands.
+        In-process dispatch follows this order, so it decides which of
+        two isomorphic stages is solved first and where an
+        ``nth``-armed fault lands.
 
         Raises:
             ValueError: on a combinational loop; the message names the

@@ -10,8 +10,9 @@ Commands
     ``--required 500p`` adds slack; ``--corners`` re-times at the
     process corners.  ``--workers 4`` evaluates stages on four worker
     processes (identical arrivals, see
-    :mod:`repro.analysis.parallel`); ``--cache`` / ``--cache-file``
-    reuse solved arcs across isomorphic stages and runs.
+    :mod:`repro.analysis.parallel`).  Isomorphic stages share solved
+    arcs through one stage cache, whose hit/miss totals end the
+    report; ``--cache-file`` keeps it across runs.
     ``--no-escalation`` restores fail-fast arc solves (by default a
     failed solve degrades down the resilience ladder and the arrival
     is tagged with the absorbing rung, see
@@ -221,23 +222,18 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     # Built on every call, so its checks (a flag without its partner,
     # --workers 0) reject the command line before any analysis runs.
     execution = ExecutionConfig(
-        workers=args.workers,
-        cache=bool(args.cache or args.cache_file),
-        cache_path=args.cache_file,
+        workers=args.workers, cache_path=args.cache_file,
         deadline=args.deadline, grace=args.grace,
         journal_path=args.journal, resume=args.resume)
-    cache = None
-    if execution.wants_cache:
-        # Built here (not inside the engine) so corner re-timing
-        # shares one cache and the hit/miss totals can be printed.
-        cache = StageResultCache(path=args.cache_file)
+    # One cache for the command, so corner re-timing shares it and the
+    # hit/miss totals can be printed.
+    cache = StageResultCache(path=args.cache_file)
 
     resilience = None
     if args.no_escalation:
         from repro.resilience.ladder import EscalationPolicy
 
         resilience = EscalationPolicy(enabled=False)
-    plain = execution == ExecutionConfig() and resilience is None
 
     def run(technology, with_audit=False):
         if text is not None:
@@ -249,24 +245,16 @@ def _cmd_sta(args: argparse.Namespace) -> int:
             netlist = builders.decoder_netlist(technology,
                                                bits=args.bits)
         graph = extract_stages(netlist, tech=technology)
-        # An audited run needs the full analyzer (the auditor re-solves
-        # sampled arcs through stage_arc and the shadow-SPICE engine).
-        if not plain or with_audit:
-            from repro.analysis import StaticTimingAnalyzer
+        timer = IncrementalTimer(technology, graph, cache=cache,
+                                 execution=execution,
+                                 resilience=resilience)
+        if with_audit:
+            from repro.analysis.audit import analyze_with_audit
 
-            analyzer = StaticTimingAnalyzer(technology,
-                                            execution=execution,
-                                            cache=cache,
-                                            resilience=resilience)
-            if with_audit:
-                from repro.analysis.audit import analyze_with_audit
-
-                result, report = analyze_with_audit(
-                    analyzer, graph, audit, seed=args.audit_seed,
-                    band_pct=args.audit_band)
-                return graph, result, report
-            return graph, analyzer.analyze(graph), None
-        timer = IncrementalTimer(technology, graph)
+            result, report = analyze_with_audit(
+                timer.analyzer, graph, audit, seed=args.audit_seed,
+                band_pct=args.audit_band)
+            return graph, result, report
         return graph, timer.analyze(), None
 
     graph, result, audit_report = run(tech, with_audit=audit > 0)
@@ -299,12 +287,11 @@ def _cmd_sta(args: argparse.Namespace) -> int:
                 delays[name] = corner_result.worst.time
         print()
         print(corner_report(delays))
-    if cache is not None:
-        print()
-        print(f"stage cache: {cache.hits} hits / {cache.misses} misses"
-              f" ({len(cache)} entries)")
-        if args.cache_file:
-            print(f"stage cache stored at {args.cache_file}")
+    print()
+    print(f"stage cache: {cache.hits} hits / {cache.misses} misses"
+          f" ({len(cache)} entries)")
+    if args.cache_file:
+        print(f"stage cache stored at {args.cache_file}")
     if required is not None and result.worst is not None \
             and result.worst.time > required:
         return 1
@@ -1077,7 +1064,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "when off)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sta = sub.add_parser("sta", help="longest-path STA over a deck")
+    # No abbreviations: `--cache DECK` would otherwise mean
+    # `--cache-file DECK` and overwrite the deck with a cache store.
+    sta = sub.add_parser("sta", help="longest-path STA over a deck",
+                         allow_abbrev=False)
     sta.add_argument("deck", nargs="?", default=None,
                      help="optional deck (default: a built-in address "
                           "decoder, see --bits)")
@@ -1094,12 +1084,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes for stage evaluation; 1 "
                           "evaluates in-process (arrivals do not "
                           "depend on it)")
-    sta.add_argument("--cache", action="store_true",
-                     help="enable the in-memory stage-result cache "
-                          "(isomorphic stages share solved arcs)")
     sta.add_argument("--cache-file", metavar="FILE", default=None,
                      help="persist the stage cache to a JSON store "
-                          "(implies --cache; loaded before the run)")
+                          "(loaded before the run)")
     sta.add_argument("--no-escalation", action="store_true",
                      help="disable the resilience ladder: a failed "
                           "arc solve raises instead of degrading to "

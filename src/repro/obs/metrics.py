@@ -86,7 +86,7 @@ CATALOG: Dict[str, Tuple[str, str, Optional[Tuple[float, ...]]]] = {
     "sta.parallel.redispatch": (
         "counter", "pooled stage tasks re-dispatched into the main "
                    "process, by reason label (worker_crash, "
-                   "stage_timeout, task_error, serial_only)", None),
+                   "stage_timeout, task_error)", None),
     "resilience.escalations": (
         "counter", "stage-arc escalations by the rung that failed "
                    "(rung label)", None),

@@ -407,6 +407,30 @@ class TestDeadlineRuns:
         assert qualities == {"bounded"}
         assert (cache.hits, cache.misses, len(cache)) == (0, 28, 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_stage_notes_its_wall_time(self, tech, library,
+                                             decoder_graph, workers,
+                                             monkeypatch):
+        """A stage's cost is its wall time where it ran, in a pool
+        worker too, and even when every arc comes from the cache."""
+        cache = StageResultCache()
+        StaticTimingAnalyzer(tech, library=library,
+                             cache=cache).analyze(decoder_graph)
+        costs = []
+        note = AdmissionController.note_stage_cost
+
+        def spy(controller, seconds):
+            costs.append(seconds)
+            note(controller, seconds)
+
+        monkeypatch.setattr(AdmissionController, "note_stage_cost", spy)
+        StaticTimingAnalyzer(
+            tech, library=library,
+            execution=ExecutionConfig(workers=workers, deadline=600.0),
+            cache=cache).analyze(decoder_graph)
+        assert len(costs) == len(decoder_graph.stages)
+        assert all(cost > 0 for cost in costs)
+
 
 # ----------------------------------------------------------------------
 # Graceful interrupt -> partial result -> resume to full.

@@ -1,6 +1,7 @@
 """Tests for the timing reports and the CLI."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -226,6 +227,27 @@ class TestCli:
         # All ten decoder stages go to the pool, none run in-process.
         assert series == [{"labels": {"backend": "process"},
                            "value": 10.0}]
+
+    def test_sta_workers_solve_the_same_arcs(self, capsys):
+        reported = []
+        for flags in ([], ["--workers", "2"]):
+            assert main(["sta", "--bits", "2"] + flags) == 0
+            out = capsys.readouterr().out
+            reported.append((
+                re.search(r"^QWM cost: .*?(?=, [\d.]+ ms solve time$)",
+                          out, re.M).group(0),
+                re.search(r"^stage cache: .*$", out, re.M).group(0)))
+        assert reported[1] == reported[0]
+
+    def test_sta_rejects_the_removed_cache_flag(self, tmp_path):
+        # Not taken as an abbreviation of --cache-file, which would
+        # overwrite the deck with a cache store.
+        deck = tmp_path / "chain.sp"
+        deck.write_text(CHAIN_DECK)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sta", "--cache", str(deck)])
+        assert exit_info.value.code == 2
+        assert deck.read_text() == CHAIN_DECK
 
     @pytest.mark.parametrize("flags,partner", [
         (["--resume"], "journal"),

@@ -108,6 +108,48 @@ def test_cache_shares_isomorphic_stages(tech, library, decoder_graph):
     assert cache.hits > 0
 
 
+def test_pool_shares_isomorphic_stages_like_in_process(tech, library,
+                                                      decoder_graph):
+    """Later stages of a form wait for its first pool task's entries.
+
+    Without the hold, a pooled wave ships every isomorphic stage before
+    any returns, and each solves the same arcs again.
+    """
+    counts = []
+    for workers in (1, 2):
+        cache = StageResultCache()
+        result = StaticTimingAnalyzer(
+            tech, library=library,
+            execution=ExecutionConfig(workers=workers),
+            cache=cache).analyze(decoder_graph)
+        counts.append((cache.hits, cache.misses, result.stats.steps))
+    assert counts[0][0] > 0
+    assert counts[1] == counts[0]
+
+
+@pytest.mark.parametrize("bits", [2, 3, 4])
+def test_in_process_dispatch_follows_topological_order(tech, library,
+                                                       bits, monkeypatch):
+    """Which isomorphic stage is solved first, and where an nth-armed
+    fault lands, follow this order."""
+    from repro.analysis import parallel
+
+    graph = extract_stages(builders.decoder_netlist(tech, bits=bits),
+                           tech=tech)
+    evaluated = []
+    evaluate = parallel._evaluate_stage
+
+    def spy(analyzer, stage, *args, **kwargs):
+        evaluated.append(stage.name)
+        return evaluate(analyzer, stage, *args, **kwargs)
+
+    monkeypatch.setattr(parallel, "_evaluate_stage", spy)
+    StaticTimingAnalyzer(tech, library=library,
+                         cache=StageResultCache()).analyze(graph)
+    assert evaluated == [stage.name
+                         for stage in graph.topological_order()]
+
+
 def test_cache_path_persists_results(tech, library, decoder_graph,
                                      tmp_path):
     store = str(tmp_path / "stage_cache.json")
