@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.circuit.netlist import LogicStage
 from repro.core import QWMSolution, WaveformEvaluator
-from repro.obs import frame, telemetry
+from repro.obs import frame, ledger
 from repro.spice import (
     ConstantSource,
     StepSource,
@@ -202,7 +202,7 @@ def save_metrics(filename: str,
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
-    telemetry().export_metrics(path)
+    ledger().metrics.export_json(path)
     if phases or accuracy:
         with open(path) as handle:
             document = json.load(handle)
@@ -220,7 +220,7 @@ def save_metrics(filename: str,
 
 def save_speedscope(filename: str) -> str:
     """Write the current profile view as a speedscope artifact."""
-    from repro.obs.frames import export_speedscope, ledger
+    from repro.obs.frames import export_speedscope
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)

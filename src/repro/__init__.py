@@ -21,9 +21,10 @@ including every substrate the paper depends on:
 * :mod:`repro.lint` — static pre-simulation analysis: rule-based ERC,
   model, solver-preflight and interconnect checks with structured
   diagnostics (also the ``repro lint`` CLI subcommand).
-* :mod:`repro.obs` — telemetry: hierarchical tracing, a metrics
-  registry keyed to the paper's cost model, and pluggable sinks
-  (also the ``repro stats`` CLI subcommand).
+* :mod:`repro.obs` — observability: one frame ledger whose views are
+  hierarchical tracing, the phase profile and a metrics registry keyed
+  to the paper's cost model, plus pluggable sinks (also the ``repro
+  stats`` CLI subcommand).
 
 Quickstart::
 
@@ -91,7 +92,7 @@ from repro.lint import (
     lint_netlist,
     lint_stage,
 )
-from repro.obs import ObsConfig, Telemetry, configure, disable, telemetry
+from repro.obs import ObsConfig, configure, disable, ledger
 
 __version__ = "1.0.0"
 
@@ -137,9 +138,8 @@ __all__ = [
     "lint_netlist",
     "lint_stage",
     "ObsConfig",
-    "Telemetry",
     "configure",
     "disable",
-    "telemetry",
+    "ledger",
     "__version__",
 ]

@@ -17,11 +17,11 @@ Sampling contract (what makes audits reproducible and comparable):
   canonical_form_for`) and drawn round-robin across groups, so a
   decoder's 2^n isomorphic word-line NANDs cannot crowd the unique
   stages out of an N-arc budget.
-* **Backend-independent** — the candidate set is the union of arcs
-  noted during the run (workers ship their deltas home with the task
-  payload, and set union commutes), and the audit solves happen in the
-  parent process; serial, thread and process runs therefore produce
-  bit-identical audit records.
+* **Worker-count-independent** — the candidate set is derived from
+  the run's final arrivals (the arcs the run attempted, by the rule
+  :func:`repro.analysis.sta.compute_stage_arrivals` applies), and the
+  audit solves happen in the parent process; in-process and pooled
+  runs therefore produce bit-identical audit records.
 
 Auditing is observability, not gating: odd arcs (no crossing, zero
 reference) become non-ok record statuses, never exceptions.
@@ -35,20 +35,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import compare_delays
 from repro.analysis.parallel import canonical_form_for
-from repro.analysis.sta import StaResult, StaticTimingAnalyzer
+from repro.analysis.sta import (ArrivalTime, Event, StaResult,
+                                StaticTimingAnalyzer)
 from repro.circuit.stage import StageGraph
 from repro.obs import observe
 from repro.obs.accuracy import (
-    AccuracyConfig,
     ArcKey,
     LEDGER_FORMAT,
     attribute_regions,
     capture_regions,
-    configure_accuracy,
-    observatory,
-    slew_from_token,
+    slew_token,
 )
-from repro.obs.flight import flight
 from repro.resilience.ladder import adaptive_spice_arc
 from repro.spice.results import SimulationStats
 
@@ -76,60 +73,49 @@ class ArcSample:
 
     @property
     def key(self) -> ArcKey:
-        from repro.obs.accuracy import slew_token
-
         return (self.stage, self.output, self.direction,
                 self.switching_input, slew_token(self.input_slew))
-
-    @property
-    def label(self) -> str:
-        return (f"{self.stage}/{self.output}:{self.direction}"
-                f"@{self.switching_input}")
 
 
 def collect_candidates(graph: StageGraph,
                        analyzer: StaticTimingAnalyzer,
-                       noted: Optional[Sequence[ArcKey]] = None
+                       arrivals: Optional[Dict[Event, ArrivalTime]] = None
                        ) -> List[ArcSample]:
     """The audit candidate pool, fingerprinted for stratification.
 
-    ``noted`` is the observatory's arc-candidate set from an audited
-    run (the arcs STA actually attempted, with the run's real input
-    slews).  Without it — auditing outside an STA run — every
-    single-input-switching arc of the graph is enumerated with the
-    analyzer's default stimulus.
+    With a run's ``arrivals`` the pool is the arcs the run attempted,
+    by the rule :func:`repro.analysis.sta.compute_stage_arrivals`
+    applies: an arc is a candidate when its switching input has an
+    arrival in the opposite direction, and in slew mode it is driven
+    with that arrival's slew (the analyzer's ``input_slew`` when it has
+    none).  Without arrivals — auditing outside an STA run — every
+    single-input-switching arc of the graph is a candidate, driven by
+    the analyzer's default stimulus.
     """
-    forms: Dict[str, str] = {}
-
-    def fingerprint(stage) -> str:
-        if stage.name not in forms:
-            forms[stage.name] = canonical_form_for(
-                stage, analyzer).fingerprint
-        return forms[stage.name]
-
-    samples: List[ArcSample] = []
-    if noted is not None:
-        for key in sorted(noted):
-            stage_name, output, direction, switching_input, token = key
-            stage = graph.stage(stage_name)
-            samples.append(ArcSample(
-                stage=stage_name, output=output, direction=direction,
-                switching_input=switching_input,
-                input_slew=slew_from_token(token),
-                fingerprint=fingerprint(stage)))
-        return samples
     default_slew = (analyzer.input_slew if analyzer.propagate_slews
                     else None)
+    forms: Dict[str, str] = {}
+    samples: List[ArcSample] = []
     for stage in sorted(graph.stages, key=lambda s: s.name):
-        fp = fingerprint(stage)
         for node in stage.outputs:
-            for direction in ("rise", "fall"):
+            for direction, in_dir in (("rise", "fall"), ("fall", "rise")):
                 for switching_input in stage.inputs:
+                    input_slew = default_slew
+                    if arrivals is not None:
+                        src = arrivals.get((switching_input, in_dir))
+                        if src is None:
+                            continue
+                        if analyzer.propagate_slews:
+                            input_slew = src.slew or default_slew
+                    if stage.name not in forms:
+                        forms[stage.name] = canonical_form_for(
+                            stage, analyzer).fingerprint
                     samples.append(ArcSample(
                         stage=stage.name, output=node.name,
                         direction=direction,
                         switching_input=switching_input,
-                        input_slew=default_slew, fingerprint=fp))
+                        input_slew=input_slew,
+                        fingerprint=forms[stage.name]))
     return samples
 
 
@@ -235,22 +221,7 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
     if slew_cmp.ok:
         observe("accuracy.audit.slew_error_pct",
                 slew_cmp.error_percent)
-    if margin is not None and margin < 0.0:
-        _capture_audit_violation(sample, record)
     return record
-
-
-def _capture_audit_violation(sample: ArcSample,
-                             record: Dict[str, Any]) -> None:
-    """Emit a flight bundle for an out-of-band audit arc."""
-    fl = flight()
-    if not fl.enabled or not fl.config.capture_bundles:
-        return
-    with fl.context(audit_arc=sample.label,
-                    delay_error_pct=record["delay_error_pct"],
-                    attribution=record["attribution"].get("dominant")):
-        fl.force_capture("audit_band_violation")
-        fl.consume_force_capture()
 
 
 @dataclass(frozen=True)
@@ -360,27 +331,14 @@ def analyze_with_audit(analyzer: StaticTimingAnalyzer,
                        ) -> Tuple[StaResult, AuditReport]:
     """Run a full STA with shadow-SPICE auditing.
 
-    Enables the accuracy observatory for the run (restoring the prior
-    configuration afterwards), collects the arcs the run attempted,
-    samples ``count`` of them and audits each **in the parent
-    process** — which, together with the drained-delta candidate
-    union, is why serial and process backends produce bit-identical
-    audit records.  The report is attached to ``result.audit``.
+    Derives the arcs the run attempted from its arrivals (see
+    :func:`collect_candidates`), samples ``count`` of them and audits
+    each **in the parent process** — which is why in-process and
+    pooled runs produce bit-identical audit records.  The report is
+    attached to ``result.audit``.
     """
-    obs = observatory()
-    own = not obs.enabled
-    if own:
-        obs = configure_accuracy(AccuracyConfig(enabled=True))
-    try:
-        result = analyzer.analyze(graph, input_arrivals)
-        noted = obs.drain()["arcs"]
-    finally:
-        if own:
-            from repro.obs.accuracy import disable_accuracy
-
-            disable_accuracy()
-    candidates = collect_candidates(
-        graph, analyzer, noted=[tuple(arc) for arc in noted])
+    result = analyzer.analyze(graph, input_arrivals)
+    candidates = collect_candidates(graph, analyzer, result.arrivals)
     sampled = stratified_sample(candidates, count, seed)
     records = [audit_arc(analyzer, graph.stage(sample.stage), sample,
                          band_pct=band_pct)

@@ -341,14 +341,14 @@ class StageResultCache:
             set_gauge("sta.cache.entries", len(self._data))
 
     def record_external(self, hits: int, misses: int) -> None:
-        """Fold hit/miss counts observed inside process workers in."""
+        """Fold hit/miss counts observed inside process workers in.
+
+        The workers' ``sta.cache`` increments arrive with their metrics
+        delta (:func:`repro.obs.merge_delta`), so none are made here.
+        """
         with self._lock:
             self.hits += hits
             self.misses += misses
-        if hits:
-            inc("sta.cache", hits, result="hit")
-        if misses:
-            inc("sta.cache", misses, result="miss")
 
     def entries_for(self, fingerprint: str) -> Dict[CacheKey, CachedArc]:
         """Snapshot of the entries one stage task could hit."""
@@ -557,8 +557,9 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
 
 # ----------------------------------------------------------------------
 # Process-pool plumbing: one analyzer per worker process, built once
-# by the pool initializer (the characterized table library ships pickled
-# with the initargs, so workers skip re-characterization).
+# by the pool initializer.  The table library ships pickled with the
+# initargs, so workers skip re-characterization only for the tables the
+# parent's library already holds when the pool starts.
 # ----------------------------------------------------------------------
 _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
@@ -570,11 +571,12 @@ def _process_worker_init(tech, library, options, propagate_slews,
     _WORKER_ANALYZER = StaticTimingAnalyzer(
         tech, library=library, options=options,
         propagate_slews=propagate_slews, input_slew=input_slew)
-    # Workers record into their own profile cells, accuracy arcs and
-    # flight ledger; each stage task drains one delta into its return
-    # payload and the parent merges it (both merges commute, so the
-    # totals do not depend on the worker count).  Flight bundles (the
-    # durable artifact) land in the shared bundle_dir either way.
+    # Workers record into their own profile cells, metric series and
+    # flight ledger.  Each stage task drains one delta of cells and
+    # series into its return payload and the parent merges it (both
+    # merges commute, so the totals do not depend on the worker count).
+    # Flight events stay in the worker; flight bundles (the durable
+    # artifact) land in the shared bundle_dir either way.
     install_worker_state(obs_state)
     # Fault plans follow the work into the pool so worker-scoped
     # faults (crash/hang) and solver faults fire where the chaos

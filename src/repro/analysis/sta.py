@@ -29,7 +29,6 @@ from repro.core.qwm import QWMOptions
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
 from repro.obs import count, frame, inc, observe
-from repro.obs.accuracy import note_arc_candidate
 from repro.obs.flight import flight
 from repro.resilience import faults
 from repro.resilience.budget import CLAMP_BOUND, CLAMP_NO_SPICE
@@ -167,8 +166,6 @@ def compute_stage_arrivals(stage: LogicStage,
                     continue
                 input_slew = (src.slew or default_slew
                               if propagate_slews else None)
-                note_arc_candidate(stage.name, out_node.name, out_dir,
-                                   input_name, input_slew)
                 arc = arc_fn(stage, out_node.name, out_dir,
                              input_name, input_slew)
                 if arc is None:

@@ -145,7 +145,7 @@ from repro.devices import CMOSP35, TableModelLibrary
 from repro.devices.corners import all_corners
 from repro.io import ascii_plot, parse_spice_netlist
 from repro.io.spice_netlist import parse_value
-from repro.obs import ObsConfig, configure, disable, telemetry
+from repro.obs import ObsConfig, configure, disable
 from repro.obs.frames import (
     ProfileConfig,
     configure_profile,
@@ -577,8 +577,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         _evaluate_single_arc(args)
     audit_record = (_stats_audit_record(args, output, switching)
                     if args.audit else None)
-    bundle = telemetry()
-    registry = bundle.metrics
+    registry = ledger().metrics
     stats = solution.stats
     delay = solution.delay()
     solves = {
@@ -1132,8 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampling seed (same seed, same arcs)")
     sta.add_argument("--audit-band", type=float, default=10.0,
                      help="audit acceptance band in percent (audit "
-                          "arcs outside it emit flight bundles when "
-                          "capture is on)")
+                          "arcs outside it count as violations)")
     sta.add_argument("--history", action="store_true",
                      help="append the audit errors to the accuracy "
                           "history ledger (needs --audit)")
@@ -1388,11 +1386,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     finally:
         if wants_telemetry:
-            bundle = telemetry()
             if args.trace:
-                bundle.export_trace(args.trace)
+                ledger().export_chrome(args.trace)
             if args.metrics:
-                bundle.export_metrics(args.metrics)
+                ledger().metrics.export_json(args.metrics)
             disable()
         if wants_profile:
             export_speedscope(ledger(), args.profile)

@@ -274,14 +274,14 @@ class TelemetryBudgetRule(LintRule):
                    "debugging them.")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        from repro.obs import telemetry
+        from repro.obs import ledger
 
         options = ctx.options
         newton = getattr(options, "newton", None) if options else None
         if newton is None:
             return
         max_iter = getattr(newton, "max_iterations", 100)
-        if max_iter >= 2 and max_iter < 10 and not telemetry().enabled:
+        if max_iter >= 2 and max_iter < 10 and not ledger().metrics.enabled:
             yield self.diag(
                 f"newton.max_iterations is {max_iter} (< 10) while "
                 "telemetry is disabled: convergence failures will "

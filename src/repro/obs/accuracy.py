@@ -3,15 +3,8 @@
 The repo's other observability legs watch *time* (the frame profile),
 *events* (the flight recorder) and *counts* (metrics); this module
 watches *error* — the quantity the paper's headline claim ("average
-accuracy of 99%") is actually about.  It has three pieces:
-
-* **Arc-candidate ledger** — while an audited STA run executes, every
-  attempted stage arc is noted into a process-wide observatory (one
-  attribute check when disabled, mirroring the profile view).  Process
-  workers drain their ledgers into the task payload and the parent
-  merges them, so the candidate set is identical in-process and on a
-  process pool by construction.  The shadow-SPICE
-  auditor (:mod:`repro.analysis.audit`) samples from this set.
+accuracy of 99%") is actually about.  The shadow-SPICE auditor
+(:mod:`repro.analysis.audit`) builds on its two pieces:
 
 * **Region capture** — a thread-local recorder the auditor arms around
   a QWM re-solve.  :meth:`repro.core.qwm.QWMSolver._solve_region`
@@ -30,8 +23,8 @@ accuracy of 99%") is actually about.  It has three pieces:
 
 Determinism contract: nothing recorded here carries wall-clock or
 host state — records are pure functions of the design, the seed and
-the solver configuration, which is what makes "serial and process
-backends produce bit-identical audit records" testable.
+the solver configuration, which is what makes "in-process and pooled
+runs produce bit-identical audit records" testable.
 """
 
 from __future__ import annotations
@@ -40,27 +33,20 @@ import json
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "AccuracyConfig", "AccuracyObservatory", "observatory",
-    "configure_accuracy", "disable_accuracy", "note_arc_candidate",
     "RegionCapture", "capture_regions", "note_region",
     "attribute_regions", "slew_token", "history_entry",
     "append_history_entry", "load_history_entries",
     "accuracy_regressions", "worst_regression",
-    "LEDGER_FORMAT", "HISTORY_FORMAT", "MAX_RECORDS",
+    "LEDGER_FORMAT", "HISTORY_FORMAT",
 ]
 
 #: Audit-ledger format tag (bumped on incompatible record changes).
 LEDGER_FORMAT = "repro-accuracy-audit/1"
 #: History-ledger format tag (one JSONL entry per golden/audit run).
 HISTORY_FORMAT = "repro-accuracy-history/1"
-
-#: Retained audit records; records for new arcs beyond it are dropped
-#: and counted (the candidate set is bounded by the design's arc count).
-MAX_RECORDS = 4096
 
 #: One arc candidate: (stage, output, direction, input, slew token).
 ArcKey = Tuple[str, str, str, str, str]
@@ -72,145 +58,6 @@ def slew_token(input_slew: Optional[float]) -> str:
     Shared by the audit arc keys and the stage cache's arc keys.
     """
     return "step" if not input_slew else repr(float(input_slew))
-
-
-def slew_from_token(token: str) -> Optional[float]:
-    """Inverse of :func:`slew_token`."""
-    return None if token == "step" else float(token)
-
-
-@dataclass
-class AccuracyConfig:
-    """Controls for the accuracy observatory.
-
-    Attributes:
-        enabled: master switch.  When False (the default) the arc
-            noting hook is a single attribute check and no state
-            accumulates.
-    """
-
-    enabled: bool = False
-
-
-class AccuracyObservatory:
-    """Thread-safe arc-candidate set + audit-record ledger.
-
-    Mirrors the profile view of :mod:`repro.obs.frames`: process-wide,
-    disabled by default, with :meth:`drain`/:meth:`merge` shaped so
-    per-worker deltas shipped through task payloads recombine into
-    exactly the serial run's ledger (set union and keyed insertion
-    commute).
-    """
-
-    def __init__(self, config: Optional[AccuracyConfig] = None):
-        self.config = config or AccuracyConfig()
-        #: Fast-path switch (a plain attribute).
-        self.enabled = self.config.enabled
-        self._lock = threading.Lock()
-        self._arcs: Dict[ArcKey, None] = {}
-        self._records: Dict[ArcKey, Dict[str, Any]] = {}
-        self._dropped = 0
-
-    # ------------------------------------------------------------------
-    def note_arc(self, stage: str, output: str, direction: str,
-                 switching_input: str,
-                 input_slew: Optional[float]) -> None:
-        """Note one attempted arc candidate (idempotent)."""
-        key = (stage, output, direction, switching_input,
-               slew_token(input_slew))
-        with self._lock:
-            self._arcs[key] = None
-
-    def record_audit(self, record: Dict[str, Any]) -> None:
-        """Store one audit record, keyed by its arc.
-
-        Re-auditing an arc overwrites (records are deterministic, so
-        the values are identical); records beyond :data:`MAX_RECORDS`
-        for *new* arcs are dropped and counted.
-        """
-        key = tuple(record["arc"])
-        with self._lock:
-            if key not in self._records \
-                    and len(self._records) >= MAX_RECORDS:
-                self._dropped += 1
-                return
-            self._records[key] = record
-
-    # ------------------------------------------------------------------
-    def to_json(self, drain: bool = False) -> Dict[str, Any]:
-        """The ledger as a JSON-serializable dict (sorted keys).
-
-        ``drain=True`` also resets it: a pool worker drains after every
-        stage task and ships the delta back with the payload; the
-        parent merges, so the parent's candidate set equals the serial
-        run's no matter how stages were scheduled.
-        """
-        with self._lock:
-            snapshot = {
-                "format": LEDGER_FORMAT,
-                "arcs": [list(key) for key in sorted(self._arcs)],
-                "records": [self._records[key]
-                            for key in sorted(self._records)],
-                "dropped_records": self._dropped,
-            }
-            if drain:
-                self._arcs = {}
-                self._records = {}
-                self._dropped = 0
-        return snapshot
-
-    def drain(self) -> Dict[str, Any]:
-        """Snapshot the ledger and reset it atomically."""
-        return self.to_json(drain=True)
-
-    def merge(self, payload: Dict[str, Any]) -> None:
-        """Fold a drained ledger into this one (union; commutative)."""
-        arcs = [tuple(arc) for arc in payload.get("arcs", ())]
-        records = list(payload.get("records", ()))
-        with self._lock:
-            for key in arcs:
-                self._arcs[key] = None
-        for record in records:
-            self.record_audit(record)
-        with self._lock:
-            self._dropped += int(payload.get("dropped_records", 0))
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"arcs": len(self._arcs),
-                    "records": len(self._records),
-                    "dropped": self._dropped}
-
-
-#: The process-wide observatory; disabled until ``configure_accuracy``.
-_OBSERVATORY = AccuracyObservatory(AccuracyConfig(enabled=False))
-
-
-def observatory() -> AccuracyObservatory:
-    """The current process-wide accuracy observatory."""
-    return _OBSERVATORY
-
-
-def configure_accuracy(config: AccuracyConfig) -> AccuracyObservatory:
-    """Install a fresh observatory for ``config`` and return it."""
-    global _OBSERVATORY
-    _OBSERVATORY = AccuracyObservatory(config)
-    return _OBSERVATORY
-
-
-def disable_accuracy() -> AccuracyObservatory:
-    """Restore the default disabled observatory."""
-    return configure_accuracy(AccuracyConfig(enabled=False))
-
-
-def note_arc_candidate(stage: str, output: str, direction: str,
-                       switching_input: str,
-                       input_slew: Optional[float]) -> None:
-    """Note an attempted arc on the current observatory (no-op when off)."""
-    obs = _OBSERVATORY
-    if obs.enabled:
-        obs.note_arc(stage, output, direction, switching_input,
-                     input_slew)
 
 
 # ----------------------------------------------------------------------

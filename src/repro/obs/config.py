@@ -1,9 +1,9 @@
 """Telemetry configuration.
 
-One :class:`ObsConfig` governs the telemetry bundle: whether anything
-is recorded at all (``enabled``: the trace view and the metrics
-registry) and where live span events stream to (``sink``).  The
-safety bounds that keep an instrumented long-running process from
+One :class:`ObsConfig` switches two views of the frame ledger
+(:mod:`repro.obs.frames`), the trace view and the metrics registry
+(``enabled``), and picks where live span events stream to (``sink``).
+The safety bounds that keep an instrumented long-running process from
 growing without limit are module constants:
 :data:`repro.obs.frames.TRACE_LIMIT` and
 :data:`repro.obs.metrics.MAX_SERIES`.
@@ -25,7 +25,7 @@ SINK_KINDS = ("null", "stderr", "jsonl")
 
 @dataclass
 class ObsConfig:
-    """Controls for the telemetry subsystem.
+    """Controls for the trace and metrics views.
 
     Attributes:
         enabled: master switch.  When False (the default) frames feed no

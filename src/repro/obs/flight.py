@@ -27,7 +27,7 @@ Cache attribution: the parallel engine calls
 :meth:`FlightRecorder.note_cache_hit` when serving it from cache, so a
 hit carries provenance back to the solve ids that produced the value.
 
-Like the telemetry bundle, the recorder is process-wide, disabled by
+Like the frame ledger, the recorder is process-wide, disabled by
 default, and every hot-path check degrades to a single attribute read
 (``flight().enabled``) when off.  See DESIGN.md ("Forensics & replay")
 for the event schema and the bundle format.

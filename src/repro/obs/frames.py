@@ -1,4 +1,4 @@
-"""One instrumentation frame, two views: the span trace and the profile.
+"""One instrumentation frame, three views: trace, profile and metrics.
 
 Every instrumented site opens exactly one *frame*::
 
@@ -21,17 +21,22 @@ whichever views are on:
   "qwm.phase3:crossing")``).  Ops are flushed once per frame, never per
   inner-loop iteration — the discipline lint rule SOL006 enforces.
 
-With both views off (the default) :func:`frame` returns a shared no-op
-after one attribute check.  :func:`repro.obs.configure` /
-:func:`repro.obs.disable` switch the trace view, :func:`configure_profile`
-/ :func:`disable_profile` the profile view; switching one never clears
-or disables the other.
+The ledger's third view, the **metrics** registry
+(:class:`repro.obs.metrics.MetricsRegistry`), is fed by :func:`inc`,
+:func:`observe` and :func:`set_gauge` rather than by frame exits.
 
-The profile cells are deterministic and mergeable: a pool worker drains
-its cells after each stage task and the parent adds them cell-wise
-under the frame path open at merge time (addition over sorted keys
-commutes), so a pooled run reports op counts bit-for-bit equal to the
-serial run.
+With every view off (the default) :func:`frame` returns a shared no-op
+and each metric helper returns, after one attribute check.
+:func:`repro.obs.configure` / :func:`repro.obs.disable` switch the
+trace and metrics views, :func:`configure_profile` /
+:func:`disable_profile` the profile view; switching one never clears
+or disables another.
+
+The profile cells and the metric series are deterministic and
+mergeable: a pool worker drains both after each stage task and the
+parent adds them in (cells under the frame path open at merge time;
+addition over sorted keys commutes), so a pooled run reports op counts
+and metrics equal to the serial run's.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NullSink, Sink
 
 #: Profile-ledger format tag (bumped on incompatible cell-shape changes).
@@ -170,11 +176,12 @@ class _Cell:
 
 
 class FrameLedger:
-    """The frame stack and the two views it feeds.
+    """The frame stack and the views it feeds.
 
     The stack is thread-local, so frames nest per thread; one lock
-    guards both views' buffers and is taken at frame *exit* (once per
-    view fed), never per op counted.
+    guards the trace and profile buffers and is taken at frame *exit*
+    (once per view fed), never per op counted.  The ledger is the only
+    holder of the live span sink and of the metrics registry.
     """
 
     def __init__(self) -> None:
@@ -193,20 +200,30 @@ class FrameLedger:
         self.profile_config = ProfileConfig()
         self._cells: Dict[Tuple[str, ...], _Cell] = {}
         self._cells_dropped = 0
+        self.metrics = MetricsRegistry(enabled=False)
 
     # ------------------------------------------------------------------
     # View switches
     # ------------------------------------------------------------------
     def set_trace(self, enabled: bool, sink: Optional[Sink] = None
                   ) -> None:
-        """Switch the trace view, starting an empty span buffer."""
+        """Switch the trace view, starting an empty span buffer.
+
+        The live sink it replaces is closed.
+        """
         with self._lock:
+            replaced = self._sink
             self.tracing = enabled
             self._sink = sink if sink is not None else NullSink()
             self._spans = []
             self._spans_dropped = 0
             self._t0 = time.perf_counter()
         self.active = self.tracing or self.profiling
+        replaced.close()
+
+    def set_metrics(self, enabled: bool) -> None:
+        """Switch the metrics view, starting an empty registry."""
+        self.metrics = MetricsRegistry(enabled=enabled)
 
     def set_profile(self, config: ProfileConfig) -> None:
         """Switch the profile view, starting an empty cell table."""
@@ -266,11 +283,8 @@ class FrameLedger:
                 self._spans.append(frame)
             sink, t0 = self._sink, self._t0
         if dropped:
-            # Lazy import (repro.obs imports this module); a silently
-            # truncated trace must at least show up in the metrics.
-            from repro.obs import inc
-
-            inc("obs.trace.dropped")
+            # A silently truncated trace must show up in the metrics.
+            self.metrics.counter("obs.trace.dropped").inc()
         if not isinstance(sink, NullSink):
             sink.emit("span", frame.to_json(t0))
 
@@ -367,7 +381,7 @@ def _jsonable(value: object) -> object:
     return str(value)
 
 
-#: The process-wide ledger; both views off until configured.
+#: The process-wide ledger; every view off until configured.
 _LEDGER = FrameLedger()
 
 
@@ -377,7 +391,7 @@ def ledger() -> FrameLedger:
 
 
 def fresh_ledger() -> FrameLedger:
-    """Install an empty ledger with both views off and return it.
+    """Install an empty ledger with every view off and return it.
 
     A forked pool worker starts here: it inherits the parent's open
     frames, which must not prefix the paths of the cells it ships back.
@@ -399,7 +413,7 @@ def disable_profile() -> FrameLedger:
 
 
 # ----------------------------------------------------------------------
-# Hot-path helpers — one attribute check while the views are off.
+# Hot-path helpers — one attribute check while their view is off.
 # ----------------------------------------------------------------------
 def frame(name: str, tag: Optional[str] = None, **attrs: Any):
     """Open a frame (``name:tag`` profile label, ``name`` span)."""
@@ -437,6 +451,27 @@ def count(op: str, amount: float = 1.0,
         stack[-1].count(op, amount)
     else:
         led._add_cell((root,), 0.0, 0, {op: amount})
+
+
+def inc(name: str, amount: float = 1.0, **labels) -> None:
+    """Increment a counter (no-op while the metrics view is off)."""
+    registry = _LEDGER.metrics
+    if registry.enabled:
+        registry.counter(name).inc(amount, **labels)
+
+
+def observe(name: str, value: float, **labels) -> None:
+    """Record a histogram observation (no-op while metrics are off)."""
+    registry = _LEDGER.metrics
+    if registry.enabled:
+        registry.histogram(name).observe(value, **labels)
+
+
+def set_gauge(name: str, value: float, **labels) -> None:
+    """Set a gauge (no-op while the metrics view is off)."""
+    registry = _LEDGER.metrics
+    if registry.enabled:
+        registry.gauge(name).set(value, **labels)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Process-wide metrics: counters, gauges and histograms.
+"""Metrics: counters, gauges and histograms.
+
+The process-wide registry is the metrics view of the frame ledger
+(:attr:`repro.obs.frames.FrameLedger.metrics`).
 
 Every metric has a dot-qualified name (``"qwm.newton.iterations"``),
 an optional set of labels per observation and one of three kinds:
@@ -11,7 +14,9 @@ an optional set of labels per observation and one of three kinds:
 The registry exposes a JSON dump (machine-readable, used by the CLI
 ``--metrics`` flag and the benchmark artifacts) and a Prometheus-style
 text exposition (dots become underscores, histograms expand into
-``_bucket``/``_sum``/``_count`` series).
+``_bucket``/``_sum``/``_count`` series).  A pool worker drains its
+registry into each task's delta and the parent merges it
+(:meth:`MetricsRegistry.drain`, :meth:`MetricsRegistry.merge`).
 
 Label cardinality is bounded: once a metric holds ``max_series``
 (default :data:`MAX_SERIES`) distinct label sets, observations for
@@ -264,6 +269,17 @@ class Histogram(_Metric):
         slot.sum += value
         slot.count += 1
 
+    def add_series(self, series: dict) -> None:
+        """Add one dumped series' buckets, sum and count to its own."""
+        slot = self._slot(
+            series["labels"], lambda: _HistogramSlot(len(self.buckets)))
+        if slot is None:
+            return
+        for index, count in enumerate(series["counts"]):
+            slot.counts[index] += count
+        slot.sum += series["sum"]
+        slot.count += series["count"]
+
     def snapshot(self, **labels) -> Optional[dict]:
         """Buckets/counts/sum/count for one label set (None if empty)."""
         slot = self._series.get(_label_key(labels))
@@ -357,6 +373,36 @@ class MetricsRegistry:
         with self._lock:
             self._metrics.clear()
             self.dropped_series = 0
+
+    # ------------------------------------------------------------------
+    # Pool workers: drain a delta, merge it home
+    # ------------------------------------------------------------------
+    def drain(self) -> dict:
+        """:meth:`to_json`, then :meth:`reset` (a pool task's delta)."""
+        document = self.to_json()
+        self.reset()
+        return document
+
+    def merge(self, document: dict) -> None:
+        """Fold a :meth:`drain`-ed dump into this registry.
+
+        Counter values add, and so do histogram buckets, sums and
+        counts; addition commutes, so merged totals do not depend on
+        the order workers finish in.  Gauges are skipped: a gauge
+        describes the process that set it.
+        """
+        if not self.enabled:
+            return
+        for name, dump in document.get("metrics", {}).items():
+            if dump["kind"] == "counter":
+                counter = self.counter(name, dump["help"])
+                for series in dump["series"]:
+                    counter.inc(series["value"], **series["labels"])
+            elif dump["kind"] == "histogram":
+                for series in dump["series"]:
+                    self.histogram(name, dump["help"], series["buckets"]
+                                   ).add_series(series)
+        self.dropped_series += document.get("dropped_series", 0)
 
     # ------------------------------------------------------------------
     # Exposition

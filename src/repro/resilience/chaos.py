@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs import ObsConfig, configure, disable, telemetry
+from repro.obs import ObsConfig, configure, disable, ledger
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.ladder import (
@@ -332,12 +332,12 @@ class _Counters:
              "sta.parallel.redispatch", "cache.store_corrupt")
 
     def __init__(self) -> None:
-        metrics = telemetry().metrics
+        metrics = ledger().metrics
         self._before = {name: metrics.counter(name).total()
                         for name in self.NAMES}
 
     def delta(self, name: str) -> int:
-        metrics = telemetry().metrics
+        metrics = ledger().metrics
         return int(metrics.counter(name).total() - self._before[name])
 
 
@@ -531,8 +531,8 @@ def run_matrix(seed: int = 0, bits: int = 2,
         scenarios: override the default matrix (mostly for tests).
 
     The run needs the metrics registry to attribute absorption, so it
-    enables telemetry for its own duration when the caller has not;
-    a caller-configured telemetry bundle is left untouched.
+    enables the trace and metrics views for its own duration when the
+    caller has not; views the caller configured are left untouched.
     """
     from repro.analysis import StaticTimingAnalyzer
     from repro.circuit import builders, extract_stages
@@ -559,7 +559,7 @@ def run_matrix(seed: int = 0, bits: int = 2,
                 f"unknown scenario(s) {unknown}; known: {sorted(known)}")
         matrix = [s for s in matrix if s.name in only]
 
-    owns_telemetry = not telemetry().config.enabled
+    owns_telemetry = not ledger().metrics.enabled
     if owns_telemetry:
         configure(ObsConfig(enabled=True))
     try:

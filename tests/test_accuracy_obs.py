@@ -1,9 +1,9 @@
 """Accuracy observatory: sampling determinism, ledgers, the diff gate.
 
-Mirrors the phase-profiler suite: the observatory is process-wide and
-disabled by default, worker deltas merge commutatively, and the
-auditor's records are pure functions of (design, seed, solver config)
-— which the serial-vs-process bit-identity test pins down.
+The auditor's candidates are the arcs the run attempted, derived from
+its arrivals, and its records are pure functions of (design, seed,
+solver config) — which the serial-vs-process bit-identity test pins
+down.
 """
 
 import json
@@ -32,29 +32,15 @@ from repro.analysis.sta import StaticTimingAnalyzer
 from repro.circuit import builders
 from repro.circuit.stage import extract_stages
 from repro.cli import main
-from repro.obs import accuracy as accuracy_obs
 from repro.obs.accuracy import (
-    AccuracyConfig,
-    AccuracyObservatory,
     accuracy_regressions,
     attribute_regions,
     capture_regions,
-    configure_accuracy,
-    disable_accuracy,
     history_entry,
-    note_arc_candidate,
     note_region,
-    observatory,
+    slew_token,
     worst_regression,
 )
-
-
-@pytest.fixture(autouse=True)
-def _observatory_off():
-    """Tests own the process-wide observatory; reset around each."""
-    disable_accuracy()
-    yield
-    disable_accuracy()
 
 
 @pytest.fixture(scope="module")
@@ -94,56 +80,6 @@ class TestComparisonOutcome:
             accuracy.accuracy_percent(None, 1.0e-10)
         with pytest.raises(ValueError):
             accuracy.accuracy_percent(1.0e-10, 0.0)
-
-
-# ----------------------------------------------------------------------
-# Observatory ledger: candidate noting, drain/merge commutativity.
-# ----------------------------------------------------------------------
-class TestObservatoryLedger:
-    def test_disabled_by_default(self):
-        assert not observatory().enabled
-        note_arc_candidate("s", "out", "fall", "a", None)
-        assert observatory().stats()["arcs"] == 0
-
-    def test_note_is_idempotent(self):
-        configure_accuracy(AccuracyConfig(enabled=True))
-        for _ in range(3):
-            note_arc_candidate("s", "out", "fall", "a", 20e-12)
-        assert observatory().stats()["arcs"] == 1
-
-    def _payload(self, variant: int):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
-        obs.note_arc(f"s{variant}", "out", "fall", "a", None)
-        obs.note_arc("shared", "out", "rise", "b", 10e-12)
-        obs.record_audit({"arc": [f"s{variant}", "out", "fall", "a",
-                                  "step"],
-                          "delay_error_pct": float(variant)})
-        return obs.drain()
-
-    def test_merge_is_commutative(self):
-        a, b = self._payload(1), self._payload(2)
-        ab = AccuracyObservatory(AccuracyConfig(enabled=True))
-        ab.merge(a)
-        ab.merge(b)
-        ba = AccuracyObservatory(AccuracyConfig(enabled=True))
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.to_json() == ba.to_json()
-        assert ab.stats()["arcs"] == 3
-
-    def test_drain_resets(self):
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
-        obs.note_arc("s", "out", "fall", "a", None)
-        payload = obs.drain()
-        assert payload["arcs"] == [["s", "out", "fall", "a", "step"]]
-        assert obs.stats() == {"arcs": 0, "records": 0, "dropped": 0}
-
-    def test_record_cap_counts_drops(self, monkeypatch):
-        monkeypatch.setattr(accuracy_obs, "MAX_RECORDS", 1)
-        obs = AccuracyObservatory(AccuracyConfig(enabled=True))
-        obs.record_audit({"arc": ["a", "o", "fall", "x", "step"]})
-        obs.record_audit({"arc": ["b", "o", "fall", "x", "step"]})
-        assert obs.stats() == {"arcs": 0, "records": 1, "dropped": 1}
 
 
 # ----------------------------------------------------------------------
@@ -286,15 +222,54 @@ class TestAuditor:
         assert record["delay_error_pct"] is None
         assert record["margin_to_band_pct"] is None
 
-    def test_observatory_restored_after_audit(self, tech, library,
-                                              decoder_graph):
-        assert not observatory().enabled
-        analyzer = StaticTimingAnalyzer(tech, library=library)
+    def test_resumed_run_audits_the_uninterrupted_pool(
+            self, tech, library, decoder_graph, tmp_path):
+        """Replayed stages never run, but their arcs stay candidates."""
+        def audit(resume):
+            analyzer = StaticTimingAnalyzer(
+                tech, library=library,
+                execution=ExecutionConfig(
+                    journal_path=str(tmp_path / "run.jsonl"),
+                    resume=resume))
+            return analyze_with_audit(analyzer, decoder_graph, 2, seed=0)
+
+        _, fresh = audit(False)
+        resumed_result, resumed = audit(True)
+        assert resumed_result.resumed_waves \
+            == resumed_result.journal["waves"]
+        assert resumed.summary()["candidates"] > 2
+        assert resumed.to_json() == fresh.to_json()
+
+    @pytest.mark.parametrize("slews", [False, True],
+                             ids=["step", "slew"])
+    def test_candidates_are_the_arcs_the_run_attempted(
+            self, tech, library, decoder_graph, monkeypatch, slews):
+        """The pool is exactly the arcs STA handed its arc function."""
+        from repro.analysis import parallel
+
+        attempted = set()
+        compute = parallel.compute_stage_arrivals
+
+        def spy(stage, arrivals, arc_fn, *args):
+            def noting_arc_fn(stage_, output, direction, switching_input,
+                              input_slew):
+                attempted.add((stage_.name, output, direction,
+                               switching_input, slew_token(input_slew)))
+                return arc_fn(stage_, output, direction, switching_input,
+                              input_slew)
+            return compute(stage, arrivals, noting_arc_fn, *args)
+
+        monkeypatch.setattr(parallel, "compute_stage_arrivals", spy)
+        analyzer = StaticTimingAnalyzer(tech, library=library,
+                                        propagate_slews=slews)
         result, report = analyze_with_audit(analyzer, decoder_graph, 1,
                                             seed=0)
-        assert not observatory().enabled
+        candidates = collect_candidates(decoder_graph, analyzer,
+                                        result.arrivals)
+        assert len(candidates) == len(attempted) > 1
+        assert {sample.key for sample in candidates} == attempted
         assert result.audit["summary"]["arcs_audited"] == 1
-        assert result.audit["summary"]["candidates"] > 1
+        assert result.audit["summary"]["candidates"] == len(attempted)
 
 
 # ----------------------------------------------------------------------
@@ -410,7 +385,7 @@ class TestGoldenIntegration:
 
 
 # ----------------------------------------------------------------------
-# Cost: the disabled observatory must be invisible.
+# Cost: the unarmed region capture must be invisible.
 # ----------------------------------------------------------------------
 def test_disabled_overhead_under_one_percent(tech, evaluator):
     """Disabled accuracy hooks cost < 1% of a NAND3 solve.
@@ -424,7 +399,6 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     n_calls = 20000
     start = time.perf_counter()
     for _ in range(n_calls):
-        note_arc_candidate("s", "out", "fall", "a", None)
         note_region("qwm.phase12", "crossing", 2, 1e-12, 3)
     per_op = (time.perf_counter() - start) / n_calls
 
@@ -435,8 +409,8 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
     solution = evaluator.evaluate(stage, output="out",
                                   direction="fall", inputs=sources)
     stats = solution.stats
-    # Hook sites: one arc note, and one note_region per converged
-    # Newton solve (at most two per region) — then doubled for margin.
+    # Hook sites: one note_region per converged Newton solve (at most
+    # two per region) plus two spare — then doubled for margin.
     ops = 2 * (2 * stats.steps + 2)
     overhead = ops * per_op
     assert overhead < 0.01 * stats.wall_time + 1e-4, (

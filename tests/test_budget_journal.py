@@ -492,7 +492,7 @@ class TestWorkerDeathRecovery:
     @pytest.mark.slow
     def test_crash_redispatches_only_the_dead_stage(self, tech,
                                                     library):
-        from repro.obs import ObsConfig, configure, disable, telemetry
+        from repro.obs import ObsConfig, configure, disable, ledger
         from repro.resilience.chaos import _leaf_stage
 
         graph = self._chain_graph(tech)
@@ -501,7 +501,7 @@ class TestWorkerDeathRecovery:
                                     count=1),), seed=0)
         configure(ObsConfig(enabled=True))
         try:
-            metrics = telemetry().metrics
+            metrics = ledger().metrics
             redispatch0 = metrics.counter(
                 "sta.parallel.redispatch").total()
             with faults.installed(plan):

@@ -333,5 +333,5 @@ class TestCliStats:
         names = {e["name"] for e in trace["traceEvents"]}
         assert "qwm.solve" in names
         # The CLI tears telemetry back down after exporting.
-        from repro.obs import telemetry
-        assert not telemetry().enabled
+        from repro.obs import ledger
+        assert not ledger().metrics.enabled

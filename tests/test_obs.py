@@ -12,7 +12,6 @@ from repro.obs import (
     MetricsRegistry,
     ObsConfig,
     ProfileConfig,
-    Telemetry,
     configure,
     configure_profile,
     disable,
@@ -23,7 +22,6 @@ from repro.obs import (
     ledger,
     observe,
     set_gauge,
-    telemetry,
 )
 from repro.obs import frames as frames_mod
 from repro.obs.flight import FlightConfig
@@ -329,6 +327,36 @@ class TestMetrics:
         assert registry.names() == []
         assert registry.dropped_series == 0
 
+    @staticmethod
+    def _drained(hits, iterations, entries):
+        """A drained worker registry: counter, histogram and gauge."""
+        registry = MetricsRegistry()
+        registry.counter("sta.cache").inc(hits, result="hit")
+        for value in iterations:
+            registry.histogram("qwm.newton.iterations").observe(value)
+        registry.gauge("sta.cache.entries").set(entries)
+        document = registry.drain()
+        assert registry.names() == []
+        return document
+
+    def test_drain_and_merge_add_in_either_order(self):
+        a = self._drained(2, (1.0, 4.0), 7)
+        b = self._drained(3, (4.0, 40.0, 60.0), 9)
+        ab, ba = MetricsRegistry(), MetricsRegistry()
+        ab.merge(a)
+        ab.merge(b)
+        ba.merge(b)
+        ba.merge(a)
+        assert ab.to_json() == ba.to_json()
+        # Counters and histogram buckets, sums and counts add.
+        assert ab.counter("sta.cache").value(result="hit") == 5
+        snap = ab.histogram("qwm.newton.iterations").snapshot()
+        assert snap["count"] == 5
+        assert snap["sum"] == pytest.approx(109.0)
+        assert snap["counts"] == [1, 0, 0, 2, 0, 0, 0, 0, 1, 1]
+        # Gauges describe the process that set them: skipped.
+        assert ab.get("sta.cache.entries") is None
+
 
 class TestSinks:
     def test_make_sink_dispatch(self, tmp_path):
@@ -341,13 +369,12 @@ class TestSinks:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        bundle = configure(ObsConfig(enabled=True, sink="jsonl",
-                                     sink_path=path))
+        configure(ObsConfig(enabled=True, sink="jsonl", sink_path=path))
         with frame("qwm.phase3", k=1):
             pass
         with frame("qwm.phase3", k=2):
             pass
-        bundle.close()
+        disable()  # closes (and so flushes) the replaced sink
         lines = [json.loads(line)
                  for line in open(path).read().splitlines()]
         assert len(lines) == 2
@@ -372,28 +399,28 @@ class TestModuleHelpers:
         inc("c")
         observe("h", 1.0)
         set_gauge("g", 1.0)
-        bundle = telemetry()
-        assert bundle.metrics.names() == []
+        assert ledger().metrics.names() == []
         assert ledger().spans() == []
 
     def test_configure_swaps_bundle(self):
         first = configure(ObsConfig(enabled=True))
-        assert telemetry() is first
+        assert ledger() is first
         with frame("x"):
             inc("c")
+        assert first.metrics.names() == ["c"]
         second = disable()
-        assert telemetry() is second
-        assert not second.enabled
-        # New bundle starts empty; recording stopped.
+        assert ledger() is second
+        assert not second.metrics.enabled
+        # A new registry starts empty; recording stopped.
         inc("c")
         assert second.metrics.names() == []
 
     def test_telemetry_export_helpers(self, tmp_path):
-        bundle = configure(ObsConfig(enabled=True))
+        led = configure(ObsConfig(enabled=True))
         with frame("s"):
             inc("c", 4)
-        trace_path = bundle.export_trace(str(tmp_path / "t.json"))
-        metrics_path = bundle.export_metrics(str(tmp_path / "m.json"))
+        trace_path = led.export_chrome(str(tmp_path / "t.json"))
+        metrics_path = led.metrics.export_json(str(tmp_path / "m.json"))
         assert json.loads(open(trace_path).read())["traceEvents"]
         dump = json.loads(open(metrics_path).read())
         assert dump["metrics"]["c"]["series"][0]["value"] == 4
@@ -408,12 +435,12 @@ def _nand3_sources(tech):
 class TestSolverIntegration:
     def test_nand3_metrics_match_solution_stats(self, tech, evaluator):
         stage = builders.nand_gate(tech, 3)
-        bundle = configure(ObsConfig(enabled=True))
+        led = configure(ObsConfig(enabled=True))
         try:
             solution = evaluator.evaluate(
                 stage, output="out", direction="fall",
                 inputs=_nand3_sources(tech))
-            registry = bundle.metrics
+            registry = led.metrics
             hist = registry.get("qwm.newton.iterations").snapshot()
             assert hist["count"] == solution.stats.steps
             evals = registry.get("device.table.evaluations").total()
@@ -527,7 +554,7 @@ class TestTraceDropVisibility:
             with frame("s"):
                 pass
         assert tracing.trace_stats() == {"recorded": 2, "dropped": 3}
-        metrics = telemetry().metrics
+        metrics = ledger().metrics
         assert metrics.counter("obs.trace.dropped").value() == 3
         text = format_span_tree(tracing.spans(),
                                 dropped=tracing.trace_stats()["dropped"])
@@ -538,3 +565,37 @@ class TestTraceDropVisibility:
             pass
         text = format_span_tree(tracing.spans(), dropped=0)
         assert "truncated" not in text
+
+
+# ----------------------------------------------------------------------
+# Pool workers ship their metric series home with each task's delta.
+# ----------------------------------------------------------------------
+#: Series a pooled run legitimately reports differently: the dispatch
+#: counter's ``backend`` label, and the table lookups of workers that
+#: characterize their own libraries.
+POOL_DEPENDENT_SERIES = ("sta.parallel.dispatch", "device.table.cache")
+
+
+def _series_values(path):
+    """(metric, labels) -> counter/gauge value or histogram count."""
+    values = {}
+    for name, metric in json.loads(open(path).read())["metrics"].items():
+        if name in POOL_DEPENDENT_SERIES:
+            continue
+        for series in metric["series"]:
+            key = (name, tuple(sorted(series["labels"].items())))
+            values[key] = series.get("count", series.get("value"))
+    return values
+
+
+def test_pooled_run_reports_the_serial_metrics(tmp_path, capsys):
+    from repro.cli import main
+
+    serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+    assert main(["--metrics", str(serial), "sta", "--bits", "2"]) == 0
+    assert main(["--metrics", str(pooled), "sta", "--bits", "2",
+                 "--workers", "2"]) == 0
+    capsys.readouterr()
+    expected = _series_values(serial)
+    assert ("qwm.solves", ()) in expected
+    assert _series_values(pooled) == expected

@@ -14,11 +14,12 @@ import time
 
 import pytest
 
-from repro.analysis import StaticTimingAnalyzer
+from repro.analysis import IncrementalTimer, StaticTimingAnalyzer
 from repro.analysis.parallel import ExecutionConfig
 from repro.circuit import builders, extract_stages
 from repro.cli import main
 from repro.obs import ObsConfig, configure, disable
+from repro.obs import frames as frames_mod
 from repro.obs.frames import (
     LEDGER_FORMAT,
     NOOP_FRAME,
@@ -57,15 +58,30 @@ def _cells_by_path(ledger):
     return {tuple(cell["path"]): cell for cell in ledger["cells"]}
 
 
+class _Clock:
+    """A ``perf_counter`` that moves only when the test advances it."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
 # ----------------------------------------------------------------------
 # Ledger arithmetic
 # ----------------------------------------------------------------------
 class TestLedger:
-    def test_nesting_splits_self_and_cumulative(self, prof):
+    def test_nesting_splits_self_and_cumulative(self, prof, monkeypatch):
+        clock = _Clock()
+        monkeypatch.setattr(frames_mod, "time", clock)
         with frame("outer"):
-            time.sleep(0.002)
+            clock.advance(0.002)
             with frame("inner"):
-                time.sleep(0.005)
+                clock.advance(0.005)
         cells = _cells_by_path(prof.profile_json())
         outer = cells[("outer",)]
         inner = cells[("outer", "inner")]
@@ -73,6 +89,8 @@ class TestLedger:
         # The child's wall time is excluded from the parent's self time.
         assert inner["self_seconds"] >= 0.004
         assert outer["self_seconds"] < inner["self_seconds"]
+        assert outer["self_seconds"] == pytest.approx(0.002)
+        assert inner["self_seconds"] == pytest.approx(0.005)
         summary = summarize_profile(prof.profile_json())
         frames = {f["frame"]: f for f in summary["frames"]}
         outer_cum = frames["outer"]["cum_seconds"]
@@ -271,6 +289,29 @@ def test_engine_extract_and_initial_once_per_evaluate(tech, library,
     for path, evaluates in calls.items():
         assert cells[path + ("engine.extract",)]["calls"] == evaluates
         assert cells[path + ("engine.initial:dc",)]["calls"] == evaluates
+
+
+def test_evaluate_self_time_is_attributed(tech, library):
+    """``engine.evaluate`` leaves under 5% of a decoder STA unattributed.
+
+    Its self time is what no child phase (extraction, initial state,
+    QWM solve) claims; a cached 3-bit decoder analyzed in-process must
+    spend nearly all of its profiled time in named phases.
+    """
+    graph = extract_stages(builders.decoder_netlist(tech, bits=3),
+                           tech=tech)
+    prof = configure_profile(ProfileConfig(enabled=True))
+    try:
+        IncrementalTimer(tech, graph, library=library).analyze()
+        summary = summarize_profile(prof.profile_json(drain=True))
+    finally:
+        disable_profile()
+    unattributed = sum(row["self_seconds"] for row in summary["frames"]
+                       if row["frame"].startswith("engine.evaluate:"))
+    assert unattributed > 0.0
+    assert unattributed < 0.05 * summary["total_seconds"], (
+        f"engine.evaluate self time {unattributed * 1e3:.3f} ms of "
+        f"{summary['total_seconds'] * 1e3:.3f} ms profiled")
 
 
 def test_trace_and_profile_name_the_same_frames(tech, library,
