@@ -175,20 +175,22 @@ def canonical_stage_form(stage: LogicStage,
 
     Implementation: Weisfeiler-Lehman-style color refinement over nets
     and input signals (supplies keep fixed colors), then canonical ids
-    assigned by sorted final color.  Color ties are broken by original
-    name; for the tiny, load-annotated stages QWM partitions, equal
-    colors mean genuinely symmetric (automorphic) elements, so the tie
-    break cannot make two equivalent stages disagree.
+    assigned by sorted final color.  Each refined color digests the
+    previous one, so a round can only split color classes; refinement
+    stops after the first round that splits none.  Color ties are
+    broken by original name; for the tiny, load-annotated stages QWM
+    partitions, equal colors mean genuinely symmetric (automorphic)
+    elements, so the tie break cannot make two equivalent stages
+    disagree.
     """
     from repro.circuit.netlist import GND_NODE, VDD_NODE
 
     nets = [node for node in stage.nodes
             if node.name not in (VDD_NODE, GND_NODE)]
     inputs = list(stage.inputs)
-
-    def geometry(edge) -> Tuple[str, str, str]:
-        return (edge.kind.value, repr(round(edge.w, 15)),
-                repr(round(edge.l, 15)))
+    shape = {edge.name: (edge.kind.value, repr(round(edge.w, 15)),
+                         repr(round(edge.l, 15)))
+             for edge in stage.edges}
 
     color: Dict[Tuple[str, str], str] = {
         ("net", VDD_NODE): "VDD", ("net", GND_NODE): "GND"}
@@ -209,20 +211,21 @@ def canonical_stage_form(stage: LogicStage,
                 gate = (color[("sig", edge.gate_input)]
                         if edge.gate_input else "-")
                 other = color[("net", edge.other(node).name)]
-                items.append(geometry(edge) + (role, gate, other))
+                items.append(shape[edge.name] + (role, gate, other))
             refined[("net", node.name)] = _digest(
                 (color[("net", node.name)], sorted(items)))
         for name in inputs:
             items = []
             for edge in stage.edges_with_gate(name):
-                items.append(geometry(edge)
+                items.append(shape[edge.name]
                              + (color[("net", edge.src.name)],
                                 color[("net", edge.snk.name)]))
             refined[("sig", name)] = _digest(
                 (color[("sig", name)], sorted(items)))
-        if refined == color:
-            break
+        stable = len(set(refined.values())) == len(set(color.values()))
         color = refined
+        if stable:
+            break
 
     net_ids = {VDD_NODE: "VDD", GND_NODE: "GND"}
     ordered = sorted(nets, key=lambda n: (color[("net", n.name)],
@@ -235,7 +238,7 @@ def canonical_stage_form(stage: LogicStage,
         input_ids[name] = f"i{index}"
 
     edges = sorted(
-        geometry(edge)
+        shape[edge.name]
         + (input_ids.get(edge.gate_input, "-") if edge.gate_input
            else "-",
            net_ids[edge.src.name], net_ids[edge.snk.name])
@@ -288,7 +291,11 @@ class StageResultCache:
             is fine) and written by :meth:`save`.
     """
 
-    VERSION = 2
+    #: Store schema version.  It changes with the key layout, the value
+    #: tuple, the canonical fingerprint or the arc arithmetic, so an
+    #: older store quarantines instead of serving arcs this code would
+    #: not compute.
+    VERSION = 3
 
     def __init__(self, max_entries: int = 4096,
                  path: Optional[str] = None):
@@ -558,8 +565,8 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
 # ----------------------------------------------------------------------
 # Process-pool plumbing: one analyzer per worker process, built once
 # by the pool initializer.  The table library ships pickled with the
-# initargs, so workers skip re-characterization only for the tables the
-# parent's library already holds when the pool starts.
+# initargs; ParallelStaEngine.run characterizes every table the graph
+# needs before the pool starts, so no worker characterizes.
 # ----------------------------------------------------------------------
 _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
@@ -662,6 +669,14 @@ class ParallelStaEngine:
         """Run STA over the graph; arrivals match for every worker count."""
         analyzer = self.analyzer
         config = self.config
+        # Characterize every table the graph needs before any stage
+        # runs, so pool workers unpickle a full library instead of each
+        # fitting its own.
+        library = analyzer.evaluator.library
+        for polarity, length in dict.fromkeys(
+                (edge.kind.polarity, edge.l) for stage in graph.stages
+                for edge in stage.transistors):
+            library.get(polarity, length)
         primary_slew = (analyzer.input_slew
                         if analyzer.propagate_slews else None)
         arrivals, driven = primary_input_arrivals(

@@ -54,8 +54,12 @@ class NewtonOptions:
         abstol: absolute residual tolerance (per component, inf-norm).
         xtol: absolute update tolerance (per component, inf-norm).
         max_iterations: iteration budget before giving up.
-        max_step: optional per-component cap on the Newton update magnitude
-            (SPICE-style voltage limiting); ``None`` disables clamping.
+        max_step: optional limit on the Newton update's largest
+            component (SPICE-style voltage limiting).  A longer step is
+            scaled as a whole, ``step * max_step / max|step|``, so the
+            limited update keeps the Newton direction and the line
+            search still starts from a descent direction; ``None``
+            disables the limit.
         damping: multiplier applied to every accepted step (1.0 = full
             Newton).
         line_search: if True, halve the step up to ``line_search_tries``
@@ -194,7 +198,9 @@ class NewtonSolver:
                 )
             step *= opts.damping
             if opts.max_step is not None:
-                step = np.clip(step, -opts.max_step, opts.max_step)
+                largest = _inf_norm(step)
+                if largest > opts.max_step:
+                    step *= opts.max_step / largest
 
             x_new = x - step
             f_new = np.asarray(residual(x_new), dtype=float)

@@ -108,6 +108,26 @@ class TestControls:
         # Steps were clamped: first update must be exactly max_step.
         assert abs(seen[1] - seen[0]) <= 1e-4 + 1e-12
 
+    def test_max_step_scales_the_whole_step(self):
+        # A linear system whose Newton step is (0.5, -4): the limit
+        # binds on the second component only, and the update must keep
+        # the Newton direction rather than clip that component alone.
+        jac = np.array([[2.0, 0.0], [0.0, 0.5]])
+        target = np.array([0.5, -4.0])
+        seen = []
+
+        def residual(x):
+            seen.append(np.array(x))
+            return jac @ (x - target)
+
+        solver = NewtonSolver(NewtonOptions(max_step=1.0,
+                                            line_search=False,
+                                            max_iterations=20))
+        result = solver.solve(residual, lambda x: jac, np.zeros(2))
+        np.testing.assert_allclose(result.x, target, atol=1e-9)
+        np.testing.assert_array_equal(seen[1] - seen[0],
+                                      target * (1.0 / 4.0))
+
     def test_line_search_recovers_overshoot(self):
         # atan has a famously divergent Newton iteration from |x|>~1.39
         # without damping; the line search must rescue it.

@@ -571,9 +571,8 @@ class TestTraceDropVisibility:
 # Pool workers ship their metric series home with each task's delta.
 # ----------------------------------------------------------------------
 #: Series a pooled run legitimately reports differently: the dispatch
-#: counter's ``backend`` label, and the table lookups of workers that
-#: characterize their own libraries.
-POOL_DEPENDENT_SERIES = ("sta.parallel.dispatch", "device.table.cache")
+#: counter's ``backend`` label.
+POOL_DEPENDENT_SERIES = ("sta.parallel.dispatch",)
 
 
 def _series_values(path):

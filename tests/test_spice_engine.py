@@ -1,9 +1,11 @@
 """Tests for the SPICE-like engine: MNA assembly, DC, transient."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.circuit import LogicStage, builders
+from repro.circuit import LogicStage, builders, extract_stages
 from repro.circuit.netlist import GND_NODE, VDD_NODE
 from repro.spice import (
     ConstantSource,
@@ -103,6 +105,40 @@ class TestDC:
         assert out == pytest.approx(tech.vdd, abs=0.01)
         # Internal node floats one threshold (or leakage balance) below.
         assert 1.5 < n1 < tech.vdd
+
+    @pytest.mark.parametrize("highs", list(itertools.product(
+        (False, True), repeat=3)))
+    def test_nand3_pre_states_do_not_stall(self, tech, highs):
+        """The STA pre-state solve of a decoder NAND3, all 8 assignments.
+
+        With a0b or a1b alone low, the gmin ladder's Newton steps on
+        the threshold-degraded stack nodes run to about -8 V.  Clipping
+        each component to the step limit turned them into a uniform
+        shift that raised the residual, and Newton crept a few mV per
+        iteration (486 and 738 residual evaluations).  Scaling the
+        whole step keeps the Newton direction: at most 37.
+        """
+        graph = extract_stages(builders.decoder_netlist(tech, bits=3),
+                               tech=tech)
+        stage = next(s for s in graph.stages
+                     if s.name == "decoder3.stage3")
+        levels = {name: tech.vdd if high else 0.0
+                  for name, high in zip(stage.inputs, highs)}
+        eq = StageEquations(stage, tech)
+        seed = logic_initial_condition(stage, levels)
+        guess = np.array([seed[name] for name in eq.node_names])
+        evaluations = []
+        static_residual = eq.static_residual
+
+        def counted(*args, **kwargs):
+            evaluations.append(1)
+            return static_residual(*args, **kwargs)
+
+        eq.static_residual = counted
+        v = solve_dc(eq, levels, initial_guess=guess)
+        assert len(evaluations) <= 50
+        residual, _ = static_residual(v, levels, gmin=1e-12)
+        assert float(np.max(np.abs(residual))) < 1e-12
 
 
 class TestLogicInitialCondition:
@@ -209,20 +245,37 @@ class TestPseudoTransientDC:
                                   np.full(eq.n, 0.5 * tech.vdd))
         np.testing.assert_allclose(ptc, plain, atol=5e-3)
 
-    def test_settles_hard_pass_gate_bias(self, tech):
-        # The configuration that defeats plain Newton (paper Fig. 1
-        # merged stage at a floating pass-net bias): solve_dc must
-        # complete via its PTC fallback and satisfy KCL.
+    @staticmethod
+    def _pass_gate_dc(tech, plan):
+        """DC of paper Fig. 1's merged stage at a floating pass-net
+        bias, under ``plan``; returns the KCL residual norm."""
         from repro.circuit.builders import pass_transistor_netlist
         from repro.circuit.stage import extract_stages
+        from repro.resilience import faults
 
         graph = extract_stages(pass_transistor_netlist(tech), tech=tech)
         stage = graph.stage_of_net["z"]
         eq = StageEquations(stage, tech)
         levels = {"a": 0.0, "b": tech.vdd, "sel": tech.vdd}
-        v = solve_dc(eq, levels)
+        with faults.installed(plan):
+            v = solve_dc(eq, levels)
         residual, _ = eq.static_residual(v, levels)
-        assert float(np.max(np.abs(residual))) < 1e-6
+        return float(np.max(np.abs(residual)))
+
+    def test_settles_hard_pass_gate_bias(self, tech):
+        from repro.resilience import faults
+
+        assert self._pass_gate_dc(tech, faults.FaultPlan()) < 1e-6
+
+    def test_ptc_fallback_settles_hard_pass_gate_bias(self, tech):
+        # A forced Newton failure on the first gmin rung hands the same
+        # bias to the PTC fallback, which must satisfy KCL too.
+        from repro.resilience import faults
+
+        plan = faults.FaultPlan(
+            (faults.FaultSpec("newton_nonconverge", nth=1),))
+        assert self._pass_gate_dc(tech, plan) < 1e-6
+        assert plan.fired() == 1
 
 
 class TestMultiLengthDevices:

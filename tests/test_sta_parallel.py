@@ -209,6 +209,60 @@ def test_canonical_form_sees_geometry_and_load(tech):
     assert canonical_stage_form(wide).fingerprint != base.fingerprint
 
 
+def _renamed_copy(stage, prefix):
+    """The stage with every net, input and element renamed, built in
+    reverse element order."""
+    from repro.circuit.elements import DeviceKind
+    from repro.circuit.netlist import GND_NODE, VDD_NODE, LogicStage
+
+    def net(name):
+        return name if name in (VDD_NODE, GND_NODE) else prefix + name
+
+    copy = LogicStage(prefix + stage.name, vdd=stage.vdd)
+    for edge in reversed(stage.edges):
+        ends = (prefix + edge.name, net(edge.src.name), net(edge.snk.name))
+        if edge.kind is DeviceKind.WIRE:
+            copy.add_wire(*ends, w=edge.w, l=edge.l)
+            continue
+        add = (copy.add_nmos if edge.kind is DeviceKind.NMOS
+               else copy.add_pmos)
+        add(*ends, gate=prefix + edge.gate_input, w=edge.w, l=edge.l)
+    for node in stage.internal_nodes:
+        copy.set_load(net(node.name), node.load_cap)
+        if node.is_output:
+            copy.mark_output(net(node.name))
+    return copy, net
+
+
+def test_canonical_refinement_stops_at_a_stable_partition(tech,
+                                                          monkeypatch):
+    import repro.analysis.parallel as parallel
+
+    graph = extract_stages(builders.decoder_netlist(tech, bits=3),
+                           tech=tech)
+    nand3 = next(s for s in graph.stages if s.name == "decoder3.stage3")
+    digests = []
+    digest = parallel._digest
+
+    def counted(payload):
+        digests.append(payload)
+        return digest(payload)
+
+    monkeypatch.setattr(parallel, "_digest", counted)
+    form = canonical_stage_form(nand3)
+    # 3 initial net colors, then one splitting round and one stable
+    # round over 3 nets and 3 inputs; all 8 allowed rounds take 51.
+    assert len(digests) <= 15
+
+    copy, net = _renamed_copy(nand3, "x_")
+    renamed = canonical_stage_form(copy)
+    assert renamed.fingerprint == form.fingerprint
+    for name, canonical in form.net_ids.items():
+        assert renamed.net_ids[net(name)] == canonical
+    for name, canonical in form.input_ids.items():
+        assert renamed.input_ids["x_" + name] == canonical
+
+
 def test_fingerprint_depends_on_solver_context(tech, library):
     from repro.core import QWMOptions
 
