@@ -361,7 +361,7 @@ def check(records: Sequence[GoldenRecord], tech: Technology,
           ) -> List[GoldenDiff]:
     """Re-measure every case with QWM against its stored SPICE numbers.
 
-    When the flight recorder is capturing bundles, every band
+    When the flight view is capturing bundles, every band
     violation triggers a forced re-evaluation of the offending case so
     a self-contained debug bundle (netlist, table slices, ledger) lands
     in the configured bundle directory for offline replay.
@@ -386,26 +386,25 @@ def check(records: Sequence[GoldenRecord], tech: Technology,
 
 def _capture_violation(diff: GoldenDiff, tech: Technology,
                        evaluator: WaveformEvaluator) -> None:
-    """Re-run a failing case under forced bundle capture."""
-    from repro.obs.flight import flight
+    """Re-run a failing case in a frame that forces bundle capture."""
+    from repro.obs import frame, ledger
 
-    fl = flight()
-    if not fl.enabled or not fl.config.capture_bundles:
+    led = ledger()
+    if not led.recording or not led.flight_config.capture_bundles:
         return
     case = diff.record.case
-    with fl.context(golden_case=case.name,
-                    delay_error_pct=diff.delay_error_pct,
-                    spice_delay=diff.record.spice_delay,
-                    qwm_delay=diff.fresh_delay):
-        fl.force_capture("golden_band_violation")
+    with frame("golden.capture", case.name,
+               ctx={"golden_case": case.name,
+                    "delay_error_pct": diff.delay_error_pct,
+                    "spice_delay": diff.record.spice_delay,
+                    "qwm_delay": diff.fresh_delay,
+                    "capture": "golden_band_violation"}):
         try:
             qwm_measure(case, tech, evaluator)
         except Exception:
             # The diagnostic re-run must never turn a band violation
             # into a crash; the original diff is still reported.
             pass
-        finally:
-            fl.consume_force_capture()
 
 
 def history_cases(diffs: Sequence[GoldenDiff]

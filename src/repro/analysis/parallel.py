@@ -55,9 +55,9 @@ from repro.analysis.sta import (ArrivalTime, Event, StaResult,
 from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
 from repro.obs import (count, drain_delta, frame, inc, install_worker_state,
-                       interval, merge_delta, set_gauge, worker_state)
+                       interval, ledger, merge_delta, set_gauge,
+                       worker_state)
 from repro.obs.accuracy import slew_token
-from repro.obs.flight import flight
 from repro.resilience import faults
 from repro.resilience.budget import (CLAMP_FULL, AdmissionController,
                                      RunBudget)
@@ -517,7 +517,7 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
     never stored — a deadline-starved run must not poison the shared
     cache with bounded arcs a later unconstrained run would then reuse.
 
-    When the flight recorder is on, misses attribute the solve-id range
+    When the flight view is on, misses attribute the solve-id range
     the arc consumed to its cache key and hits point back at those
     origin solves — cache-served results keep their forensics trail.
     """
@@ -541,19 +541,19 @@ def _evaluate_stage(analyzer: StaticTimingAnalyzer, stage: LogicStage,
                             out_direction,
                             form.input_ids[switching_input], input_slew)
         value = cache.get(key)
-        fl = flight()
+        led = ledger()
         if StageResultCache.found(value):
-            if fl.enabled:
-                fl.note_cache_hit(f"{key[0]}/{key[1]}")
+            if led.recording:
+                led.note_cache_hit(f"{key[0]}/{key[1]}")
             return value  # type: ignore[return-value]
-        first_solve = fl.next_solve_id() if fl.enabled else 0
+        first_solve = led.next_solve_id() if led.recording else 0
         result = solve(stage_, output, out_direction, switching_input,
                        input_slew)
         if clamp is None:
             cache.put(key, result)
-        if fl.enabled:
-            fl.note_arc_result(f"{key[0]}/{key[1]}", first_solve,
-                               fl.next_solve_id())
+        if led.recording:
+            led.note_arc_result(f"{key[0]}/{key[1]}", first_solve,
+                                led.next_solve_id())
         return result
 
     computed = compute_stage_arrivals(stage, snapshot, arc_fn,
@@ -579,11 +579,11 @@ def _process_worker_init(tech, library, options, propagate_slews,
         tech, library=library, options=options,
         propagate_slews=propagate_slews, input_slew=input_slew)
     # Workers record into their own profile cells, metric series and
-    # flight ledger.  Each stage task drains one delta of cells and
-    # series into its return payload and the parent merges it (both
-    # merges commute, so the totals do not depend on the worker count).
-    # Flight events stay in the worker; flight bundles (the durable
-    # artifact) land in the shared bundle_dir either way.
+    # flight events.  Each stage task drains one delta of all three
+    # into its return payload and the parent merges it: cells and
+    # series add (so the totals do not depend on the worker count),
+    # events append under solve ids renumbered into the parent's.
+    # Flight bundles land in the shared bundle_dir either way.
     install_worker_state(obs_state)
     # Fault plans follow the work into the pool so worker-scoped
     # faults (crash/hang) and solver faults fire where the chaos
@@ -884,7 +884,7 @@ class ParallelStaEngine:
         Each main-process recovery increments
         ``sta.parallel.redispatch``; surviving stages resubmitted to a
         rebuilt pool count under ``sta.parallel.resubmit``.  When the
-        flight recorder is on, recoveries record an ``escalation``
+        flight view is on, recoveries record an ``escalation``
         event with ``from_rung="worker"``.
         """
         config = self.config
@@ -971,11 +971,11 @@ class ParallelStaEngine:
         def run_in_parent(stage: LogicStage, reason: str) -> None:
             """Re-run a pool casualty: same arc math, main process."""
             inc("sta.parallel.redispatch", reason=reason)
-            fl = flight()
-            if fl.enabled:
-                fl.record("escalation", from_rung="worker",
-                          to_rung="serial", reason=reason,
-                          stage=stage.name)
+            led = ledger()
+            if led.recording:
+                led.record("escalation", from_rung="worker",
+                           to_rung="serial", reason=reason,
+                           stage=stage.name)
             evaluate_here(stage, redispatch=reason)
 
         def dispatch(stage: LogicStage) -> None:

@@ -17,7 +17,6 @@ through the gate-capacitance loads the stage extraction already counts.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -29,8 +28,6 @@ from repro.core.qwm import QWMOptions
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
 from repro.obs import count, frame, inc, observe
-from repro.obs.flight import flight
-from repro.resilience import faults
 from repro.resilience.budget import CLAMP_BOUND, CLAMP_NO_SPICE
 from repro.resilience.ladder import (
     QUALITY_BOUNDED,
@@ -45,9 +42,6 @@ from repro.spice.sources import ConstantSource, RampSource, StepSource
 
 #: (net, direction) key; direction is the transition of the net.
 Event = Tuple[str, str]
-
-#: Reusable no-op context (flight recorder disabled on the hot path).
-_NULL_CTX = nullcontext()
 
 #: One evaluated arc: (delay, output_slew, quality) where quality is a
 #: rung tag from :data:`repro.resilience.ladder.QUALITY_ORDER`.
@@ -348,14 +342,10 @@ class StaticTimingAnalyzer:
             source = StepSource(v0, v1, 0.0)
             t_input = 0.0
         arc_start = time.perf_counter()
-        fl = flight()
-        arc_ctx = (fl.context(arc_input=switching_input)
-                   if fl.enabled else _NULL_CTX)
         result: Optional[Arc]
-        with frame("sta.arc", stage.name, output=output,
-                   direction=out_direction, input=switching_input), \
-                arc_ctx, \
-                faults.scope(stage=stage.name, arc_start=arc_start):
+        with frame("sta.arc", stage.name,
+                   ctx={"arc_input": switching_input}, output=output,
+                   direction=out_direction, input=switching_input):
             def qwm_attempt(evaluator: WaveformEvaluator
                             ) -> Optional[Tuple[float, Optional[float]]]:
                 return self._qwm_attempt(evaluator, stage, output,

@@ -49,7 +49,7 @@ Commands
     numbers (exit 1 outside the tolerance bands).  ``--update``
     re-runs *both* engines over the slew x load grid and rewrites
     ``tests/golden/*.json``.  ``--flight-bundles DIR`` records the run
-    with the flight recorder and writes a self-contained debug bundle
+    with the flight view on and writes a self-contained debug bundle
     under DIR for every band violation (see ``replay``).
 
 ``replay BUNDLE.json``
@@ -59,11 +59,11 @@ Commands
     replayed iteration.
 
 ``report [DECK.sp]``
-    Run STA under the flight recorder and print the per-run
-    convergence report: fallback histogram, Newton iteration
-    distribution, worst regions, cache attribution.  Without a deck a
-    built-in ``--bits`` address decoder is timed.  ``--json`` emits
-    the aggregated summary instead.
+    Run STA through one stage cache, as ``sta`` does, with the flight
+    view on and print the per-run convergence report: fallback
+    histogram, Newton iteration distribution, worst regions, cache
+    attribution.  Without a deck a built-in ``--bits`` address decoder
+    is timed.  ``--json`` emits the aggregated summary instead.
 
 ``chaos``
     Run the deterministic fault-injection scenario matrix
@@ -157,6 +157,7 @@ from repro.obs.frames import (
     summarize_profile,
     to_collapsed,
 )
+from repro.resilience.journal import JournalError
 from repro.resilience.ladder import QUALITY_ORDER, QUALITY_RANK
 from repro.spice import (
     ConstantSource,
@@ -755,13 +756,13 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         from repro.obs import (FlightConfig, configure_flight,
                                disable_flight)
 
-        recorder = configure_flight(FlightConfig(
+        led = configure_flight(FlightConfig(
             enabled=True, capture_bundles=True,
             bundle_dir=args.flight_bundles))
         try:
             diffs = golden.check(records, tech)
         finally:
-            written = recorder.stats()["bundles"]
+            written = led.flight_stats()["bundles"]
             disable_flight()
         if written:
             print(f"wrote {written} debug bundle(s) under "
@@ -818,13 +819,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         design = f"decoder{args.bits} (built-in)"
     graph = extract_stages(netlist, tech=tech)
 
-    cache = StageResultCache() if args.cache else None
-
-    recorder = configure_flight(FlightConfig(
+    led = configure_flight(FlightConfig(
         enabled=True, event_limit=args.event_limit))
     audit_report = None
     try:
-        analyzer = StaticTimingAnalyzer(tech, cache=cache)
+        analyzer = StaticTimingAnalyzer(tech, cache=StageResultCache())
         if args.audit:
             from repro.analysis.audit import analyze_with_audit
 
@@ -832,7 +831,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 analyzer, graph, args.audit, seed=args.audit_seed)
         else:
             result = analyzer.analyze(graph)
-        summary = summarize_ledger(recorder)
+        summary = summarize_ledger(led)
     finally:
         disable_flight()
 
@@ -1299,9 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "decoder, see --bits)")
     rep.add_argument("--bits", type=int, default=3,
                      help="address bits of the built-in decoder")
-    rep.add_argument("--cache", action="store_true",
-                     help="enable the stage-result cache (the report "
-                          "then shows cache attribution)")
     rep.add_argument("--event-limit", type=int, default=200_000,
                      help="flight ledger event cap for the run")
     rep.add_argument("--json", action="store_true",
@@ -1378,10 +1374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_profile(ProfileConfig(enabled=True))
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, JournalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -30,8 +30,7 @@ from repro.circuit.netlist import LogicStage
 from repro.core.path import DischargePath, extract_path
 from repro.core.qwm import QWMOptions, QWMSolution, QWMSolver
 from repro.linalg.newton import NewtonConvergenceError
-from repro.obs import frame, inc
-from repro.obs.flight import flight
+from repro.obs import FrameLedger, frame, inc, ledger
 from repro.resilience import faults
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
@@ -207,9 +206,11 @@ class WaveformEvaluator:
         Returns:
             The QWM solution (waveforms + stats).
         """
-        faults.check_stage_timeout()
-        with frame("engine.evaluate", stage.name, output=output,
-                   direction=direction):
+        with frame("engine.evaluate", stage.name,
+                   ctx={"stage": stage.name, "output": output,
+                        "direction": direction},
+                   output=output, direction=direction):
+            faults.check_stage_timeout()
             self._preflight_stage(stage)
             with frame("engine.extract"):
                 path = self.extract(stage, output, direction, inputs)
@@ -220,49 +221,47 @@ class WaveformEvaluator:
             if initial is not None:
                 start.update(initial)
             solver = QWMSolver(path, self.options)
-            fl = flight()
-            if fl.enabled:
-                with fl.context(stage=stage.name, output=output,
-                                direction=direction):
-                    solution = solver.solve(inputs, start,
-                                            t_start=t_start)
-                self._capture_bundle(fl, path, inputs, start, t_start)
-            else:
-                solution = solver.solve(inputs, start, t_start=t_start)
-            return solution
+            solution = solver.solve(inputs, start, t_start=t_start)
+        led = ledger()
+        if led.recording and led.flight_config.capture_bundles:
+            self._capture_bundle(led, solver, inputs, start, t_start)
+        return solution
 
-    def _capture_bundle(self, fl, path: DischargePath,
+    def _capture_bundle(self, led: FrameLedger, solver: QWMSolver,
                         inputs: Dict[str, SourceLike],
                         start: Dict[str, float],
                         t_start: float) -> None:
         """Serialize a debug bundle if the solve warrants one.
 
-        Two triggers: a region failure the QWM scheduler stashed on the
-        recorder, or a caller-forced capture (the golden suite flags
-        band violations this way).  Either way the bundle carries the
-        evaluator's technology and the exact table slices the path
-        used, so it replays with zero re-characterization.
+        Two triggers: a region failure the solve left on
+        ``solver.failure``, or a ``capture`` reason an enclosing frame
+        carries (the golden suite flags band violations this way).
+        Either way the bundle carries the evaluator's technology, the
+        exact table slices the path used and the solve's own flight
+        events, so it replays with zero re-characterization.
         """
-        failure = fl.take_solve_failure()
-        forced = fl.consume_force_capture()
+        failure = solver.failure
+        forced = led.context().get("capture")
         if failure is None and forced is None:
             return
-        if not fl.config.capture_bundles or not fl.claim_bundle_slot():
+        if not led.claim_bundle_slot():
             return
         from repro.obs.bundles import build_bundle, save_bundle
 
+        path = solver.path
         reason = "solve_failure" if failure is not None else forced
         bundle = build_bundle(
             path, inputs, start, t_start, self.options, reason,
             tech=self.tech,
             grid_step=getattr(self.library, "grid_step", 0.1),
-            failure=failure, ledger=fl.to_json(),
-            extra=fl.current_context())
+            failure=failure,
+            ledger=led.flight_json(solve_id=solver.solve_id),
+            extra=led.flight_context())
         written = save_bundle(
-            bundle, fl.config.bundle_dir,
+            bundle, led.flight_config.bundle_dir,
             label=f"{reason}-{path.stage.name}-{path.output}-"
                   f"{path.direction}")
-        fl.record("bundle_written", solve_id=(failure or {}).get(
+        led.record("bundle_written", solve_id=(failure or {}).get(
             "solve_id", 0), path=written, reason=reason)
 
     def delay(self, stage: LogicStage, output: str, direction: str,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,10 +41,8 @@ from repro.circuit.elements import DeviceKind
 from repro.core.path import DischargePath
 from repro.core.waveforms import PiecewiseQuadraticWaveform, QuadraticPiece
 from repro.linalg.newton import NewtonConvergenceError, NewtonOptions
-from repro.obs import frame, inc, observe
+from repro.obs import frame, inc, ledger, observe
 from repro.obs.accuracy import note_region
-from repro.obs.flight import flight
-from repro.resilience import faults
 from repro.spice.results import SimulationStats, TransientResult
 from repro.spice.sources import SourceLike, as_source
 
@@ -211,9 +209,11 @@ class QWMSolver:
                  options: Optional[QWMOptions] = None):
         self.path = path
         self.options = options or QWMOptions()
-        # Flight-recorder attachment for the current solve (None = off).
+        # The ledger while the flight view records this solve (else
+        # None), the solve's id and the last region failure it recorded.
         self._fl = None
-        self._solve_id = 0
+        self.solve_id = 0
+        self.failure: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     def solve(self, inputs: Dict[str, SourceLike],
@@ -230,26 +230,28 @@ class QWMSolver:
         Returns:
             The solved :class:`QWMSolution`.
         """
-        fl = flight()
-        if fl.enabled:
-            self._fl = fl
-            self._solve_id = fl.begin_solve(
+        led = ledger()
+        self.failure = None
+        if led.recording:
+            self._fl = led
+            self.solve_id = led.begin_solve(
                 k=self.path.length, direction=self.path.direction,
                 output=self.path.output, t_start=t_start)
         else:
             self._fl = None
-            self._solve_id = 0
-        with frame("qwm.solve", k=self.path.length,
-                   direction=self.path.direction) as sp, \
-                faults.scope_default(rung="qwm",
-                                     stage=self.path.stage.name):
+            self.solve_id = 0
+        with frame("qwm.solve",
+                   ctx={"rung": "qwm", "stage": self.path.stage.name},
+                   k=self.path.length,
+                   direction=self.path.direction) as sp:
             solution = self._run_schedule(inputs, initial, t_start)
             sp.set(regions=solution.stats.steps,
                    newton_iterations=solution.stats.newton_iterations)
         inc("qwm.solves")
         if self._fl is not None:
-            self._fl.end_solve(
-                self._solve_id, regions=solution.stats.steps,
+            self._fl.record(
+                "solve_end", solve_id=self.solve_id,
+                regions=solution.stats.steps,
                 newton_iterations=solution.stats.newton_iterations,
                 table_queries=solution.stats.device_evaluations,
                 wall_seconds=solution.stats.wall_time)
@@ -368,7 +370,7 @@ class QWMSolver:
                 critical_times.append(tau)
             if failed:
                 if self._fl is not None:
-                    self._fl.record("fallback", solve_id=self._solve_id,
+                    self._fl.record("fallback", solve_id=self.solve_id,
                                     fallback="cascade_abort",
                                     frontier=frontier, tau=tau)
                 break
@@ -445,7 +447,7 @@ class QWMSolver:
                             phase="qwm.phase3")
                         if self._fl is not None:
                             self._fl.record(
-                                "fallback", solve_id=self._solve_id,
+                                "fallback", solve_id=self.solve_id,
                                 fallback="ramp_break_anchor", tau=tau,
                                 t_break=brk, target=target,
                                 recovered=anchored is not None)
@@ -459,7 +461,7 @@ class QWMSolver:
                     if u[k_total - 1] - mid > 5e-3:
                         if self._fl is not None:
                             self._fl.record(
-                                "fallback", solve_id=self._solve_id,
+                                "fallback", solve_id=self.solve_id,
                                 fallback="region_subdivision", tau=tau,
                                 target=target, midpoint=mid)
                         worklist[:0] = [mid, target]
@@ -775,7 +777,7 @@ class QWMSolver:
                             outcome = "non_advancing_time"
                     if rec is not None:
                         rec.record(
-                            "newton", solve_id=self._solve_id,
+                            "newton", solve_id=self.solve_id,
                             active=active, tau=float(tau),
                             condition=_condition_json(condition),
                             scale=scale, order=order, refine=_refine,
@@ -831,7 +833,7 @@ class QWMSolver:
                            attempts=attempts, order=order)
                 if rec is not None:
                     rec.record(
-                        "region_solved", solve_id=self._solve_id,
+                        "region_solved", solve_id=self.solve_id,
                         active=active, tau=float(tau),
                         tau_new=tau_new,
                         condition=_condition_json(condition),
@@ -848,6 +850,6 @@ class QWMSolver:
                     "attempts": attempts, "reasons": reasons,
                     "iterations": failed_iterations,
                     "table_queries": region_queries}
-            rec.record("region_failed", solve_id=self._solve_id, **data)
-            rec.note_solve_failure(self._solve_id, data)
+            rec.record("region_failed", solve_id=self.solve_id, **data)
+            self.failure = dict(data, solve_id=self.solve_id)
         return None

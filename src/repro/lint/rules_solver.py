@@ -301,24 +301,22 @@ class FlightLedgerBudgetRule(LintRule):
     slug = "flight-ledger-budget"
     pack = "solver"
     default_severity = Severity.WARNING
-    description = ("An enabled flight recorder with no event limit "
+    description = ("An enabled flight view with no event limit "
                    "accumulates every per-region event of every worker "
                    "for the whole run.")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        from repro.obs.flight import flight
+        from repro.obs.frames import ledger
 
-        recorder = flight()
-        if not recorder.enabled:
-            return
-        if recorder.config.event_limit is not None:
+        config = ledger().flight_config
+        if not config.enabled or config.event_limit is not None:
             return
         execution = ctx.execution
         workers = getattr(execution, "workers", 1) if execution else 1
         if workers <= 1:
             return
         yield self.diag(
-            f"flight recorder enabled with event_limit=None (unbounded) "
+            f"flight view enabled with event_limit=None (unbounded) "
             f"for a parallel run ({workers} workers): every worker's "
             "per-region events accumulate in memory for the whole "
             "analysis",

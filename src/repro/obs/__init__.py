@@ -1,4 +1,5 @@
-"""Observability: one frame ledger with trace, profile and metrics views.
+"""Observability: one frame ledger with trace, profile, metrics and flight
+views.
 
 The solvers are instrumented against process-wide state reached
 through module-level helpers, so call sites stay one-liners::
@@ -11,7 +12,9 @@ through module-level helpers, so call sites stay one-liners::
         observe("qwm.newton.iterations", 4)
 
 A frame (:mod:`repro.obs.frames`) feeds the trace view and the profile
-view; the metric helpers feed the ledger's metrics registry.
+view and carries the arc context the flight view and the fault gates
+read; the metric helpers feed the ledger's metrics registry and the
+solver's ``record`` calls its flight events (:mod:`repro.obs.flight`).
 :func:`configure` switches the trace view (with its live span sink)
 and the metrics view.
 
@@ -34,11 +37,11 @@ from repro.obs.accuracy import (accuracy_regressions,
                                 load_history_entries, note_region,
                                 worst_regression)
 from repro.obs.config import ObsConfig, SINK_KINDS
-from repro.obs.flight import (FlightConfig, FlightRecorder, LedgerEvent,
-                              configure_flight, disable_flight, flight,
-                              render_report, summarize_ledger)
+from repro.obs.flight import (FlightConfig, LedgerEvent, render_report,
+                              summarize_ledger)
 from repro.obs.frames import (NOOP_FRAME, Frame, FrameLedger,
-                              ProfileConfig, configure_profile, count,
+                              ProfileConfig, configure_flight,
+                              configure_profile, count, disable_flight,
                               disable_profile, export_speedscope,
                               format_span_tree, frame, fresh_ledger, inc,
                               interval, ledger, observe,
@@ -56,9 +59,8 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sink",
     "NullSink", "StderrSink", "JsonlSink", "make_sink", "Frame",
     "FrameLedger", "ledger", "NOOP_FRAME", "format_span_tree",
-    "FlightConfig", "FlightRecorder", "LedgerEvent", "flight",
-    "configure_flight", "disable_flight", "summarize_ledger",
-    "render_report",
+    "FlightConfig", "LedgerEvent", "configure_flight", "disable_flight",
+    "summarize_ledger", "render_report",
     "ProfileConfig", "configure_profile", "disable_profile",
     "to_collapsed", "to_speedscope", "export_speedscope",
     "summarize_profile", "render_profile", "phase_self_seconds",
@@ -96,11 +98,11 @@ def disable() -> FrameLedger:
 def worker_state() -> Tuple[FlightConfig, ProfileConfig, bool]:
     """What a pool worker needs to record like this process.
 
-    The flight recorder's and the profile view's configs and the
-    metrics view's switch; the trace view stays with the parent.
+    The flight and profile views' configs and the metrics view's
+    switch; the trace view stays with the parent.
     """
     led = ledger()
-    return (flight().config, led.profile_config, led.metrics.enabled)
+    return (led.flight_config, led.profile_config, led.metrics.enabled)
 
 
 def install_worker_state(state: Tuple[FlightConfig, ProfileConfig, bool]
@@ -115,19 +117,21 @@ def install_worker_state(state: Tuple[FlightConfig, ProfileConfig, bool]
     led = fresh_ledger()
     led.set_profile(profile_config)
     led.set_metrics(metrics)
-    configure_flight(flight_config)
+    led.set_flight(flight_config)
 
 
 def drain_delta() -> Dict[str, Any]:
-    """The profile cells and metric series recorded since the last drain.
+    """The cells, series and flight events recorded since the last drain.
 
     A pool worker returns one per stage task; each part is None while
     its view is off.
     """
     led = ledger()
-    profile = led.profile_json(drain=True) if led.profiling else None
-    metrics = led.metrics.drain() if led.metrics.enabled else None
-    return {"profile": profile, "metrics": metrics}
+    return {
+        "profile": led.profile_json(drain=True) if led.profiling else None,
+        "metrics": led.metrics.drain() if led.metrics.enabled else None,
+        "flight": led.flight_json(drain=True) if led.recording else None,
+    }
 
 
 def merge_delta(delta: Dict[str, Any]) -> None:
@@ -136,10 +140,14 @@ def merge_delta(delta: Dict[str, Any]) -> None:
     The profile cells land under the frame path open here (see
     :meth:`FrameLedger.merge_profile`); the metric series add (see
     :meth:`MetricsRegistry.merge`).  Both merges commute, so the totals
-    do not depend on the order workers finish in.
+    do not depend on the order workers finish in.  The flight events
+    append under solve ids renumbered into this ledger's sequence (see
+    :meth:`FrameLedger.merge_flight`), so they follow completion order.
     """
     led = ledger()
     if delta["profile"] is not None:
         led.merge_profile(delta["profile"])
     if delta["metrics"] is not None:
         led.metrics.merge(delta["metrics"])
+    if delta["flight"] is not None:
+        led.merge_flight(delta["flight"])

@@ -5,8 +5,8 @@ needs to be re-run on another machine with nothing but this repo: the
 stage netlist, the characterized device-table slices the path actually
 used, the input waveforms, the solver options, the RNG seed (reserved
 for stochastic callers — the QWM schedule itself is deterministic), the
-flight ledger, and — for solve failures — the exact region-start state
-of the failing region.
+solve's own flight events, and — for solve failures — the exact
+region-start state of the failing region.
 
 Replay is *bit-for-bit*: every float is serialized through Python's
 shortest-repr JSON round-trip, the failing region's Newton calls are
@@ -264,7 +264,8 @@ def build_bundle(path: Any, inputs: Dict[str, Any],
         grid_step: the library grid pitch the tables were built with.
         failure: the ``region_failed`` event data (None for band
             violations, where the whole solve replays instead).
-        ledger: the flight ledger (``FlightRecorder.to_json()``).
+        ledger: the solve's flight-ledger slice
+            (``FrameLedger.flight_json(solve_id=...)``).
         extra: caller context (golden diff numbers, arc identity...).
         rng_seed: seed for stochastic callers; None for QWM itself.
     """
@@ -468,9 +469,11 @@ def replay_bundle(bundle: Dict[str, Any],
             f"iterations: {solution.stats.newton_iterations}")
         return result
 
-    # Region replay: every recorded Newton call of the failing region.
+    # Region replay: every recorded Newton call of the failing region
+    # of the failing solve.
     events = [e for e in bundle.get("ledger", {}).get("events", [])
               if e["kind"] == "newton"
+              and e["solve_id"] == failure.get("solve_id")
               and e["data"].get("active") == failure["active"]
               and _float_equal(e["data"].get("tau"), failure["tau"])]
     result = ReplayResult(mode="region")

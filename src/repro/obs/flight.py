@@ -1,13 +1,14 @@
-"""Solver flight recorder: per-region convergence forensics.
+"""Flight view types and run reports: per-region convergence forensics.
 
-Where ``repro.obs`` answers "how much did this run cost?", the flight
-recorder answers "what happened inside *that* solve?".  When enabled it
-keeps a structured, bounded, thread-safe ledger of per-region events for
-every QWM solve:
+Where the trace and profile views answer "how much did this run
+cost?", the flight view of the frame ledger
+(:class:`repro.obs.frames.FrameLedger`) answers "what happened inside
+*that* solve?".  While it is on, the ledger keeps a bounded event list
+of every QWM solve:
 
 * ``solve_begin`` / ``solve_end`` — one pair per ``QWMSolver.solve``,
-  tagged with whatever arc context (stage / output / direction /
-  switching input) the caller pushed via :meth:`FlightRecorder.context`.
+  tagged with the arc context (stage / output / direction / switching
+  input) the enclosing frames carry.
 * ``newton`` — one per Newton invocation (region attempt x cap
   refinement): the initial guess, the equivalent caps used, the full
   iteration trajectory (residual norms, step norms, line-search
@@ -22,38 +23,29 @@ every QWM solve:
 * ``fallback`` — schedule-level fallbacks: ``ramp_break_anchor``,
   ``region_subdivision``, ``cascade_abort``.
 
-Cache attribution: the parallel engine calls
-:meth:`FlightRecorder.note_arc_result` after computing an arc and
-:meth:`FlightRecorder.note_cache_hit` when serving it from cache, so a
-hit carries provenance back to the solve ids that produced the value.
+Cache attribution: the parallel engine notes each computed arc's
+solve-id range and each cache hit, so a hit carries provenance back to
+the solve ids that produced the value.  Pool workers ship their events
+home in the per-task obs delta; the parent renumbers their solve ids.
 
-Like the frame ledger, the recorder is process-wide, disabled by
-default, and every hot-path check degrades to a single attribute read
-(``flight().enabled``) when off.  See DESIGN.md ("Forensics & replay")
-for the event schema and the bundle format.
+This module holds the view's config and event types and the run
+report built from a ledger; see DESIGN.md ("Forensics & replay") for
+the event schema and the bundle format.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = [
-    "FlightConfig", "LedgerEvent", "FlightRecorder", "flight",
-    "configure_flight", "disable_flight", "summarize_ledger",
-    "render_report", "MAX_BUNDLES",
+    "FlightConfig", "LedgerEvent", "summarize_ledger", "render_report",
 ]
-
-#: Bundles written per recorder lifetime (a failing sweep should not
-#: fill the disk).
-MAX_BUNDLES = 16
 
 
 @dataclass
 class FlightConfig:
-    """Controls for the flight recorder.
+    """Controls for the flight view.
 
     Attributes:
         enabled: master switch.  When False (the default) every
@@ -62,9 +54,10 @@ class FlightConfig:
             dropped and counted.  ``None`` means unbounded — legal, but
             the SOL005 lint rule warns about it in parallel runs.
         capture_bundles: serialize a debug bundle on solve failure or
-            when a caller forces capture (golden band violations).
+            when an enclosing frame forces capture (golden band
+            violations).
         bundle_dir: directory debug bundles are written into (at most
-            :data:`MAX_BUNDLES` per recorder lifetime).
+            :data:`repro.obs.frames.MAX_BUNDLES` per ledger).
     """
 
     enabled: bool = False
@@ -82,7 +75,8 @@ class LedgerEvent:
     """One recorded flight event.
 
     Attributes:
-        seq: global sequence number (insertion order across threads).
+        seq: position in the ledger, from 1 (insertion order across
+            threads).
         solve_id: the owning solve (0 = outside any solve).
         kind: event kind (``solve_begin``, ``newton``, ``region_solved``,
             ``region_failed``, ``fallback``, ``solve_end``, ...).
@@ -99,215 +93,18 @@ class LedgerEvent:
                 "kind": self.kind, "data": self.data}
 
 
-class FlightRecorder:
-    """Thread-safe bounded event ledger with solve/arc provenance."""
-
-    def __init__(self, config: Optional[FlightConfig] = None):
-        self.config = config or FlightConfig()
-        self._lock = threading.Lock()
-        self._events: List[LedgerEvent] = []
-        self._dropped = 0
-        self._seq = 0
-        self._solve_counter = 0
-        self._bundles_written = 0
-        self._local = threading.local()
-        # arc cache key -> {"solve_ids": [...], "hits": int}
-        self._provenance: Dict[str, Dict[str, Any]] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
-
-    # ------------------------------------------------------------------
-    # Arc context (thread-local): pushed by the STA layer so solve
-    # events carry stage/arc identity without threading it through the
-    # solver call chain.
-    # ------------------------------------------------------------------
-    @contextmanager
-    def context(self, **attrs: Any) -> Iterator[None]:
-        """Attach attributes to every solve begun inside the block."""
-        stack = getattr(self._local, "ctx", None)
-        if stack is None:
-            stack = self._local.ctx = []
-        stack.append(attrs)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    def current_context(self) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for frame in getattr(self._local, "ctx", ()):
-            merged.update(frame)
-        return merged
-
-    def force_capture(self, reason: str) -> None:
-        """Request a bundle from the next completed solve on this thread.
-
-        Used by the golden suite: a band violation is not a solve
-        failure, so the capture has to be forced from outside.
-        """
-        self._local.force = reason
-
-    def consume_force_capture(self) -> Optional[str]:
-        reason = getattr(self._local, "force", None)
-        self._local.force = None
-        return reason
-
-    def note_solve_failure(self, solve_id: int,
-                           failure: Dict[str, Any]) -> None:
-        """Stash a region failure for the bundle-capturing caller.
-
-        The QWM scheduler records the failure; the evaluator (which
-        owns the technology and table library a bundle needs) collects
-        it right after the solve returns, on the same thread.
-        """
-        self._local.failure = dict(failure, solve_id=solve_id)
-
-    def take_solve_failure(self) -> Optional[Dict[str, Any]]:
-        failure = getattr(self._local, "failure", None)
-        self._local.failure = None
-        return failure
-
-    # ------------------------------------------------------------------
-    # Solve lifecycle
-    # ------------------------------------------------------------------
-    def begin_solve(self, **attrs: Any) -> int:
-        """Allocate a solve id and record ``solve_begin``."""
-        with self._lock:
-            self._solve_counter += 1
-            solve_id = self._solve_counter
-        data = self.current_context()
-        data.update(attrs)
-        self.record("solve_begin", solve_id=solve_id, **data)
-        return solve_id
-
-    def end_solve(self, solve_id: int, **attrs: Any) -> None:
-        self.record("solve_end", solve_id=solve_id, **attrs)
-
-    def next_solve_id(self) -> int:
-        """The id the *next* ``begin_solve`` will return (for ranges)."""
-        with self._lock:
-            return self._solve_counter + 1
-
-    # ------------------------------------------------------------------
-    # Event recording
-    # ------------------------------------------------------------------
-    def record(self, kind: str, solve_id: int = 0, **data: Any) -> None:
-        """Append one event to the ledger (drop + count when full)."""
-        with self._lock:
-            limit = self.config.event_limit
-            if limit is not None and len(self._events) >= limit:
-                self._dropped += 1
-                return
-            self._seq += 1
-            self._events.append(LedgerEvent(
-                seq=self._seq, solve_id=solve_id, kind=kind, data=data))
-
-    # ------------------------------------------------------------------
-    # Cache attribution (parallel engine)
-    # ------------------------------------------------------------------
-    def note_arc_result(self, key: str, first_solve: int,
-                        next_solve: int) -> None:
-        """Attribute an arc's cached value to the solves that made it.
-
-        ``first_solve`` is :meth:`next_solve_id` sampled before the arc
-        was computed, ``next_solve`` the same sample after — the
-        half-open id range covers exactly the solves the arc ran.
-        """
-        solve_ids = list(range(first_solve, next_solve))
-        with self._lock:
-            entry = self._provenance.setdefault(
-                key, {"solve_ids": [], "hits": 0})
-            entry["solve_ids"] = solve_ids
-        self.record("arc_result", solve_id=first_solve if solve_ids else 0,
-                    key=key, solve_ids=solve_ids)
-
-    def note_cache_hit(self, key: str) -> None:
-        """Record a cache hit, pointing back at the original solves."""
-        with self._lock:
-            entry = self._provenance.setdefault(
-                key, {"solve_ids": [], "hits": 0})
-            entry["hits"] += 1
-            origin = list(entry["solve_ids"])
-        self.record("cache_hit", key=key, origin_solve_ids=origin)
-
-    # ------------------------------------------------------------------
-    # Bundle budget
-    # ------------------------------------------------------------------
-    def claim_bundle_slot(self) -> bool:
-        """Reserve one bundle write; False once the budget is spent."""
-        with self._lock:
-            if self._bundles_written >= MAX_BUNDLES:
-                return False
-            self._bundles_written += 1
-            return True
-
-    # ------------------------------------------------------------------
-    # Introspection / export
-    # ------------------------------------------------------------------
-    def events(self) -> List[LedgerEvent]:
-        with self._lock:
-            return list(self._events)
-
-    def provenance(self) -> Dict[str, Dict[str, Any]]:
-        with self._lock:
-            return {k: dict(v) for k, v in self._provenance.items()}
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"recorded": len(self._events),
-                    "dropped": self._dropped,
-                    "solves": self._solve_counter,
-                    "bundles": self._bundles_written}
-
-    def to_json(self) -> Dict[str, Any]:
-        """The whole ledger as one JSON-serializable dict."""
-        with self._lock:
-            events = [e.to_json() for e in self._events]
-            prov = {k: dict(v) for k, v in self._provenance.items()}
-            return {
-                "format": "repro-flight-ledger/1",
-                "events": events,
-                "dropped": self._dropped,
-                "solves": self._solve_counter,
-                "provenance": prov,
-            }
-
-
-#: The process-wide recorder; disabled until ``configure_flight``.
-_FLIGHT = FlightRecorder(FlightConfig(enabled=False))
-
-
-def flight() -> FlightRecorder:
-    """The current process-wide flight recorder."""
-    return _FLIGHT
-
-
-def configure_flight(config: FlightConfig) -> FlightRecorder:
-    """Install a fresh recorder for ``config`` and return it."""
-    global _FLIGHT
-    _FLIGHT = FlightRecorder(config)
-    return _FLIGHT
-
-
-def disable_flight() -> FlightRecorder:
-    """Restore the default disabled recorder."""
-    return configure_flight(FlightConfig(enabled=False))
-
-
 # ----------------------------------------------------------------------
 # Run reports
 # ----------------------------------------------------------------------
 def summarize_ledger(ledger: Any) -> Dict[str, Any]:
     """Aggregate a ledger into report-ready statistics.
 
-    Accepts a :class:`FlightRecorder` or the dict from
-    :meth:`FlightRecorder.to_json`.  Returns fallback histogram, Newton
-    iteration distribution, worst regions and cache attribution.
+    Accepts a :class:`repro.obs.frames.FrameLedger` or the dict from
+    its ``flight_json``.  Returns fallback histogram, Newton iteration
+    distribution, worst regions and cache attribution.
     """
-    if isinstance(ledger, FlightRecorder):
-        ledger = ledger.to_json()
+    if not isinstance(ledger, dict):
+        ledger = ledger.flight_json()
     events = ledger.get("events", [])
 
     solves: Dict[int, Dict[str, Any]] = {}

@@ -1,4 +1,4 @@
-"""One instrumentation frame, three views: trace, profile and metrics.
+"""One instrumentation frame, four views: trace, profile, metrics, flight.
 
 Every instrumented site opens exactly one *frame*::
 
@@ -23,20 +23,33 @@ whichever views are on:
 
 The ledger's third view, the **metrics** registry
 (:class:`repro.obs.metrics.MetricsRegistry`), is fed by :func:`inc`,
-:func:`observe` and :func:`set_gauge` rather than by frame exits.
+:func:`observe` and :func:`set_gauge` rather than by frame exits; the
+fourth, the **flight** view (:mod:`repro.obs.flight`), by the solver's
+``record`` calls: solve lifecycle, per-region Newton trajectories and
+cache provenance.
 
-With every view off (the default) :func:`frame` returns a shared no-op
-and each metric helper returns, after one attribute check.
+A frame may carry *arc context* (``frame("sta.arc", ..., ctx={...})``):
+the stage, rung, switching input or golden case of the work inside
+it.  The open frames are the only carrier of that context: the fault
+gates (:mod:`repro.resilience.faults`) and the flight events read it
+through :meth:`FrameLedger.context`.
+
+With every view off and no fault plan installed (the default)
+:func:`frame` returns a shared no-op and each metric helper returns,
+after one attribute check; while only the flight view or a fault plan
+is on, only frames that carry context are opened.
 :func:`repro.obs.configure` / :func:`repro.obs.disable` switch the
 trace and metrics views, :func:`configure_profile` /
-:func:`disable_profile` the profile view; switching one never clears
+:func:`disable_profile` the profile view and :func:`configure_flight`
+/ :func:`disable_flight` the flight view; switching one never clears
 or disables another.
 
-The profile cells and the metric series are deterministic and
-mergeable: a pool worker drains both after each stage task and the
-parent adds them in (cells under the frame path open at merge time;
-addition over sorted keys commutes), so a pooled run reports op counts
-and metrics equal to the serial run's.
+The profile cells, the metric series and the flight events are
+deterministic and mergeable: a pool worker drains all three after each
+stage task and the parent adds them in (cells under the frame path
+open at merge time, flight events under renumbered solve ids), so a
+pooled run reports op counts, metrics and events equal to the serial
+run's.
 """
 
 from __future__ import annotations
@@ -49,14 +62,24 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.flight import FlightConfig, LedgerEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NullSink, Sink
 
 #: Profile-ledger format tag (bumped on incompatible cell-shape changes).
 LEDGER_FORMAT = "repro-phase-profile/1"
+#: Flight-ledger format tag (:meth:`FrameLedger.flight_json`).
+FLIGHT_FORMAT = "repro-flight-ledger/1"
 #: Retained span records; later spans are timed but dropped (and
 #: counted in ``obs.trace.dropped``).
 TRACE_LIMIT = 100_000
+#: Debug bundles written per flight view (a failing sweep should not
+#: fill the disk).
+MAX_BUNDLES = 16
+#: Context keys that steer the run rather than describe the arc: the
+#: rung a fault targets and a forced bundle capture.  Flight events
+#: and bundles leave them out (:meth:`FrameLedger.flight_context`).
+STEERING_KEYS = ("rung", "capture")
 
 
 @dataclass
@@ -110,18 +133,21 @@ class Frame:
     that view's span record.  ``path`` is set at entry while the
     profile view is on, ``span_id`` (unique, monotonic) and
     ``parent_id`` while the trace view is on; exit feeds each view
-    that has one.  ``start`` is the entry instant on ``perf_counter``'s
-    clock, ``duration`` the wall time [s] and ``thread`` the OS thread
-    ident it ran on.
+    that has one.  ``ctx`` is the arc context it carries (or None).
+    ``start`` is the entry instant on ``perf_counter``'s clock,
+    ``duration`` the wall time [s] and ``thread`` the OS thread ident
+    it ran on.
     """
 
-    __slots__ = ("_ledger", "name", "label", "attrs", "ops", "path",
-                 "span_id", "parent_id", "child_seconds", "start",
-                 "duration", "thread")
+    __slots__ = ("_ledger", "name", "label", "attrs", "ctx", "ops",
+                 "path", "span_id", "parent_id", "child_seconds",
+                 "start", "duration", "thread")
 
     def __init__(self, ledger: "FrameLedger", name: str,
-                 tag: Optional[str], attrs: Dict[str, Any]):
+                 tag: Optional[str], attrs: Dict[str, Any],
+                 ctx: Optional[Dict[str, Any]] = None):
         self._ledger = ledger
+        self.ctx = ctx
         self.name = name
         self.label = f"{name}:{tag}" if tag else name
         if tag:
@@ -179,9 +205,10 @@ class FrameLedger:
     """The frame stack and the views it feeds.
 
     The stack is thread-local, so frames nest per thread; one lock
-    guards the trace and profile buffers and is taken at frame *exit*
-    (once per view fed), never per op counted.  The ledger is the only
-    holder of the live span sink and of the metrics registry.
+    guards the trace, profile and flight buffers and is taken at frame
+    *exit* (once per view fed) or per flight event, never per op
+    counted.  The ledger is the only holder of the live span sink, of
+    the metrics registry and of the flight events.
     """
 
     def __init__(self) -> None:
@@ -190,7 +217,13 @@ class FrameLedger:
         self._ids = itertools.count()
         self.tracing = False
         self.profiling = False
-        #: Either view on: the one check the disabled path pays.
+        self.recording = False
+        #: A fault plan is installed: its gates read the arc context.
+        self.targeting = False
+        #: Trace or profile view on: every frame is opened.
+        self.viewing = False
+        #: Trace, profile or flight view on, or a fault plan installed:
+        #: the one check the disabled path pays.
         self.active = False
         self._sink: Sink = NullSink()
         self._spans: List[Frame] = []
@@ -201,10 +234,21 @@ class FrameLedger:
         self._cells: Dict[Tuple[str, ...], _Cell] = {}
         self._cells_dropped = 0
         self.metrics = MetricsRegistry(enabled=False)
+        self.flight_config = FlightConfig()
+        self._events: List[LedgerEvent] = []
+        self._events_dropped = 0
+        self._solves = 0
+        self._bundles = 0
+        # arc cache key -> {"solve_ids": [...], "hits": int}
+        self._provenance: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # View switches
     # ------------------------------------------------------------------
+    def _switched(self) -> None:
+        self.viewing = self.tracing or self.profiling
+        self.active = self.viewing or self.recording or self.targeting
+
     def set_trace(self, enabled: bool, sink: Optional[Sink] = None
                   ) -> None:
         """Switch the trace view, starting an empty span buffer.
@@ -218,7 +262,7 @@ class FrameLedger:
             self._spans = []
             self._spans_dropped = 0
             self._t0 = time.perf_counter()
-        self.active = self.tracing or self.profiling
+        self._switched()
         replaced.close()
 
     def set_metrics(self, enabled: bool) -> None:
@@ -232,7 +276,23 @@ class FrameLedger:
             self.profile_config = config
             self._cells = {}
             self._cells_dropped = 0
-        self.active = self.tracing or self.profiling
+        self._switched()
+
+    def set_flight(self, config: FlightConfig) -> None:
+        """Switch the flight view, starting an empty event ledger."""
+        with self._lock:
+            self.recording = config.enabled
+            self.flight_config = config
+            self._events = []
+            self._events_dropped = 0
+            self._solves = self._bundles = 0
+            self._provenance = {}
+        self._switched()
+
+    def set_targeting(self, installed: bool) -> None:
+        """Note whether a fault plan, which reads the context, is on."""
+        self.targeting = installed
+        self._switched()
 
     # ------------------------------------------------------------------
     # Frame lifecycle
@@ -287,6 +347,169 @@ class FrameLedger:
             self.metrics.counter("obs.trace.dropped").inc()
         if not isinstance(sink, NullSink):
             sink.emit("span", frame.to_json(t0))
+
+    # ------------------------------------------------------------------
+    # Arc context: what the open frames carry
+    # ------------------------------------------------------------------
+    def context(self) -> Dict[str, Any]:
+        """The arc context of this thread's open frames.
+
+        Each key comes from the outermost frame that gives it, so a
+        solver's own default (``rung="qwm"``) never overrides the rung
+        the escalation ladder opened around it.
+        """
+        merged: Dict[str, Any] = {}
+        for open_frame in self._stack():
+            for key, value in (open_frame.ctx or {}).items():
+                merged.setdefault(key, value)
+        return merged
+
+    def flight_context(self) -> Dict[str, Any]:
+        """:meth:`context` without the :data:`STEERING_KEYS`."""
+        return {key: value for key, value in self.context().items()
+                if key not in STEERING_KEYS}
+
+    def opened(self, name: str) -> Optional[Frame]:
+        """The outermost open frame called ``name`` on this thread."""
+        for open_frame in self._stack():
+            if open_frame.name == name:
+                return open_frame
+        return None
+
+    # ------------------------------------------------------------------
+    # Flight view: events, solve ids, cache provenance, bundle budget
+    # ------------------------------------------------------------------
+    def record(self, kind: str, /, solve_id: int = 0, **data: Any
+               ) -> None:
+        """Append one flight event (drop + count when full)."""
+        with self._lock:
+            limit = self.flight_config.event_limit
+            if limit is not None and len(self._events) >= limit:
+                self._events_dropped += 1
+                return
+            self._events.append(LedgerEvent(
+                seq=len(self._events) + 1, solve_id=solve_id, kind=kind,
+                data=data))
+
+    def begin_solve(self, **attrs: Any) -> int:
+        """Allocate a solve id and record ``solve_begin``.
+
+        The event carries the :meth:`flight_context`, then ``attrs``.
+        """
+        with self._lock:
+            self._solves += 1
+            solve_id = self._solves
+        data = self.flight_context()
+        data.update(attrs)
+        self.record("solve_begin", solve_id=solve_id, **data)
+        return solve_id
+
+    def next_solve_id(self) -> int:
+        """The id the *next* ``begin_solve`` will return (for ranges)."""
+        with self._lock:
+            return self._solves + 1
+
+    def note_arc_result(self, key: str, first_solve: int,
+                        next_solve: int) -> None:
+        """Attribute an arc's cached value to the solves that made it.
+
+        ``first_solve`` is :meth:`next_solve_id` sampled before the arc
+        was computed, ``next_solve`` the same sample after — the
+        half-open id range covers exactly the solves the arc ran.
+        """
+        solve_ids = list(range(first_solve, next_solve))
+        with self._lock:
+            entry = self._provenance.setdefault(
+                key, {"solve_ids": [], "hits": 0})
+            entry["solve_ids"] = solve_ids
+        self.record("arc_result", solve_id=first_solve if solve_ids else 0,
+                    key=key, solve_ids=solve_ids)
+
+    def note_cache_hit(self, key: str) -> None:
+        """Record a cache hit, pointing back at the original solves."""
+        with self._lock:
+            entry = self._provenance.setdefault(
+                key, {"solve_ids": [], "hits": 0})
+            entry["hits"] += 1
+            origin = list(entry["solve_ids"])
+        self.record("cache_hit", key=key, origin_solve_ids=origin)
+
+    def claim_bundle_slot(self) -> bool:
+        """Reserve one bundle write; False once the budget is spent."""
+        with self._lock:
+            if self._bundles >= MAX_BUNDLES:
+                return False
+            self._bundles += 1
+            return True
+
+    def events(self) -> List[LedgerEvent]:
+        with self._lock:
+            return list(self._events)
+
+    def provenance(self) -> Dict[str, Dict[str, Any]]:
+        with self._lock:
+            return {k: dict(v) for k, v in self._provenance.items()}
+
+    def flight_stats(self) -> Dict[str, int]:
+        with self._lock:
+            return {"recorded": len(self._events),
+                    "dropped": self._events_dropped,
+                    "solves": self._solves,
+                    "bundles": self._bundles}
+
+    def flight_json(self, solve_id: Optional[int] = None,
+                    drain: bool = False) -> Dict[str, Any]:
+        """The flight ledger as one JSON-serializable dict.
+
+        ``solve_id`` keeps only that solve's events and provenance (the
+        slice a debug bundle embeds).  ``drain=True`` also empties the
+        ledger and restarts its solve ids at 1: a pool worker drains
+        after every stage task and ships the delta back with its
+        payload.
+        """
+        with self._lock:
+            document = {
+                "format": FLIGHT_FORMAT,
+                "events": [e.to_json() for e in self._events
+                           if solve_id in (None, e.solve_id)],
+                "dropped": self._events_dropped,
+                "solves": self._solves,
+                "provenance": {
+                    k: dict(v) for k, v in self._provenance.items()
+                    if solve_id is None or solve_id in v["solve_ids"]},
+            }
+            if drain:
+                self._events = []
+                self._events_dropped = self._solves = 0
+                self._provenance = {}
+        return document
+
+    def merge_flight(self, document: Dict[str, Any]) -> None:
+        """Append a drained worker ledger, as if recorded here.
+
+        The worker's solve ids 1..n become the next contiguous block of
+        this ledger's ids and its ``arc_result`` ranges move with them;
+        each ``cache_hit`` takes its origin solves from this ledger's
+        provenance, as the serial run's hit does (a canonical form's
+        first stage is merged before any stage that hits it).  Merged
+        events count against this ledger's ``event_limit``.
+        """
+        with self._lock:
+            base = self._solves
+            self._solves += int(document["solves"])
+            self._events_dropped += int(document["dropped"])
+        for event in document["events"]:
+            kind, data = event["kind"], event["data"]
+            if kind == "arc_result":
+                ids = data["solve_ids"]
+                first = base + ids[0] if ids else 0
+                self.note_arc_result(data["key"], first, first + len(ids))
+            elif kind == "cache_hit":
+                self.note_cache_hit(data["key"])
+            else:
+                solve_id = event["solve_id"]
+                self.record(kind, solve_id=base + solve_id if solve_id
+                            else 0, **data)
 
     # ------------------------------------------------------------------
     # Profile view: cells, drain and merge
@@ -412,15 +635,32 @@ def disable_profile() -> FrameLedger:
     return configure_profile(ProfileConfig())
 
 
+def configure_flight(config: FlightConfig) -> FrameLedger:
+    """Switch the flight view per ``config`` (no events); the ledger."""
+    _LEDGER.set_flight(config)
+    return _LEDGER
+
+
+def disable_flight() -> FrameLedger:
+    """Turn the flight view off and drop its events."""
+    return configure_flight(FlightConfig())
+
+
 # ----------------------------------------------------------------------
 # Hot-path helpers — one attribute check while their view is off.
 # ----------------------------------------------------------------------
-def frame(name: str, tag: Optional[str] = None, **attrs: Any):
-    """Open a frame (``name:tag`` profile label, ``name`` span)."""
+def frame(name: str, tag: Optional[str] = None,
+          ctx: Optional[Dict[str, Any]] = None, **attrs: Any):
+    """Open a frame (``name:tag`` profile label, ``name`` span).
+
+    ``ctx`` is the arc context the frame carries (see
+    :meth:`FrameLedger.context`).  While neither the trace nor the
+    profile view is on, only a frame that carries context is opened.
+    """
     led = _LEDGER
-    if not led.active:
+    if not led.active or (ctx is None and not led.viewing):
         return NOOP_FRAME
-    return Frame(led, name, tag, attrs)
+    return Frame(led, name, tag, attrs, ctx)
 
 
 def interval(name: str, **attrs: Any):

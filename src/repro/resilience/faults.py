@@ -11,9 +11,8 @@ and consulted by cheap gates wired into the solver stack:
   NewtonSolver.solve` entry; a match raises ``NewtonConvergenceError``
   with ``reason="fault_injected"``.
 * :func:`check_stage_timeout` — checked at
-  :meth:`repro.core.engine.WaveformEvaluator.evaluate` entry and
-  between escalation-ladder rungs; a match raises
-  :class:`StageTimeoutError`.
+  :meth:`repro.core.engine.WaveformEvaluator.evaluate` entry; a match
+  raises :class:`StageTimeoutError`.
 * :func:`worker_gate` — checked at the top of the process-backend
   stage task; crashes (``os._exit``) or hangs (``time.sleep``) the
   worker, but only inside a real pool worker
@@ -30,11 +29,14 @@ and consulted by cheap gates wired into the solver stack:
   spent deadline that forces the admission controller to clamp.
 
 Every gate is a no-op attribute check while no plan is installed, so
-production runs pay nothing.  Targeting is scoped: the STA layer pushes
-a thread-local :func:`scope` carrying the stage name and arc start
-time, and the escalation ladder pushes the active rung (``qwm``,
-``qwm-retry``, ``spice``), so one spec can fail exactly the rungs a
-chaos scenario wants to prove degrade correctly.
+production runs pay nothing.  Targeting reads the open frames
+(:meth:`repro.obs.frames.FrameLedger.context`): the evaluator and the
+solvers open frames carrying the stage name, the escalation ladder one
+carrying the active rung (``qwm``, ``qwm-retry``, ``spice``; a
+solver's own default rung never overrides it), and the stage timeout
+runs from the start of the open ``sta.arc`` frame, so one spec can
+fail exactly the rungs a chaos scenario wants to prove degrade
+correctly.  Installing a plan makes the ledger open those frames.
 
 Determinism: all randomness (which table cells get poisoned) comes
 from ``numpy.random.default_rng(plan.seed)``; the Newton/timeout gates
@@ -50,14 +52,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.obs import inc
-from repro.obs.flight import flight
+from repro.obs import inc, ledger
 
 __all__ = [
     "FAULT_KINDS", "FaultSpec", "FaultPlan", "StageTimeoutError",
     "RunKilled",
     "install", "uninstall", "installed", "active_plan",
-    "scope", "scope_default", "current_scope", "mark_worker_process",
+    "mark_worker_process",
     "newton_should_fail", "check_stage_timeout", "worker_gate",
     "journal_write_gate", "wave_gate", "deadline_exhaust_gate",
     "apply_table_faults", "apply_store_faults",
@@ -260,17 +261,17 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Process-wide installation + thread-local targeting scope.
+# Process-wide installation.
 # ----------------------------------------------------------------------
 _PLAN: Optional[FaultPlan] = None
 _IN_WORKER = False
-_SCOPE = threading.local()
 
 
 def install(plan: FaultPlan) -> FaultPlan:
     """Install ``plan`` process-wide (replacing any previous plan)."""
     global _PLAN
     _PLAN = plan
+    ledger().set_targeting(True)
     return plan
 
 
@@ -278,18 +279,21 @@ def uninstall() -> None:
     """Remove the installed plan; all gates become no-ops again."""
     global _PLAN
     _PLAN = None
+    ledger().set_targeting(False)
 
 
 @contextmanager
 def installed(plan: FaultPlan) -> Iterator[FaultPlan]:
     """Install ``plan`` for the duration of the block."""
-    global _PLAN
     previous = _PLAN
     install(plan)
     try:
         yield plan
     finally:
-        _PLAN = previous
+        if previous is None:
+            uninstall()
+        else:
+            install(previous)
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -307,74 +311,12 @@ def mark_worker_process() -> None:
     _IN_WORKER = True
 
 
-def _stack() -> list:
-    stack = getattr(_SCOPE, "stack", None)
-    if stack is None:
-        stack = _SCOPE.stack = []
-    return stack
-
-
-class _NullScope:
-    def __enter__(self):  # pragma: no cover - trivial
-        return None
-
-    def __exit__(self, *exc):  # pragma: no cover - trivial
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
-@contextmanager
-def _pushed(attrs: Dict[str, Any]) -> Iterator[None]:
-    stack = _stack()
-    stack.append(attrs)
-    try:
-        yield
-    finally:
-        stack.pop()
-
-
-def scope(**attrs: Any):
-    """Attach targeting attributes (stage, rung, arc_start) to gates.
-
-    Returns a context manager; a shared no-op when no plan is
-    installed, so the hot path pays one module-global read.
-    """
-    if _PLAN is None:
-        return _NULL_SCOPE
-    return _pushed(attrs)
-
-
-def scope_default(**attrs: Any):
-    """Like :func:`scope`, but only for keys not already in scope.
-
-    Used by solvers to self-describe (``QWMSolver`` defaults
-    ``rung="qwm"``, the adaptive engine ``rung="spice"``) without
-    overriding the rung the escalation ladder pushed around them.
-    """
-    if _PLAN is None:
-        return _NULL_SCOPE
-    current = current_scope()
-    missing = {k: v for k, v in attrs.items() if k not in current}
-    if not missing:
-        return _NULL_SCOPE
-    return _pushed(missing)
-
-
-def current_scope() -> Dict[str, Any]:
-    merged: Dict[str, Any] = {}
-    for frame in getattr(_SCOPE, "stack", ()):
-        merged.update(frame)
-    return merged
-
-
 def _note_injection(spec: FaultSpec, **extra: Any) -> None:
     inc("resilience.faults.injected", kind=spec.kind)
-    fl = flight()
-    if fl.enabled:
-        fl.record("fault_injected", kind=spec.kind,
-                  stage=spec.stage, **extra)
+    led = ledger()
+    if led.recording:
+        led.record("fault_injected", kind=spec.kind, stage=spec.stage,
+                   **extra)
 
 
 def _stage_matches(spec: FaultSpec, scope_stage: Optional[str]) -> bool:
@@ -393,7 +335,7 @@ def newton_should_fail() -> bool:
     plan = _PLAN
     if plan is None:
         return False
-    ctx = current_scope()
+    ctx = ledger().context()
     for index, spec in plan.matching("newton_nonconverge"):
         if not _stage_matches(spec, ctx.get("stage")):
             continue
@@ -408,20 +350,22 @@ def newton_should_fail() -> bool:
 def check_stage_timeout() -> None:
     """Raise :class:`StageTimeoutError` when a timeout fault expires.
 
-    Only meaningful under an STA arc (the STA layer scopes
-    ``arc_start``); standalone evaluator calls are never timed out.
+    Only meaningful under an STA arc: the elapsed time runs from the
+    start of the open ``sta.arc`` frame; standalone evaluator calls are
+    never timed out.
     """
     plan = _PLAN
     if plan is None:
         return
-    ctx = current_scope()
-    arc_start = ctx.get("arc_start")
-    if arc_start is None:
+    led = ledger()
+    arc = led.opened("sta.arc")
+    if arc is None:
         return
+    ctx = led.context()
     for index, spec in plan.matching("stage_timeout"):
         if not _stage_matches(spec, ctx.get("stage")):
             continue
-        elapsed = time.perf_counter() - arc_start
+        elapsed = time.perf_counter() - arc.start
         if elapsed < spec.timeout_seconds:
             continue
         if plan._arm(index):

@@ -47,9 +47,7 @@ import numpy as np
 from repro.core.engine import WaveformEvaluator
 from repro.core.qwm import QWMOptions
 from repro.linalg.newton import NewtonConvergenceError
-from repro.obs import count, frame, inc
-from repro.obs.flight import flight
-from repro.resilience import faults
+from repro.obs import count, frame, inc, ledger
 from repro.resilience.faults import StageTimeoutError
 from repro.spice.adaptive import (
     AdaptiveOptions,
@@ -323,12 +321,12 @@ class EscalationLadder:
               switching_input: str) -> None:
         inc("resilience.escalations", rung=from_rung)
         count("escalations", 1, root="resilience")
-        fl = flight()
-        if fl.enabled:
-            fl.record("escalation", from_rung=from_rung,
-                      to_rung=to_rung or "none", reason=reason,
-                      stage=stage.name, output=output,
-                      direction=out_direction, input=switching_input)
+        led = ledger()
+        if led.recording:
+            led.record("escalation", from_rung=from_rung,
+                       to_rung=to_rung or "none", reason=reason,
+                       stage=stage.name, output=output,
+                       direction=out_direction, input=switching_input)
 
     # -- the ladder ----------------------------------------------------
     def evaluate_arc(self, stage, output: str, out_direction: str,
@@ -367,8 +365,7 @@ class EscalationLadder:
                                switching_input)
                     continue
             try:
-                with frame("resilience.rung", rung), \
-                        faults.scope(rung=rung):
+                with frame("resilience.rung", rung, ctx={"rung": rung}):
                     arc = attempt()
             except _RUNG_FAILURES as exc:
                 last_error = exc

@@ -33,7 +33,6 @@ from repro.linalg.newton import (
     NewtonSolver,
 )
 from repro.obs import frame, inc
-from repro.resilience import faults
 from repro.spice.dc import logic_initial_condition, solve_dc
 from repro.spice.mna import StageEquations
 from repro.spice.results import SimulationStats, TransientResult
@@ -112,9 +111,8 @@ class AdaptiveTransientSimulator:
     def run(self, inputs: Dict[str, SourceLike],
             initial: Optional[Dict[str, float]] = None) -> TransientResult:
         """Run the adaptive analysis (same interface as the fixed engine)."""
-        with frame("spice.adaptive", self.stage.name) as fr, \
-                faults.scope_default(rung="spice",
-                                     stage=self.stage.name):
+        with frame("spice.adaptive", self.stage.name,
+                   ctx={"rung": "spice", "stage": self.stage.name}) as fr:
             result = self._run(inputs, initial)
             fr.count("steps", result.stats.steps)
             fr.count("newton_iterations", result.stats.newton_iterations)

@@ -8,12 +8,14 @@ from repro.devices import CMOSP35, TableModelLibrary, nmos_model, pmos_model
 from repro.core import WaveformEvaluator
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(autouse=True)
 def _flight_bundles_from_env():
     """CI forensics hook: ``REPRO_FLIGHT_BUNDLES=DIR`` enables the
-    flight recorder with bundle capture for the whole test session, so
-    a failing solve leaves a replayable debug bundle under DIR that the
-    workflow uploads as an artifact."""
+    flight view with bundle capture for every test, so a failing solve
+    leaves a replayable debug bundle under DIR that the workflow uploads
+    as an artifact.  It is switched on per test because tests and CLI
+    commands that switch the view off would otherwise leave it off for
+    the rest of the session."""
     directory = os.environ.get("REPRO_FLIGHT_BUNDLES")
     if not directory:
         yield

@@ -261,6 +261,36 @@ class TestCli:
         assert code == 2
         assert partner in capsys.readouterr().err
 
+    def test_sta_refuses_a_foreign_journal(self, tmp_path, capsys):
+        journal = str(tmp_path / "run.jsonl")
+        assert main(["sta", "--bits", "2", "--journal", journal]) == 0
+        capsys.readouterr()
+        code = main(["sta", "--bits", "3", "--journal", journal,
+                     "--resume"])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith("error: run journal")
+
+    def test_report_solves_the_arcs_sta_solves(self, capsys):
+        import json as json_mod
+
+        assert main(["report", "--bits", "2", "--json"]) == 0
+        document = json_mod.loads(capsys.readouterr().out)
+        assert round(document["worst_arrival_seconds"] * 1e12, 2) \
+            == 167.15
+        assert document["worst_event"] == ["w0", "rise"]
+        summary = document["summary"]
+        assert (summary["solves"], summary["regions_solved"],
+                summary["events"]) == (10, 100, 250)
+        cache = summary["cache_attribution"]
+        assert (cache["attributed_arcs"], cache["total_hits"]) == (8, 20)
+
+    def test_report_rejects_the_removed_cache_flag(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--bits", "2", "--cache"])
+        assert exit_info.value.code == 2
+
 
 class TestCliStats:
     """The ``repro stats`` cost-breakdown command."""

@@ -1,7 +1,5 @@
-"""Flight recorder: ledger, debug bundles, deterministic replay, reports."""
+"""Flight view: ledger, debug bundles, deterministic replay, reports."""
 
-import copy
-import importlib
 import math
 
 import numpy as np
@@ -13,27 +11,29 @@ from repro.core.qwm import QWMOptions
 from repro.linalg.newton import FAILURE_REASONS, NewtonOptions
 from repro.obs import (
     FlightConfig,
-    FlightRecorder,
     configure_flight,
     disable_flight,
-    flight,
+    frame,
+    ledger,
     render_report,
     summarize_ledger,
 )
 from repro.obs import bundles as fb
+from repro.obs import frames as frames_mod
 from repro.spice import ConstantSource, PWLSource, RampSource, StepSource
-
-# ``repro.obs.flight`` the attribute is the accessor function; the
-# module holds the constants the cap tests patch.
-flight_mod = importlib.import_module("repro.obs.flight")
 
 
 @pytest.fixture(autouse=True)
 def clean_flight():
-    """Every test starts and ends with the disabled default recorder."""
+    """Every test starts and ends with the flight view off."""
     disable_flight()
     yield
     disable_flight()
+
+
+def recorder(**config):
+    """The process-wide ledger with the flight view on."""
+    return configure_flight(FlightConfig(enabled=True, **config))
 
 
 def nand_inputs(tech, n):
@@ -49,7 +49,7 @@ def nand_inputs(tech, n):
 # ----------------------------------------------------------------------
 class TestRecorder:
     def test_disabled_by_default(self):
-        assert not flight().enabled
+        assert not ledger().recording
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="event_limit"):
@@ -58,44 +58,68 @@ class TestRecorder:
         FlightConfig(event_limit=None)
 
     def test_event_limit_drops_and_counts(self):
-        rec = FlightRecorder(FlightConfig(enabled=True, event_limit=3))
+        rec = recorder(event_limit=3)
         for i in range(5):
             rec.record("x", value=i)
-        stats = rec.stats()
+        stats = rec.flight_stats()
         assert stats["recorded"] == 3
         assert stats["dropped"] == 2
-        assert rec.to_json()["dropped"] == 2
+        assert rec.flight_json()["dropped"] == 2
 
     def test_context_frames_merge_and_unwind(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
-        with rec.context(stage="s1", output="out"):
-            with rec.context(arc_input="a0"):
+        rec = recorder()
+        with frame("outer", ctx={"stage": "s1", "output": "out"}):
+            with frame("inner", ctx={"arc_input": "a0"}):
                 sid = rec.begin_solve(direction="fall")
-            assert rec.current_context() == {"stage": "s1",
-                                             "output": "out"}
-        assert rec.current_context() == {}
+            assert rec.context() == {"stage": "s1", "output": "out"}
+        assert rec.context() == {}
         (begin,) = [e for e in rec.events() if e.kind == "solve_begin"]
         assert begin.solve_id == sid
         assert begin.data["stage"] == "s1"
         assert begin.data["arc_input"] == "a0"
         assert begin.data["direction"] == "fall"
 
-    def test_force_capture_consumed_once(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
-        rec.force_capture("golden_band_violation")
-        assert rec.consume_force_capture() == "golden_band_violation"
-        assert rec.consume_force_capture() is None
+    def test_context_frames_stay_noops_when_nothing_reads_them(self):
+        assert frame("sta.arc", ctx={"arc_input": "a0"}) \
+            is frames_mod.NOOP_FRAME
+        recorder()
+        # The flight view reads context frames only.
+        assert frame("engine.extract") is frames_mod.NOOP_FRAME
+        assert frame("sta.arc", ctx={"arc_input": "a0"}) \
+            is not frames_mod.NOOP_FRAME
 
-    def test_solve_failure_stash_consumed_once(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
-        rec.note_solve_failure(7, {"active": 1, "tau": 0.0})
-        failure = rec.take_solve_failure()
-        assert failure["solve_id"] == 7
+    def test_capture_reason_rides_on_its_frame(self):
+        rec = recorder()
+        with frame("golden.capture",
+                   ctx={"capture": "golden_band_violation",
+                        "golden_case": "inv"}):
+            assert rec.context()["capture"] == "golden_band_violation"
+            # It steers the capture; flight events leave it out.
+            assert rec.flight_context() == {"golden_case": "inv"}
+        assert rec.context().get("capture") is None
+
+    def test_solve_failure_is_a_solver_attribute(self, tech, library):
+        from repro.core.qwm import QWMSolver
+
+        recorder()
+        stage = builders.nand_gate(tech, 3)
+        evaluator = WaveformEvaluator(tech, library=library)
+        inputs = nand_inputs(tech, 3)
+        path = evaluator.extract(stage, "out", "fall", inputs)
+        start = evaluator.default_initial(path, "full")
+        starved = QWMOptions(newton=NewtonOptions(max_iterations=2))
+        solver = QWMSolver(path, starved)
+        solver.solve(inputs, start)
+        failure = solver.failure
+        assert failure["solve_id"] == solver.solve_id
         assert failure["active"] == 1
-        assert rec.take_solve_failure() is None
+        # The next solve starts clean.
+        solver.options = QWMOptions()
+        solver.solve(inputs, start)
+        assert solver.failure is None
 
     def test_arc_provenance_half_open_range(self):
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        rec = recorder()
         first = rec.next_solve_id()
         rec.begin_solve()
         rec.begin_solve()
@@ -109,12 +133,19 @@ class TestRecorder:
         assert hit.data["origin_solve_ids"] == [1, 2]
 
     def test_bundle_slot_budget(self, monkeypatch):
-        monkeypatch.setattr(flight_mod, "MAX_BUNDLES", 2)
-        rec = FlightRecorder(FlightConfig(enabled=True))
+        monkeypatch.setattr(frames_mod, "MAX_BUNDLES", 2)
+        rec = recorder()
         assert rec.claim_bundle_slot()
         assert rec.claim_bundle_slot()
         assert not rec.claim_bundle_slot()
-        assert rec.stats()["bundles"] == 2
+        assert rec.flight_stats()["bundles"] == 2
+
+    def test_event_payload_may_carry_a_kind(self):
+        rec = recorder()
+        rec.record("fault_injected", kind="nan_table", stage=None)
+        (event,) = rec.events()
+        assert event.kind == "fault_injected"
+        assert event.data == {"kind": "nan_table", "stage": None}
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +153,7 @@ class TestRecorder:
 # ----------------------------------------------------------------------
 class TestLedgerAndReport:
     def test_solve_records_full_lifecycle(self, tech, library):
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = recorder()
         stage = builders.nand_gate(tech, 2)
         evaluator = WaveformEvaluator(tech, library=library)
         evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 2))
@@ -147,7 +178,7 @@ class TestLedgerAndReport:
                               "step_norm", "shrink"}
 
     def test_summary_and_report_render(self, tech, library):
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = recorder()
         stage = builders.nand_gate(tech, 2)
         evaluator = WaveformEvaluator(tech, library=library)
         evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 2))
@@ -166,8 +197,8 @@ class TestLedgerAndReport:
         stage = builders.nand_gate(tech, 2)
         evaluator = WaveformEvaluator(tech, library=library)
         evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 2))
-        assert flight().events() == []
-        assert flight().stats()["solves"] == 0
+        assert ledger().events() == []
+        assert ledger().flight_stats()["solves"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +305,38 @@ class TestFailureBundleReplay:
         assert result.attempts, "no newton events for failing region"
         assert result.identical, result.render()
         assert "bit-for-bit identical: True" in result.render()
+
+    def test_bundle_replays_only_its_own_solve(self, tech, library,
+                                               tmp_path):
+        """Two failing solves in one ledger: the second bundle carries
+        and replays only the second solve's Newton calls."""
+        recorder(capture_bundles=True, bundle_dir=str(tmp_path))
+        options = QWMOptions(newton=NewtonOptions(max_iterations=2))
+        evaluator = WaveformEvaluator(tech, library=library,
+                                      options=options)
+        stage = builders.nand_gate(tech, 3)
+        for _ in range(2):
+            evaluator.evaluate(stage, "out", "fall", nand_inputs(tech, 3))
+        bundles = [fb.load_bundle(str(path))
+                   for path in sorted(tmp_path.glob("*.json"))]
+        assert len(bundles) == 2
+        first, second = sorted(bundles,
+                               key=lambda b: b["failure"]["solve_id"])
+        assert (first["failure"]["solve_id"],
+                second["failure"]["solve_id"]) == (1, 2)
+        ledger_slice = second["ledger"]
+        assert ledger_slice["format"] == "repro-flight-ledger/1"
+        assert set(ledger_slice) == {"format", "events", "dropped",
+                                     "solves", "provenance"}
+        assert ledger_slice["events"]
+        assert all(e["solve_id"] == 2 for e in ledger_slice["events"])
+        result = fb.replay_bundle(second)
+        own = [e for e in ledger_slice["events"]
+               if e["kind"] == "newton"
+               and e["data"]["active"] == second["failure"]["active"]
+               and e["data"]["tau"] == second["failure"]["tau"]]
+        assert len(result.attempts) == len(own) == 5
+        assert result.identical, result.render()
 
     def test_replay_detects_divergence(self, tech, library, tmp_path):
         configure_flight(FlightConfig(
@@ -418,7 +481,7 @@ class TestCacheAttribution:
                                              StageResultCache)
         from repro.circuit import extract_stages
 
-        rec = configure_flight(FlightConfig(enabled=True))
+        rec = recorder()
         netlist = builders.decoder_netlist(tech, bits=2)
         graph = extract_stages(netlist, tech=tech)
         analyzer = StaticTimingAnalyzer(
@@ -437,3 +500,46 @@ class TestCacheAttribution:
                 assert entry["solve_ids"], key
         kinds = {e.kind for e in rec.events()}
         assert "cache_hit" in kinds and "arc_result" in kinds
+
+    def test_pool_workers_ship_their_events_home(self, tech, library):
+        """A pooled run keeps the serial run's events, solve ids 1..n
+        and cache provenance."""
+        from repro.analysis import StaticTimingAnalyzer
+        from repro.analysis.parallel import (ExecutionConfig,
+                                             StageResultCache)
+        from repro.circuit import extract_stages
+
+        graph = extract_stages(builders.decoder_netlist(tech, bits=2),
+                               tech=tech)
+
+        def run(workers):
+            rec = recorder(event_limit=None)
+            StaticTimingAnalyzer(
+                tech, library=library,
+                execution=ExecutionConfig(workers=workers),
+                cache=StageResultCache()).analyze(graph)
+            return rec.events(), summarize_ledger(rec)
+
+        serial_events, serial = run(1)
+        pooled_events, pooled = run(2)
+
+        def kinds(events):
+            counts = {}
+            for event in events:
+                counts[event.kind] = counts.get(event.kind, 0) + 1
+            return counts
+
+        assert kinds(pooled_events) == kinds(serial_events) == {
+            "solve_begin": 10, "newton": 102, "region_solved": 100,
+            "solve_end": 10, "arc_result": 8, "cache_hit": 20}
+        assert sorted(e.solve_id for e in pooled_events
+                      if e.kind == "solve_begin") == list(range(1, 11))
+        assert all(e.data["origin_solve_ids"] for e in pooled_events
+                   if e.kind == "cache_hit")
+        for key in ("solves", "regions_solved", "regions_failed",
+                    "events", "table_queries", "fallback_histogram",
+                    "newton_failure_reasons", "iteration_distribution"):
+            assert pooled[key] == serial[key], key
+        for key in ("attributed_arcs", "total_hits"):
+            assert pooled["cache_attribution"][key] == \
+                serial["cache_attribution"][key], key

@@ -18,6 +18,7 @@ from repro.analysis import StaticTimingAnalyzer
 from repro.circuit import builders, extract_stages
 from repro.core import QWMOptions
 from repro.linalg.newton import NewtonConvergenceError
+from repro.obs import configure_flight, disable_flight, frame, ledger
 from repro.resilience import faults
 from repro.resilience.faults import (
     FaultPlan,
@@ -99,30 +100,45 @@ class TestFaultPlan:
 
 
 class TestScopes:
+    """Fault targeting reads the arc context of the open frames."""
+
     def test_scope_noop_without_plan(self):
-        with faults.scope(stage="s0", rung="qwm"):
-            assert faults.current_scope() == {}
+        # With no plan and every view off nothing reads the context, so
+        # the frame carrying it is the shared no-op.  (CI runs this
+        # module with the flight view on, which does read it.)
+        saved = ledger().flight_config
+        disable_flight()
+        try:
+            with frame("resilience.rung", "qwm",
+                       ctx={"stage": "s0", "rung": "qwm"}):
+                assert ledger().context() == {}
+        finally:
+            configure_flight(saved)
 
     def test_scope_and_default_with_plan(self):
         with faults.installed(FaultPlan()):
-            with faults.scope(stage="s0", rung="spice"):
-                # A default never overrides what is already in scope,
-                # but fills genuinely absent keys.
-                with faults.scope_default(rung="qwm", extra=1):
-                    ctx = faults.current_scope()
+            with frame("resilience.rung", "spice",
+                       ctx={"stage": "s0", "rung": "spice"}):
+                # An inner default never overrides what an outer frame
+                # gives, but fills genuinely absent keys.
+                with frame("qwm.solve", ctx={"rung": "qwm", "extra": 1}):
+                    ctx = ledger().context()
                     assert ctx["rung"] == "spice"
                     assert ctx["extra"] == 1
-            assert faults.current_scope() == {}
+            assert ledger().context() == {}
 
     def test_newton_gate_respects_stage_and_rung(self):
         spec = FaultSpec("newton_nonconverge", stage="s0",
                          rungs=("qwm",))
         with faults.installed(FaultPlan((spec,))):
-            with faults.scope(stage="other", rung="qwm"):
+            with frame("resilience.rung", "qwm",
+                       ctx={"stage": "other", "rung": "qwm"}):
                 assert not faults.newton_should_fail()
-            with faults.scope(stage="s0", rung="spice"):
+            with frame("resilience.rung", "spice",
+                       ctx={"stage": "s0", "rung": "spice"}):
                 assert not faults.newton_should_fail()
-            with faults.scope(stage="s0", rung="qwm"):
+            with frame("resilience.rung", "qwm",
+                       ctx={"stage": "s0", "rung": "qwm"}):
                 assert faults.newton_should_fail()
 
     def test_worker_gate_noop_in_parent(self):
@@ -134,10 +150,9 @@ class TestScopes:
     def test_stage_timeout_needs_arc_scope(self):
         spec = FaultSpec("stage_timeout", timeout_seconds=0.0)
         with faults.installed(FaultPlan((spec,))):
-            faults.check_stage_timeout()  # no arc scope: no-op
-            import time
-            with faults.scope(stage="s0",
-                              arc_start=time.perf_counter()):
+            faults.check_stage_timeout()  # no sta.arc frame: no-op
+            with frame("sta.arc", "s0", ctx={"arc_input": "a"}), \
+                    frame("engine.evaluate", "s0", ctx={"stage": "s0"}):
                 with pytest.raises(StageTimeoutError) as info:
                     faults.check_stage_timeout()
         assert info.value.stage == "s0"
