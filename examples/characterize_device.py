@@ -15,7 +15,7 @@ Run:  python examples/characterize_device.py
 import numpy as np
 
 from repro import CMOSP35, TableModelLibrary, nmos_model
-from repro.devices import characterize_device
+from repro.devices import FittedIV, characterize_device
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
     print(f"\ncharacterized {n_points} (Vs, Vg) grid points, "
           f"{grid.n_parameters} stored parameters (7 per point)")
 
-    fit = grid.fits[0][-1]  # vs = 0, vg = vdd
+    fit = FittedIV(*grid.table[0][-1])  # vs = 0, vg = vdd
     print("fit at (Vs=0, Vg=vdd):")
     print(f"  saturation: Ids = {fit.s1:.3e} * Vds + {fit.s0:.3e}")
     print(f"  triode    : Ids = {fit.t2:.3e} * Vds^2 "

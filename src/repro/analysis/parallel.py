@@ -971,6 +971,7 @@ class ParallelStaEngine:
         def run_in_parent(stage: LogicStage, reason: str) -> None:
             """Re-run a pool casualty: same arc math, main process."""
             inc("sta.parallel.redispatch", reason=reason)
+            faults.note_casualty(stage.name, reason)
             led = ledger()
             if led.recording:
                 led.record("escalation", from_rung="worker",

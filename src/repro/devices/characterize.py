@@ -9,16 +9,18 @@ function for the triode region.  Together with the threshold voltage and
 saturation voltage, we store 7 parameters for each Vs/Vg pair."
 
 This module reproduces that flow against the golden analytic model
-(standing in for HSPICE/BSIM3).  PMOS devices are characterized in the
-*conduction frame* (voltages mirrored about vdd), which renders them
-NMOS-like; the mirroring is undone at query time by
+(standing in for HSPICE/BSIM3); the grid's table of those 7 parameters
+is the device model itself, evaluated row by row by :func:`point_iv`.
+PMOS devices are characterized in the *conduction frame* (voltages
+mirrored about vdd), which renders them NMOS-like; the mirroring is
+undone at query time by
 :class:`repro.devices.table_model.TableDeviceModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -26,12 +28,41 @@ from repro.devices.mosfet import MosfetModel
 from repro.devices.technology import Technology
 
 
-@dataclass(frozen=True)
-class FittedIV:
+#: Below this vds a fit is blended linearly through the origin: the
+#: physical current is exactly zero at vds = 0, and without the blend
+#: the least-squares intercept t0 would make the current jump by 2*t0
+#: under a source/drain swap — a kink that derails Newton when adjacent
+#: stack nodes sit within millivolts of each other.
+BLEND_VDS = 0.05
+
+
+def point_iv(row: Sequence[float], vds: float) -> Tuple[float, float]:
+    """Fitted forward current [A] and ``d(ids)/d(vds)`` [S] of one row.
+
+    ``row`` is one grid point's seven parameters in :class:`FittedIV`
+    field order, ``vds >= 0``.  Below :data:`BLEND_VDS` the current is
+    the line through the origin and the fit's value at
+    :data:`BLEND_VDS`.
+    """
+    s1, s0, t2, t1, t0, _, vdsat = row
+    if vds < BLEND_VDS:
+        if BLEND_VDS <= vdsat:
+            raw = t2 * BLEND_VDS * BLEND_VDS + t1 * BLEND_VDS + t0
+        else:
+            raw = s1 * BLEND_VDS + s0
+        slope = raw / BLEND_VDS
+        return vds * slope, slope
+    if vds <= vdsat:
+        return t2 * vds * vds + t1 * vds + t0, 2.0 * t2 * vds + t1
+    return s1 * vds + s0, s1
+
+
+class FittedIV(NamedTuple):
     """The paper's seven stored parameters for one (Vs, Vg) grid point.
 
-    The polynomials are in ``vds`` (drain-source voltage, forward
-    convention ``vds >= 0``):
+    A record view of one :class:`CharacterizationGrid` table row, which
+    holds the same seven floats in this order.  The polynomials are in
+    ``vds`` (drain-source voltage, forward convention ``vds >= 0``):
 
     * triode  (``vds <= vdsat``):  ``ids = t2*vds^2 + t1*vds + t0``
     * saturation (``vds > vdsat``): ``ids = s1*vds + s0``
@@ -54,34 +85,13 @@ class FittedIV:
     vth: float
     vdsat: float
 
-    #: Below this vds the fit is blended linearly through the origin:
-    #: the physical current is exactly zero at vds = 0, and without the
-    #: blend the least-squares intercept t0 would make the current jump
-    #: by 2*t0 under a source/drain swap — a kink that derails Newton
-    #: when adjacent stack nodes sit within millivolts of each other.
-    BLEND_VDS = 0.05
-
-    def _raw_current(self, vds: float) -> float:
-        if vds <= self.vdsat:
-            return self.t2 * vds * vds + self.t1 * vds + self.t0
-        return self.s1 * vds + self.s0
-
-    def _blend_slope(self) -> float:
-        return self._raw_current(self.BLEND_VDS) / self.BLEND_VDS
-
     def current(self, vds: float) -> float:
         """Fitted forward current at ``vds`` [A] (zero at vds = 0)."""
-        if vds < self.BLEND_VDS:
-            return vds * self._blend_slope()
-        return self._raw_current(vds)
+        return point_iv(self, vds)[0]
 
     def slope(self, vds: float) -> float:
         """Fitted ``d(ids)/d(vds)`` [S]."""
-        if vds < self.BLEND_VDS:
-            return self._blend_slope()
-        if vds <= self.vdsat:
-            return 2.0 * self.t2 * vds + self.t1
-        return self.s1
+        return point_iv(self, vds)[1]
 
 
 def fit_iv_curve(vds_samples: Sequence[float], ids_samples: Sequence[float],
@@ -134,9 +144,20 @@ def fit_iv_curve(vds_samples: Sequence[float], ids_samples: Sequence[float],
                     vdsat=float(vdsat))
 
 
+def _uniform_axis(values: Sequence[float], name: str) -> np.ndarray:
+    """A grid axis as floats; it must ascend at a fixed pitch."""
+    axis = np.asarray(values, dtype=float)
+    steps = np.diff(axis)
+    if axis.ndim != 1 or axis.size < 2 or not steps[0] > 0 \
+            or not np.allclose(steps, steps[0], rtol=1e-9):
+        raise ValueError(f"{name} must ascend at a fixed pitch through "
+                         "at least 2 points")
+    return axis
+
+
 @dataclass
 class CharacterizationGrid:
-    """A full (Vs, Vg) grid of :class:`FittedIV` entries for one device.
+    """One device's characterized table over a (Vs, Vg) grid.
 
     Attributes:
         polarity: ``"n"`` or ``"p"``.
@@ -145,7 +166,12 @@ class CharacterizationGrid:
         vdd: supply voltage (also the mirror point for PMOS) [V].
         vs_values: grid axis of source voltages (conduction frame) [V].
         vg_values: grid axis of gate voltages (conduction frame) [V].
-        fits: ``fits[i][j]`` is the fit at ``(vs_values[i], vg_values[j])``.
+        table: ``table[i][j]`` holds the seven parameters at
+            ``(vs_values[i], vg_values[j])`` in :class:`FittedIV` field
+            order.  Given as any ``(Nvs, Nvg, 7)`` array-like, stored
+            as a copy in nested lists of floats, the form the scalar
+            query reads fastest; the only stored copy, so a cell
+            written in place is what every query sees.
     """
 
     polarity: str
@@ -154,21 +180,15 @@ class CharacterizationGrid:
     vdd: float
     vs_values: np.ndarray
     vg_values: np.ndarray
-    fits: List[List[FittedIV]]
-    # Vectorized parameter planes, filled by __post_init__.
-    vth_plane: np.ndarray = field(init=False)
-    vdsat_plane: np.ndarray = field(init=False)
+    table: List[List[List[float]]]
 
     def __post_init__(self) -> None:
-        self.vs_values = np.asarray(self.vs_values, dtype=float)
-        self.vg_values = np.asarray(self.vg_values, dtype=float)
-        n_vs, n_vg = self.vs_values.size, self.vg_values.size
-        if len(self.fits) != n_vs or any(len(row) != n_vg for row in self.fits):
-            raise ValueError("fits shape does not match grid axes")
-        self.vth_plane = np.array(
-            [[f.vth for f in row] for row in self.fits])
-        self.vdsat_plane = np.array(
-            [[f.vdsat for f in row] for row in self.fits])
+        self.vs_values = _uniform_axis(self.vs_values, "vs_values")
+        self.vg_values = _uniform_axis(self.vg_values, "vg_values")
+        table = np.asarray(self.table, dtype=float)
+        if table.shape != (self.vs_values.size, self.vg_values.size, 7):
+            raise ValueError("table shape does not match grid axes")
+        self.table = table.tolist()
 
     @property
     def n_parameters(self) -> int:
@@ -202,15 +222,16 @@ def characterize_device(model: MosfetModel, tech: Technology,
                         w: float = None, l: float = None,
                         grid_step: float = 0.1,
                         vds_step: float = 0.05) -> CharacterizationGrid:
-    """Characterize one device into a (Vs, Vg) grid of fitted I/V curves.
+    """Characterize one device into a (Vs, Vg) table of fitted I/V curves.
 
     Sweeps Vs and Vg from 0 to vdd with ``grid_step`` (the paper's 0.1 V),
     samples the golden model's Vd dependence at ``vds_step`` resolution,
     and fits the two-piece polynomial model at every grid point.
 
     The whole grid is sampled in one array call and fitted in one
-    batched solve, into the paper's packed ``(Nvs, Nvg, 7)`` table; the
-    fits match per-point :func:`fit_iv_curve` to rounding.  A point with
+    batched solve, into the paper's packed ``(Nvs, Nvg, 7)`` table,
+    which the returned grid keeps as its table; the fits match
+    per-point :func:`fit_iv_curve` to rounding.  A point with
     too few samples for either fit goes through :func:`fit_iv_curve`
     itself, which owns the degenerate cases.
 
@@ -283,9 +304,8 @@ def characterize_device(model: MosfetModel, tech: Technology,
     for i, j in zip(*np.nonzero(~batched)):
         fit = fit_iv_curve(vds[i, j][valid[i, j]], ids[i, j][valid[i, j]],
                            vth[i], vdsat[i, j])
-        table[i, j] = astuple(fit)
+        table[i, j] = fit
 
-    fits = [[FittedIV(*point) for point in row] for row in table.tolist()]
     return CharacterizationGrid(
         polarity=model.polarity, w_ref=w, l_ref=l, vdd=vdd,
-        vs_values=axis, vg_values=axis.copy(), fits=fits)
+        vs_values=axis, vg_values=axis.copy(), table=table)

@@ -1,11 +1,14 @@
 """The tabular device model consumed by QWM.
 
 Implements the paper's ``DeviceModel`` interface (Definition 2): ``iv``,
-``threshold``, ``srccap``, ``snkcap`` and ``inputcap``, backed by a
-characterized :class:`~repro.devices.characterize.CharacterizationGrid`.
+``threshold``, ``srccap``, ``snkcap`` and ``inputcap``, backed by the
+table of a characterized
+:class:`~repro.devices.characterize.CharacterizationGrid`: seven
+parameters per (Vs, Vg) point, read in place on every query.
 
 Off-grid queries bilinearly interpolate the (Vs, Vg) plane; the Vd
-dependence comes from each corner's fitted polynomials, so the
+dependence comes from each corner row's fitted polynomials
+(:func:`~repro.devices.characterize.point_iv`), so the
 derivatives ``dIds/dVd`` and ``dIds/dVs`` needed for the QWM Jacobian
 "can be computed very fast" (paper Section V-A) — polynomial slopes plus
 interpolation-weight gradients, no re-sampling.
@@ -13,16 +16,29 @@ interpolation-weight gradients, no re-sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.devices.capacitance import equivalent_junction_cap, gate_capacitance
-from repro.devices.characterize import CharacterizationGrid, characterize_device
+from repro.devices.characterize import (
+    CharacterizationGrid,
+    characterize_device,
+    point_iv,
+)
 from repro.devices.mosfet import MosfetModel, nmos_model, pmos_model
 from repro.devices.technology import MosParams, Technology
 from repro.obs import frame, inc
+
+#: Relative tolerance when checking that a query's channel length
+#: matches the characterized length.
+LENGTH_TOLERANCE = 1e-6
+#: Table columns of the threshold and saturation voltages.
+_VTH, _VDSAT = 5, 6
+
+#: A grid axis as :meth:`TableDeviceModel._axis` stores it.
+_Axis = Tuple[float, float, float, List[float]]
 
 
 @dataclass(frozen=True)
@@ -46,37 +62,30 @@ class TableDeviceModel:
     """Paper-style tabular device model for one polarity and channel length.
 
     Args:
-        grid: characterized fit grid (conduction frame).
+        grid: characterized table (conduction frame).
         params: matching MOS parameters (used only for capacitances).
-        length_tolerance: relative tolerance when checking that a query's
-            channel length matches the characterized length.
     """
 
-    def __init__(self, grid: CharacterizationGrid, params: MosParams,
-                 length_tolerance: float = 1e-6):
+    def __init__(self, grid: CharacterizationGrid, params: MosParams):
         self.grid = grid
         self.params = params
-        self.length_tolerance = length_tolerance
-        self._vs_axis = grid.vs_values
-        self._vg_axis = grid.vg_values
         self._vdd = grid.vdd
         self._sign = 1.0 if grid.polarity == "n" else -1.0
         #: Number of iv_query evaluations (cost accounting for benchmarks).
         self.query_count = 0
-        # Uniform-axis fast path for cell lookup (the characterization
-        # grid is a fixed-pitch sweep; avoid searchsorted per query).
-        self._vs_step = self._uniform_step(self._vs_axis)
-        self._vg_step = self._uniform_step(self._vg_axis)
+        self._vs_axis = self._axis(grid.vs_values)
+        self._vg_axis = self._axis(grid.vg_values)
 
     @staticmethod
-    def _uniform_step(axis: np.ndarray) -> Optional[float]:
-        if axis.size < 2:
-            return None
-        steps = np.diff(axis)
-        step = float(steps[0])
-        if step > 0 and np.allclose(steps, step, rtol=1e-9):
-            return step
-        return None
+    def _axis(values: np.ndarray) -> _Axis:
+        """An axis as Python floats: first, last, pitch, cell widths.
+
+        The grid checked that the axis has a fixed pitch, so a cell is
+        found by one division.
+        """
+        widths = np.diff(values)
+        return (float(values[0]), float(values[-1]), float(widths[0]),
+                widths.tolist())
 
     # ------------------------------------------------------------------
     # Frame helpers
@@ -85,26 +94,20 @@ class TableDeviceModel:
         return v if self.grid.polarity == "n" else self._vdd - v
 
     def _check_length(self, l: float) -> None:
-        if abs(l - self.grid.l_ref) > self.length_tolerance * self.grid.l_ref:
+        if abs(l - self.grid.l_ref) > LENGTH_TOLERANCE * self.grid.l_ref:
             raise ValueError(
                 f"table characterized at L={self.grid.l_ref:.3e} m, queried "
                 f"with L={l:.3e} m; use TableModelLibrary for multi-length "
                 "designs")
 
-    def _cell(self, axis: np.ndarray, value: float,
-              step: Optional[float]) -> Tuple[int, float]:
-        """Locate the interpolation cell: returns (index, fraction)."""
-        lo = float(axis[0])
-        hi = float(axis[-1])
+    @staticmethod
+    def _cell(axis: _Axis, value: float) -> Tuple[int, float, float]:
+        """Locate the interpolation cell: (index, fraction, width)."""
+        lo, hi, step, widths = axis
         clipped = lo if value < lo else (hi if value > hi else value)
-        if step is not None:
-            idx = int((clipped - lo) / step)
-            idx = min(max(idx, 0), axis.size - 2)
-            return idx, (clipped - lo - idx * step) / step
-        idx = int(np.searchsorted(axis, clipped, side="right")) - 1
-        idx = min(max(idx, 0), axis.size - 2)
-        span = float(axis[idx + 1] - axis[idx])
-        return idx, (clipped - float(axis[idx])) / span
+        idx = int((clipped - lo) / step)
+        idx = min(max(idx, 0), len(widths) - 1)
+        return idx, (clipped - lo - idx * step) / step, widths[idx]
 
     def _frame_query(self, vg_f: float, vs_f: float,
                      vds: float) -> Tuple[float, float, float, float]:
@@ -113,29 +116,24 @@ class TableDeviceModel:
         Returns ``(q, dq_dg, dq_ds, dq_dd)`` where the derivatives are
         with respect to the frame gate, source and drain node voltages.
         """
-        i, u = self._cell(self._vs_axis, vs_f, self._vs_step)
-        j, v = self._cell(self._vg_axis, vg_f, self._vg_step)
-        dvs = float(self._vs_axis[i + 1] - self._vs_axis[i])
-        dvg = float(self._vg_axis[j + 1] - self._vg_axis[j])
-
-        fits = self.grid.fits
-        corners = (fits[i][j], fits[i][j + 1], fits[i + 1][j],
-                   fits[i + 1][j + 1])
-        vals = [f.current(vds) for f in corners]
-        slopes = [f.slope(vds) for f in corners]
+        i, u, dvs = self._cell(self._vs_axis, vs_f)
+        j, v, dvg = self._cell(self._vg_axis, vg_f)
+        row0 = self.grid.table[i]
+        row1 = self.grid.table[i + 1]
+        c00, g00 = point_iv(row0[j], vds)
+        c01, g01 = point_iv(row0[j + 1], vds)
+        c10, g10 = point_iv(row1[j], vds)
+        c11, g11 = point_iv(row1[j + 1], vds)
 
         w00 = (1.0 - u) * (1.0 - v)
         w01 = (1.0 - u) * v
         w10 = u * (1.0 - v)
         w11 = u * v
-        q = (w00 * vals[0] + w01 * vals[1] + w10 * vals[2] + w11 * vals[3])
-        dq_dvds = (w00 * slopes[0] + w01 * slopes[1]
-                   + w10 * slopes[2] + w11 * slopes[3])
+        q = (w00 * c00 + w01 * c01 + w10 * c10 + w11 * c11)
+        dq_dvds = (w00 * g00 + w01 * g01 + w10 * g10 + w11 * g11)
         # Gradient of the bilinear weights along each grid axis.
-        dq_dvs_axis = ((1.0 - v) * (vals[2] - vals[0])
-                       + v * (vals[3] - vals[1])) / dvs
-        dq_dvg_axis = ((1.0 - u) * (vals[1] - vals[0])
-                       + u * (vals[3] - vals[2])) / dvg
+        dq_dvs_axis = ((1.0 - v) * (c10 - c00) + v * (c11 - c01)) / dvs
+        dq_dvg_axis = ((1.0 - u) * (c01 - c00) + u * (c11 - c10)) / dvg
 
         dq_dg = dq_dvg_axis
         dq_ds = -dq_dvds + dq_dvs_axis
@@ -177,24 +175,26 @@ class TableDeviceModel:
         a = self._to_frame(v_src)
         b = self._to_frame(v_snk)
         g = self._to_frame(v_gate)
-        vs_f = min(a, b)
-        return self._interp_plane(self.grid.vth_plane, vs_f, g)
+        return self._interp_column(_VTH, min(a, b), g)
 
     def vdsat(self, v_gate: float, v_src: float, v_snk: float) -> float:
         """Saturation voltage at the effective bias [V]."""
         a = self._to_frame(v_src)
         b = self._to_frame(v_snk)
         g = self._to_frame(v_gate)
-        return self._interp_plane(self.grid.vdsat_plane, min(a, b), g)
+        return self._interp_column(_VDSAT, min(a, b), g)
 
-    def _interp_plane(self, plane: np.ndarray, vs_f: float,
-                      vg_f: float) -> float:
-        i, u = self._cell(self._vs_axis, vs_f, self._vs_step)
-        j, v = self._cell(self._vg_axis, vg_f, self._vg_step)
-        return float((1.0 - u) * (1.0 - v) * plane[i, j]
-                     + (1.0 - u) * v * plane[i, j + 1]
-                     + u * (1.0 - v) * plane[i + 1, j]
-                     + u * v * plane[i + 1, j + 1])
+    def _interp_column(self, column: int, vs_f: float,
+                       vg_f: float) -> float:
+        """Bilinear interpolation of one parameter of the table rows."""
+        i, u, _ = self._cell(self._vs_axis, vs_f)
+        j, v, _ = self._cell(self._vg_axis, vg_f)
+        row0 = self.grid.table[i]
+        row1 = self.grid.table[i + 1]
+        return ((1.0 - u) * (1.0 - v) * row0[j][column]
+                + (1.0 - u) * v * row0[j + 1][column]
+                + u * (1.0 - v) * row1[j][column]
+                + u * v * row1[j + 1][column])
 
     def srccap(self, w: float, l: float) -> float:
         """Equivalent source-junction capacitance over the full swing [F]."""

@@ -15,6 +15,7 @@ from typing import Any, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.devices.characterize import point_iv
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.lint.runner import LintRule, register
@@ -36,10 +37,6 @@ def _table_loc(table: Any, element: str = None) -> Location:
     return Location("table", _table_name(table), element)
 
 
-def _fit_params(fit: Any) -> List[float]:
-    return [fit.s1, fit.s0, fit.t2, fit.t1, fit.t0, fit.vth, fit.vdsat]
-
-
 @register
 class NonFiniteTableRule(LintRule):
     """NaN/Inf anywhere in a characterized table."""
@@ -52,18 +49,13 @@ class NonFiniteTableRule(LintRule):
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
         for table in ctx.tables:
-            grid = table.grid
+            finite = np.isfinite(np.asarray(table.grid.table, dtype=float))
             bad: List[str] = []
-            if not np.all(np.isfinite(grid.vth_plane)):
+            if not finite[..., 5].all():
                 bad.append("vth plane")
-            if not np.all(np.isfinite(grid.vdsat_plane)):
+            if not finite[..., 6].all():
                 bad.append("vdsat plane")
-            broken_fits = 0
-            for row in grid.fits:
-                for fit in row:
-                    if not all(math.isfinite(p)
-                               for p in _fit_params(fit)):
-                        broken_fits += 1
+            broken_fits = int((~finite.all(axis=-1)).sum())
             if broken_fits:
                 bad.append(f"{broken_fits} fit entr"
                            f"{'y' if broken_fits == 1 else 'ies'}")
@@ -96,9 +88,9 @@ class NonMonotoneIVRule(LintRule):
                 vds_max = max(vdd - float(vs), 0.1)
                 samples = np.linspace(0.0, vds_max, 9)
                 for j, vg in enumerate(grid.vg_values):
-                    fit = grid.fits[i][j]
+                    row = grid.table[i][j]
                     currents = np.array(
-                        [fit.current(float(v)) for v in samples])
+                        [point_iv(row, float(v))[0] for v in samples])
                     peak = float(np.max(np.abs(currents)))
                     if float(np.min(currents)) < min(
                             NEGATIVE_CURRENT_TOL,

@@ -163,7 +163,7 @@ def tech_from_json(data: Dict[str, Any]) -> Any:
 
 
 def grid_to_json(grid: Any) -> Dict[str, Any]:
-    """Serialize a CharacterizationGrid (derived planes excluded)."""
+    """Serialize a CharacterizationGrid; ``fits`` holds its table rows."""
     return {
         "polarity": grid.polarity,
         "w_ref": grid.w_ref,
@@ -171,22 +171,18 @@ def grid_to_json(grid: Any) -> Dict[str, Any]:
         "vdd": grid.vdd,
         "vs_values": [float(v) for v in grid.vs_values],
         "vg_values": [float(v) for v in grid.vg_values],
-        "fits": [[[f.s1, f.s0, f.t2, f.t1, f.t0, f.vth, f.vdsat]
-                  for f in row] for row in grid.fits],
+        "fits": [[list(point) for point in row] for row in grid.table],
     }
 
 
 def grid_from_json(data: Dict[str, Any]) -> Any:
-    from repro.devices.characterize import (CharacterizationGrid,
-                                            FittedIV)
+    from repro.devices.characterize import CharacterizationGrid
 
-    fits = [[FittedIV(*entry) for entry in row] for row in data["fits"]]
     return CharacterizationGrid(
         polarity=data["polarity"], w_ref=data["w_ref"],
         l_ref=data["l_ref"], vdd=data["vdd"],
-        vs_values=np.asarray(data["vs_values"], dtype=float),
-        vg_values=np.asarray(data["vg_values"], dtype=float),
-        fits=fits)
+        vs_values=data["vs_values"], vg_values=data["vg_values"],
+        table=data["fits"])
 
 
 def collect_grids(path: Any) -> List[Dict[str, Any]]:

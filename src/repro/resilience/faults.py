@@ -17,7 +17,8 @@ and consulted by cheap gates wired into the solver stack:
   stage task; crashes (``os._exit``) or hangs (``time.sleep``) the
   worker, but only inside a real pool worker
   (:func:`mark_worker_process`), so the parent's serial re-dispatch of
-  the same stage survives.
+  the same stage survives.  The parent counts the injection when it
+  re-runs the casualty (:func:`note_casualty`).
 * :func:`apply_table_faults` / :func:`apply_store_faults` /
   :func:`apply_journal_faults` — applied by the chaos harness before
   (or between) runs: NaN cells, truncated JSON store, truncated run
@@ -49,7 +50,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.obs import inc, ledger
@@ -60,6 +61,7 @@ __all__ = [
     "install", "uninstall", "installed", "active_plan",
     "mark_worker_process",
     "newton_should_fail", "check_stage_timeout", "worker_gate",
+    "note_casualty",
     "journal_write_gate", "wave_gate", "deadline_exhaust_gate",
     "apply_table_faults", "apply_store_faults",
     "apply_journal_faults", "truncate_file",
@@ -86,10 +88,9 @@ WORKER_CRASH_EXIT_CODE = 23
 class StageTimeoutError(RuntimeError):
     """A stage arc exceeded its wall-clock budget.
 
-    Raised both by the injected ``stage_timeout`` fault and by the
-    escalation ladder's own ``EscalationPolicy.stage_timeout``
-    enforcement; the ladder absorbs it by skipping further solver
-    rungs and falling through to the switch-level bound.
+    Raised by the injected ``stage_timeout`` fault; the escalation
+    ladder absorbs it by skipping further solver rungs and falling
+    through to the switch-level bound.
     """
 
     def __init__(self, message: str, stage: Optional[str] = None,
@@ -396,6 +397,30 @@ def worker_gate(stage_name: str) -> None:
             os._exit(WORKER_CRASH_EXIT_CODE)
 
 
+#: The worker fault behind each casualty reason the engine reports.
+_CASUALTY_FAULTS = {"worker_crash": "worker_crash",
+                    "stage_timeout": "worker_hang"}
+
+
+def note_casualty(stage_name: str, reason: str) -> None:
+    """Count the worker fault behind a casualty the parent re-runs.
+
+    A crashed or hung worker never ships its delta home, so the
+    injection it fired is counted here, in the parent, when it re-runs
+    the stage: a ``worker_crash`` casualty counts a matching
+    ``worker_crash`` spec, a ``stage_timeout`` casualty a matching
+    ``worker_hang`` spec, each up to the spec's ``count``.
+    """
+    plan = _PLAN
+    kind = _CASUALTY_FAULTS.get(reason)
+    if plan is None or kind is None:
+        return
+    for index, spec in plan.matching(kind):
+        if _stage_matches(spec, stage_name) and plan._arm(index):
+            _note_injection(spec)
+            return
+
+
 def journal_write_gate(path: str) -> None:
     """Raise an injected ``ENOSPC`` :class:`OSError` on journal flush.
 
@@ -459,11 +484,13 @@ def deadline_exhaust_gate() -> bool:
 def apply_table_faults(plan: FaultPlan, library) -> int:
     """Poison characterized table-model cells with NaN, per plan.
 
-    The five polynomial I/V coefficients of the selected grid cells
-    become NaN; the threshold/saturation planes stay finite so path
-    extraction (a structural operation) keeps working and the failure
-    surfaces inside the Newton solves, exactly like a corrupted
-    characterization artifact would.  Returns the poisoned cell count.
+    The five polynomial I/V coefficients (table columns 0-4) of the
+    selected grid cells become NaN, written in place into the grid's
+    one table, which every query of that table reads; the threshold
+    and saturation columns stay finite so path extraction (a
+    structural operation) keeps working and the failure surfaces
+    inside the Newton solves, exactly like a corrupted characterization
+    artifact would.  Returns the poisoned cell count.
     """
     import math
 
@@ -471,24 +498,19 @@ def apply_table_faults(plan: FaultPlan, library) -> int:
 
     poisoned = 0
     for index, spec in plan.matching("nan_table"):
-        table = library.get(spec.polarity)
-        grid = table.grid
-        rows = len(grid.fits)
-        cols = len(grid.fits[0]) if rows else 0
-        total = rows * cols
-        if total == 0:
-            continue
+        # A grid has at least 2 x 2 points, and fraction <= 1.
+        table = library.get(spec.polarity).grid.table
+        cols = len(table[0])
+        total = len(table) * cols
         want = max(1, int(math.floor(spec.fraction * total)))
         rng = np.random.default_rng(plan.seed + index)
-        flat = rng.choice(total, size=min(want, total), replace=False)
-        nan = float("nan")
+        flat = rng.choice(total, size=want, replace=False)
         for cell in sorted(int(c) for c in flat):
             i, j = divmod(cell, cols)
-            grid.fits[i][j] = replace(grid.fits[i][j], s1=nan, s0=nan,
-                                      t2=nan, t1=nan, t0=nan)
+            table[i][j][0:5] = [math.nan] * 5
             poisoned += 1
         plan.note_fired(index)
-        _note_injection(spec, cells=int(min(want, total)))
+        _note_injection(spec, cells=want)
     return poisoned
 
 

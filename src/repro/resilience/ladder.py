@@ -38,7 +38,6 @@ inventing a delay.  Only genuine solver failures — listed in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -120,41 +119,20 @@ _RUNG_FAILURES = (
 class EscalationPolicy:
     """Configuration of the escalation ladder.
 
+    The ladder always has one perturbed-option QWM retry rung and ends
+    in the switch-level bound; the SPICE rung runs on
+    :func:`adaptive_spice_arc`'s own budgets.
+
     Attributes:
         enabled: master switch.  ``EscalationPolicy(enabled=False)``
             restores the legacy fail-fast behavior (a non-converging
             arc raises out of :meth:`StaticTimingAnalyzer.analyze`).
-        qwm_retries: number of perturbed-option QWM retry rungs.
-        spice: whether the adaptive-transient rung is available.
-        bound: whether the switch-level bound rung is available.
-        stage_timeout: optional wall-clock budget per arc [s]; once
-            exceeded, remaining solver rungs are skipped and the arc
-            falls through to the (non-iterative) bound.
-        spice_settle: input-edge offset for the SPICE rung [s] — the
-            DC operating point is computed at t=0, so the edge must
-            arrive strictly later for a transition to exist.
-        spice_max_steps: accepted-step budget for the SPICE rung.
-        spice_max_seconds: wall-clock budget for the SPICE rung [s].
+        spice: whether the adaptive-transient rung is available (the
+            run budget's ``no-spice`` clamp turns it off).
     """
 
     enabled: bool = True
-    qwm_retries: int = 1
     spice: bool = True
-    bound: bool = True
-    stage_timeout: Optional[float] = None
-    spice_settle: float = 5e-12
-    spice_max_steps: int = 50_000
-    spice_max_seconds: Optional[float] = 10.0
-
-    def __post_init__(self) -> None:
-        if self.qwm_retries < 0:
-            raise ValueError("qwm_retries must be non-negative")
-        if self.stage_timeout is not None and self.stage_timeout <= 0:
-            raise ValueError("stage_timeout must be positive or None")
-        if self.spice_settle <= 0:
-            raise ValueError("spice_settle must be positive")
-        if self.spice_max_steps < 1:
-            raise ValueError("spice_max_steps must be >= 1")
 
 
 def perturbed_options(base: QWMOptions, attempt: int) -> QWMOptions:
@@ -263,19 +241,17 @@ class EscalationLadder:
     def __init__(self, analyzer: Any, policy: EscalationPolicy):
         self.analyzer = analyzer
         self.policy = policy
-        self._retry_evaluators: Dict[int, WaveformEvaluator] = {}
+        self._retry_evaluator: Optional[WaveformEvaluator] = None
         self._switch_timer = None
 
     # -- rung builders -------------------------------------------------
-    def _retry_evaluator(self, attempt: int) -> WaveformEvaluator:
-        evaluator = self._retry_evaluators.get(attempt)
-        if evaluator is None:
+    def _retry(self) -> WaveformEvaluator:
+        if self._retry_evaluator is None:
             base = self.analyzer.evaluator
-            evaluator = WaveformEvaluator(
+            self._retry_evaluator = WaveformEvaluator(
                 self.analyzer.tech, library=base.library,
-                options=perturbed_options(base.options, attempt))
-            self._retry_evaluators[attempt] = evaluator
-        return evaluator
+                options=perturbed_options(base.options, 1))
+        return self._retry_evaluator
 
     def _rungs(self, qwm_attempt: QwmAttempt, stage, output: str,
                out_direction: str, switching_input: str,
@@ -287,20 +263,17 @@ class EscalationLadder:
             [], Optional[Tuple[float, Optional[float]]]]]] = []
         rungs.append((QUALITY_QWM,
                       lambda: qwm_attempt(self.analyzer.evaluator)))
-        for attempt in range(1, self.policy.qwm_retries + 1):
-            evaluator = self._retry_evaluator(attempt)
-            rungs.append((QUALITY_RETRY,
-                          lambda ev=evaluator: qwm_attempt(ev)))
+        rungs.append((QUALITY_RETRY, lambda: qwm_attempt(self._retry())))
         if self.policy.spice:
             rungs.append((QUALITY_SPICE,
-                          lambda: self._spice_arc(
-                              stage, output, out_direction,
-                              switching_input, input_slew, stats)))
-        if self.policy.bound:
-            rungs.append((QUALITY_BOUNDED,
-                          lambda: self.bound_arc(
-                              stage, output, out_direction,
-                              switching_input)))
+                          lambda: adaptive_spice_arc(
+                              self.analyzer, stage, output,
+                              out_direction, switching_input,
+                              input_slew=input_slew, stats=stats)))
+        rungs.append((QUALITY_BOUNDED,
+                      lambda: self.bound_arc(
+                          stage, output, out_direction,
+                          switching_input)))
         return rungs
 
     # -- bookkeeping ---------------------------------------------------
@@ -339,31 +312,19 @@ class EscalationLadder:
 
         None means a rung completed soundly and found no transition
         (the arc is unsensitizable) — that verdict is final, it does
-        not escalate.  If every rung fails, the last failure is
-        re-raised: with the default policy that cannot happen (the
-        bound rung has no failure modes beyond "no conducting path",
-        which is the None verdict), but a policy with ``bound=False``
-        can exhaust the ladder.
+        not escalate.  The bound rung is last and always runs; only its
+        own failure re-raises (it has no failure modes beyond "no
+        conducting path", which is the None verdict).
         """
         rungs = self._rungs(qwm_attempt, stage, output, out_direction,
                             switching_input, input_slew, stats)
-        deadline = (time.perf_counter() + self.policy.stage_timeout
-                    if self.policy.stage_timeout is not None else None)
         last_error: Optional[BaseException] = None
         expired = False
         for index, (rung, attempt) in enumerate(rungs):
             next_rung = rungs[index + 1][0] if index + 1 < len(rungs) \
                 else None
-            if rung != QUALITY_BOUNDED:
-                if expired:
-                    continue
-                if deadline is not None and \
-                        time.perf_counter() > deadline:
-                    expired = True
-                    self._note(rung, QUALITY_BOUNDED, "stage_timeout",
-                               stage, output, out_direction,
-                               switching_input)
-                    continue
+            if expired and rung != QUALITY_BOUNDED:
+                continue
             try:
                 with frame("resilience.rung", rung, ctx={"rung": rung}):
                     arc = attempt()
@@ -382,25 +343,7 @@ class EscalationLadder:
             return arc[0], arc[1], rung
         if last_error is not None:
             raise last_error
-        if expired:
-            raise StageTimeoutError(
-                f"arc exceeded stage budget "
-                f"{self.policy.stage_timeout!r}s with no bound rung",
-                stage=stage.name, budget=self.policy.stage_timeout)
         return None
-
-    # -- spice rung ----------------------------------------------------
-    def _spice_arc(self, stage, output: str, out_direction: str,
-                   switching_input: str, input_slew: Optional[float],
-                   stats: Optional[SimulationStats]
-                   ) -> Optional[Tuple[float, Optional[float]]]:
-        """Adaptive-transient evaluation of one arc (policy-budgeted)."""
-        return adaptive_spice_arc(
-            self.analyzer, stage, output, out_direction,
-            switching_input, input_slew=input_slew, stats=stats,
-            settle=self.policy.spice_settle,
-            max_steps=self.policy.spice_max_steps,
-            max_seconds=self.policy.spice_max_seconds)
 
     # -- bound rung ----------------------------------------------------
     def bound_arc(self, stage, output: str, out_direction: str,

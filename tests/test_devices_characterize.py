@@ -72,7 +72,7 @@ class TestCharacterizationGrid:
 
     def test_threshold_plane_tracks_body_effect(self, grid):
         # vth grows along the vs axis.
-        col = grid.vth_plane[:, -1]
+        col = [row[-1][5] for row in grid.table]
         assert col[-1] > col[0]
 
     def test_fit_matches_golden_on_grid(self, grid):
@@ -86,7 +86,7 @@ class TestCharacterizationGrid:
             vs = float(grid.vs_values[i])
             vg = float(grid.vg_values[j])
             vds = float(rng.uniform(0.0, max(TECH.vdd - vs, 0.1)))
-            fitted = grid.fits[i][j].current(vds)
+            fitted = FittedIV(*grid.table[i][j]).current(vds)
             golden = model.ids(grid.w_ref, grid.l_ref, vg, vs + vds, vs)
             assert fitted == pytest.approx(golden, abs=0.02 * ion)
 
@@ -94,8 +94,17 @@ class TestCharacterizationGrid:
         grid = characterize_device(pmos_model(TECH), TECH, grid_step=0.8,
                                    vds_step=0.2)
         # Fully-on frame point: vs=0, vg=vdd-ish -> strong current.
-        fit = grid.fits[0][-1]
+        fit = FittedIV(*grid.table[0][-1])
         assert fit.current(2.0) > 1e-5
+
+    def test_table_is_rows_of_seven_floats(self, grid):
+        # One stored form: plain float rows, no per-point objects.
+        assert len(grid.table) == grid.vs_values.size
+        for row in grid.table:
+            assert type(row) is list and len(row) == grid.vg_values.size
+            for point in row:
+                assert type(point) is list and len(point) == 7
+                assert all(type(x) is float for x in point)
 
     def test_shape_mismatch_rejected(self):
         from repro.devices.characterize import CharacterizationGrid
@@ -105,7 +114,21 @@ class TestCharacterizationGrid:
                 polarity="n", w_ref=1e-6, l_ref=TECH.lmin, vdd=3.3,
                 vs_values=np.array([0.0, 1.0]),
                 vg_values=np.array([0.0, 1.0]),
-                fits=[[None]])
+                table=[[None]])
+
+    @pytest.mark.parametrize("vs_values", [
+        [0.0, 1.0, 3.0], [1.0, 0.0], [0.0],
+    ], ids=["uneven", "descending", "one-point"])
+    def test_axis_without_fixed_pitch_rejected(self, vs_values):
+        # The query finds its cell by one division by the pitch.
+        from repro.devices.characterize import CharacterizationGrid
+
+        with pytest.raises(ValueError, match="fixed pitch"):
+            CharacterizationGrid(
+                polarity="n", w_ref=1e-6, l_ref=TECH.lmin, vdd=3.3,
+                vs_values=np.array(vs_values),
+                vg_values=np.array([0.0, 1.0]),
+                table=np.zeros((len(vs_values), 2, 7)))
 
 
 def _scalar_sweep_grid(model, tech, grid_step=0.1, vds_step=0.05):
@@ -156,11 +179,6 @@ def _scalar_sweep_grid(model, tech, grid_step=0.1, vds_step=0.05):
     return np.array(rows), samples
 
 
-def _packed(grid):
-    return np.array([[[f.s1, f.s0, f.t2, f.t1, f.t0, f.vth, f.vdsat]
-                      for f in row] for row in grid.fits])
-
-
 #: Sweeps the batched fit is checked on, with the largest deviation from
 #: per-point polyfit allowed, relative to each point's largest current.
 #: Rounding alone separates the two: at most 6e-14 on every sweep here.
@@ -183,7 +201,7 @@ def test_batched_fit_matches_per_point_polyfit(library, polarity, sweep,
     model = library.golden(polarity)
     grid = (characterize_device(model, TECH, **sweep) if sweep
             else library.get(polarity).grid)
-    got = _packed(grid)
+    got = np.array(grid.table)
     expected, samples = _scalar_sweep_grid(model, TECH, **sweep)
     assert got.shape == expected.shape
     # vth and vdsat come from array twins of the scalar calls.
@@ -205,7 +223,7 @@ def test_coarse_sweep_reaches_every_saturation_branch():
     1-sample saturation branches as well as the batched >= 2 case."""
     _, samples = _scalar_sweep_grid(nmos_model(TECH), TECH, vds_step=1.0)
     grid = characterize_device(nmos_model(TECH), TECH, vds_step=1.0)
-    counts = [min(int(np.sum(vds_samples > fit.vdsat)), 2)
-              for row, fits in zip(samples, grid.fits)
-              for (vds_samples, _), fit in zip(row, fits)]
+    counts = [min(int(np.sum(vds_samples > point[6])), 2)
+              for row, points in zip(samples, grid.table)
+              for (vds_samples, _), point in zip(row, points)]
     assert all(counts.count(branch) > 0 for branch in (0, 1, 2))

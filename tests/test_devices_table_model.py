@@ -103,6 +103,72 @@ class TestDerivatives:
         assert rev == pytest.approx(-fwd, rel=1e-9, abs=2e-8)
 
 
+#: iv_query results recorded before the table became the model's only
+#: store: (polarity, w, v_gate, v_src, v_snk, ids, g_gate, g_src, g_snk).
+#: The points cover both polarities, both conduction directions, the
+#: origin blend (|vds| < 50 mV), grid lines and biases clipped to the
+#: grid.
+PINNED_QUERIES = [
+    # saturation, interior cell
+    ("n", 1e-06, 2.5, 2.0, 0.5,
+     0.0002545067082601959, 0.0003170890486985147,
+     1.4009543573955733e-05, -0.00039718307692731354),
+    # origin blend, forward
+    ("n", 1e-06, 1.2, 0.53, 0.5,
+     1.4797220156484747e-08, 1.4650085393364944e-07,
+     4.932406718828245e-07, -6.402780674403102e-07),
+    # origin blend, reversed
+    ("n", 2e-06, 3.0, 0.7, 0.72,
+     -3.310199578780575e-05, -2.7507008148082343e-05,
+     0.0016888064635252715, -0.0016550997893902861),
+    # source on a grid line
+    ("n", 1e-06, 2.0, 1.0, 0.3,
+     0.00017275412918572514, 0.00025337017953369135,
+     3.2206361476983616e-05, -0.00035950942530446525),
+    # clipped: gate above vdd, source below 0
+    ("n", 1e-06, 3.6, 3.5, -0.2,
+     0.0008912976566073364, 0.0004672537848301014,
+     4.3762569064190015e-05, -0.0006662768904443484),
+    # reversed, full swing
+    ("n", 3e-06, 1.7, 0.4, 2.9,
+     -0.00024015195176370742, -0.0006927628403829681,
+     0.0007961335599392613, -1.2529667048541249e-05),
+    # fully on
+    ("p", 2e-06, 0.0, 3.3, 0.0,
+     0.0010958133733696247, -0.0006971179136209988,
+     0.0009382660863557344, -8.239198296012248e-05),
+    # origin blend
+    ("p", 2e-06, 0.8, 2.6, 2.57,
+     1.021497499448439e-05, -1.0891572911959137e-05,
+     0.00035322318644705246, -0.0003404991664828102),
+    # reversed
+    ("p", 2e-06, 1.0, 0.5, 2.8,
+     -0.00019391886201105895, 0.00032900226336681653,
+     1.576576113911048e-05, -0.00040086255916610853),
+    # clipped: gate below 0, source above vdd
+    ("p", 2e-06, -0.2, 3.5, 1.65,
+     0.0009605831495119329, -0.000563802462996294,
+     0.0008653028456516919, -0.00017242204693954913),
+    # gate and source on grid lines
+    ("p", 2e-06, 1.3, 3.0, 1.0,
+     0.0001690455165221531, -0.00030507539137427373,
+     0.0004156064857610931, -1.4087126376846097e-05),
+    # near cut-off
+    ("p", 2e-06, 2.9, 2.0, 1.0,
+     5.944366564543557e-13, -6.151978888686314e-13,
+     8.974235437316879e-13, -5.403969604130513e-14),
+]
+
+
+@pytest.mark.parametrize("pol,w,vg,va,vb,ids,g_gate,g_src,g_snk",
+                         PINNED_QUERIES)
+def test_iv_query_pinned(library, pol, w, vg, va, vb, ids, g_gate, g_src,
+                         g_snk):
+    q = library.get(pol).iv_query(w, L, vg, va, vb)
+    assert (q.ids, q.g_gate, q.g_src, q.g_snk) == (ids, g_gate, g_src,
+                                                    g_snk)
+
+
 class TestThresholdAndCaps:
     def test_threshold_tracks_body_effect(self, ntab):
         low = ntab.threshold(TECH.vdd, 0.0, 0.0)

@@ -1,5 +1,6 @@
 """Flight view: ledger, debug bundles, deterministic replay, reports."""
 
+import json
 import math
 
 import numpy as np
@@ -246,15 +247,38 @@ class TestBundleSerialization:
         rebuilt = fb.tech_from_json(fb.tech_to_json(tech))
         assert rebuilt == tech
 
-    def test_grid_round_trip_rebuilds_derived_planes(self, library):
-        grid = library.get("n").grid
-        rebuilt = fb.grid_from_json(fb.grid_to_json(grid))
+    def test_grid_round_trip_rebuilds_derived_planes(self, tech, library):
+        model = library.get("n")
+        grid = model.grid
+        entry = fb.grid_to_json(grid)
+        # The bundle layout: fits[i][j] is the seven floats
+        # (s1, s0, t2, t1, t0, vth, vdsat) of grid point (i, j), so a
+        # bundle written before the table became the model still loads.
+        assert len(entry["fits"]) == grid.vs_values.size
+        for i, row in enumerate(entry["fits"]):
+            assert len(row) == grid.vg_values.size
+            for j, point in enumerate(row):
+                assert type(point) is list and len(point) == 7
+                assert all(type(x) is float for x in point)
+                assert point == grid.table[i][j]
+        s1, s0, t2, t1, t0, vth, vdsat = entry["fits"][0][-1]
+        assert vth == pytest.approx(model.threshold(tech.vdd, 0.0, 0.0),
+                                    rel=1e-12)
+        assert vdsat == pytest.approx(model.vdsat(tech.vdd, 0.0, 0.0),
+                                      rel=1e-12)
+        assert 0.1 < vdsat < 3.0 < tech.vdd
+        assert model.iv(grid.w_ref, grid.l_ref, tech.vdd, 3.0, 0.0) \
+            == pytest.approx(s1 * 3.0 + s0, rel=1e-12)
+        assert model.iv(grid.w_ref, grid.l_ref, tech.vdd, vdsat / 2, 0.0) \
+            == pytest.approx(t2 * vdsat ** 2 / 4 + t1 * vdsat / 2 + t0,
+                             rel=1e-12)
+        rebuilt = fb.grid_from_json(json.loads(json.dumps(entry)))
         np.testing.assert_array_equal(rebuilt.vs_values, grid.vs_values)
         np.testing.assert_array_equal(rebuilt.vg_values, grid.vg_values)
-        np.testing.assert_array_equal(rebuilt.vth_plane, grid.vth_plane)
-        np.testing.assert_array_equal(rebuilt.vdsat_plane,
-                                      grid.vdsat_plane)
-        assert rebuilt.fits[0][0] == grid.fits[0][0]
+        assert rebuilt.table == grid.table
+        # The entry is a copy: editing it leaves the live table alone.
+        entry["fits"][0][0][0] = math.nan
+        assert grid.table[0][0][0] == rebuilt.table[0][0][0]
 
     def test_replay_library_serves_only_bundled_slices(self, tech,
                                                        library):

@@ -26,8 +26,7 @@ def test_characterized_library_is_clean(tech, library):
 
 def test_nonfinite_fit_parameter_is_an_error(library):
     table = copy.deepcopy(library.get("n"))
-    fit = table.grid.fits[0][0]
-    table.grid.fits[0][0] = dataclasses.replace(fit, t1=math.nan)
+    table.grid.table[0][0][3] = math.nan  # t1
     report = model_report(LintContext(tables=[table]))
     bad = [d for d in report if d.rule == "MOD001-nonfinite-table"]
     assert bad and bad[0].severity is Severity.ERROR
@@ -36,7 +35,7 @@ def test_nonfinite_fit_parameter_is_an_error(library):
 
 def test_nonfinite_vth_plane_is_an_error(library):
     table = copy.deepcopy(library.get("p"))
-    table.grid.vth_plane[0, 0] = np.inf
+    table.grid.table[0][0][5] = np.inf  # vth
     report = model_report(LintContext(tables=[table]))
     bad = [d for d in report if d.rule == "MOD001-nonfinite-table"]
     assert bad and "vth plane" in bad[0].message
@@ -44,11 +43,10 @@ def test_nonfinite_vth_plane_is_an_error(library):
 
 def test_nonmonotone_iv_slice_warns(library):
     table = copy.deepcopy(library.get("n"))
-    fit = table.grid.fits[0][-1]
+    point = table.grid.table[0][-1]
     # A strongly negative saturation slope makes the current fall with
     # vds across the whole slice.
-    table.grid.fits[0][-1] = dataclasses.replace(
-        fit, s1=-10.0 * abs(fit.s1) - 1.0)
+    point[0] = -10.0 * abs(point[0]) - 1.0  # s1
     report = model_report(LintContext(tables=[table]))
     bad = [d for d in report if d.rule == "MOD002-nonmonotone-iv"]
     assert bad and bad[0].severity is Severity.WARNING
@@ -68,9 +66,7 @@ def test_grid_coverage_warns_on_truncated_axis(library):
     grid = table.grid
     keep = grid.vs_values < 0.7 * grid.vdd
     grid.vs_values = grid.vs_values[keep]
-    grid.fits = [row for row, k in zip(grid.fits, keep) if k]
-    grid.vth_plane = grid.vth_plane[keep]
-    grid.vdsat_plane = grid.vdsat_plane[keep]
+    grid.table = [row for row, k in zip(grid.table, keep) if k]
     report = model_report(LintContext(tables=[table]))
     bad = [d for d in report if d.rule == "MOD004-grid-coverage"]
     assert bad and bad[0].location.element == "Vs"

@@ -9,6 +9,7 @@ expects.
 """
 
 import json
+import math
 import os
 import pickle
 
@@ -91,6 +92,20 @@ class TestFaultPlan:
         assert not plan._arm(1)
         assert plan.fired("newton_nonconverge") == 2
 
+    def test_nan_table_reaches_a_pickled_library(self, library):
+        # The chaos recipe: poison a copy of an already-queried library.
+        model = library.get("n")
+        args = (model.grid.w_ref, model.grid.l_ref, 2.5, 2.0, 0.5)
+        before = model.iv(*args)
+        clone = pickle.loads(pickle.dumps(library))
+        plan = FaultPlan((FaultSpec("nan_table", fraction=1.0),))
+        cells = model.grid.vs_values.size * model.grid.vg_values.size
+        assert faults.apply_table_faults(plan, clone) == cells
+        assert math.isnan(clone.get("n").iv(*args))
+        # Threshold and saturation columns stay finite.
+        assert math.isfinite(clone.get("n").threshold(2.5, 2.0, 0.5))
+        assert model.iv(*args) == before
+
     def test_installed_restores_previous(self):
         outer = faults.install(FaultPlan(seed=1))
         inner = FaultPlan(seed=2)
@@ -147,6 +162,18 @@ class TestScopes:
             # Not a marked worker process: must NOT crash.
             faults.worker_gate("s0")
 
+    def test_casualty_counts_worker_fault_up_to_count(self):
+        plan = FaultPlan((FaultSpec("worker_crash", stage="s0", count=1),
+                          FaultSpec("worker_hang", stage="s1")))
+        with faults.installed(plan):
+            faults.note_casualty("other", "worker_crash")  # another stage
+            faults.note_casualty("s0", "task_error")  # no worker fault
+            faults.note_casualty("s0", "worker_crash")
+            faults.note_casualty("s0", "worker_crash")  # count spent
+            faults.note_casualty("s1", "stage_timeout")
+        assert plan.fired("worker_crash") == 1
+        assert plan.fired("worker_hang") == 1
+
     def test_stage_timeout_needs_arc_scope(self):
         spec = FaultSpec("stage_timeout", timeout_seconds=0.0)
         with faults.installed(FaultPlan((spec,))):
@@ -179,12 +206,6 @@ class TestLadderUnits:
         assert p1.newton.abstol > base.newton.abstol
         assert p1.newton.max_iterations > base.newton.max_iterations
         assert p1.max_retries > base.max_retries
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            EscalationPolicy(qwm_retries=-1)
-        with pytest.raises(ValueError):
-            EscalationPolicy(stage_timeout=0.0)
 
 
 class TestLadderRungs:
@@ -496,6 +517,9 @@ class TestChaosMatrix:
             assert outcome.absorbed, (outcome.name, outcome.absorbed_by,
                                       outcome.error)
             assert outcome.redispatches >= 1
+            # The fault fires in a worker that never reports back; the
+            # parent counts it once (count=1) when it re-runs the stage.
+            assert outcome.faults_injected == 1
             # Serial re-dispatch is the same arithmetic: every single
             # arrival matches the baseline bit for bit.
             assert outcome.unaffected_identical
