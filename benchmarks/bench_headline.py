@@ -12,15 +12,10 @@ The run executes under full telemetry and dumps the metrics registry to
 ``benchmarks/results/BENCH_headline.json`` (QWM vs SPICE step/NR/device
 counters plus the headline gauges) — the artifact CI uploads per
 commit.  Set ``BENCH_SMOKE=1`` to run the NAND2 experiment only and
-skip the aggregate assertions (the CI smoke configuration).  Set
-``BENCH_PROFILE=1`` to additionally run under the phase profiler: the
-artifact and the history entry then carry a ``phases`` self-time
-section (the ``repro bench-diff`` attribution input) and a speedscope
-flame-graph artifact is written next to the metrics dump.  Set
-``BENCH_ACCURACY=1`` to embed the per-circuit error section into the
-artifact and append the errors to the accuracy history ledger
-(``benchmarks/results/ACCURACY_history.jsonl``, the ``repro
-accuracy-diff`` input).
+skip the aggregate assertions (the CI smoke configuration).  For a
+flame graph of the run, profile it from outside::
+
+    repro profile benchmarks/bench_headline.py --speedscope OUT.json
 """
 
 import os
@@ -30,8 +25,6 @@ import numpy as np
 import pytest
 
 from benchmarks.harness import (
-    append_accuracy_history,
-    append_history,
     compare_engines,
     evaluate_qwm,
     format_table,
@@ -39,7 +32,6 @@ from benchmarks.harness import (
     run_once,
     save_metrics,
     save_result,
-    save_speedscope,
     stack_inputs,
 )
 from repro.analysis import AccuracyReport
@@ -50,13 +42,10 @@ from repro.obs.frames import (
     configure_profile,
     disable_profile,
     ledger,
-    phase_self_seconds,
 )
 from repro.resilience.ladder import QUALITY_ORDER
 
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
-PROFILE = bool(os.environ.get("BENCH_PROFILE"))
-ACCURACY = bool(os.environ.get("BENCH_ACCURACY"))
 
 
 def _mix(tech):
@@ -89,12 +78,6 @@ def test_headline_aggregate(benchmark, tech, evaluator):
         return rows
 
     configure(ObsConfig(enabled=True))
-    # Profile when asked (BENCH_PROFILE=1) or when an outer harness
-    # (``repro profile benchmarks/bench_headline.py``) already enabled
-    # the profiler — never re-configure an externally-owned ledger.
-    own_profile = PROFILE and not ledger().profiling
-    if own_profile:
-        configure_profile(ProfileConfig(enabled=True))
     try:
         rows = run_once(benchmark, run_all)
         report = AccuracyReport.from_errors(
@@ -122,38 +105,9 @@ def test_headline_aggregate(benchmark, tech, evaluator):
             inc("resilience.budget.clamped_arcs", 0, level=level)
         inc("resilience.journal.write_errors", 0)
         inc("resilience.journal.replayed_waves", 0)
-        phases = (phase_self_seconds(ledger())
-                  if ledger().profiling else None)
-        # BENCH_ACCURACY=1: embed the per-circuit error section into
-        # the metrics artifact and feed the accuracy history ledger
-        # (the same errors the aggregate gauges summarize — the live
-        # QWM-vs-1ps-SPICE comparison, not a separate solve).
-        accuracy = None
-        if ACCURACY:
-            accuracy = {
-                "errors_pct": {r.name: r.error_percent for r in rows},
-                "mean_error_pct": report.average_error_percent,
-                "worst_error_pct": report.worst_error_percent,
-                "accuracy_percent": report.accuracy_percent,
-            }
-            append_accuracy_history("bench-headline", {
-                r.name: {"delay_error_pct": r.error_percent}
-                for r in rows})
-        save_metrics("BENCH_headline.json", phases=phases,
-                     accuracy=accuracy)
-        append_history("headline", {
-            "mean_speedup_1ps": mean_speedup,
-            "accuracy_percent": report.accuracy_percent,
-            "worst_error_percent": report.worst_error_percent,
-            "circuits": len(rows),
-            "qwm_total_seconds": float(sum(r.qwm_time for r in rows)),
-        }, phases=phases)
-        if ledger().profiling:
-            save_speedscope("BENCH_headline.speedscope.json")
+        save_metrics("BENCH_headline.json")
     finally:
         disable()
-        if own_profile:
-            disable_profile()
 
     table = format_table(
         "Headline: aggregate speedup and accuracy",

@@ -9,12 +9,9 @@ and also written under ``benchmarks/results/``.
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -33,17 +30,6 @@ from repro.spice import (
 T_SWITCH = 20e-12
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Append-only run ledger: one JSON line per benchmark run (git SHA,
-#: timestamp, headline metrics).  ``repro bench-diff`` compares the
-#: last two entries and flags >10 % regressions.
-HISTORY_FILE = os.path.join(RESULTS_DIR, "BENCH_history.jsonl")
-
-#: The accuracy analogue: per-case delay errors from the golden suite,
-#: shadow-SPICE audits and the ``BENCH_ACCURACY=1`` bench section.
-#: ``repro accuracy-diff`` compares the last two entries per run.
-ACCURACY_HISTORY_FILE = os.path.join(RESULTS_DIR,
-                                     "ACCURACY_history.jsonl")
 
 
 @dataclass
@@ -186,122 +172,15 @@ def save_result(filename: str, content: str) -> str:
     return path
 
 
-def save_metrics(filename: str,
-                 phases: Optional[Dict[str, float]] = None,
-                 accuracy: Optional[Dict] = None) -> str:
+def save_metrics(filename: str) -> str:
     """Dump the current metrics registry under benchmarks/results/.
 
     The CI bench job uploads these dumps (``BENCH_headline.json``) as
-    artifacts so the perf trajectory accumulates across commits.  When
-    the run profiled itself, ``phases`` (frame label -> exclusive
-    seconds, see :func:`repro.obs.frames.phase_self_seconds`) is
-    embedded as a top-level ``phases`` section so the artifact carries
-    the cost attribution alongside the counters; ``accuracy`` (the
-    ``BENCH_ACCURACY=1`` per-circuit error section) embeds the same
-    way.
+    artifacts.
     """
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, filename)
-    ledger().metrics.export_json(path)
-    if phases or accuracy:
-        with open(path) as handle:
-            document = json.load(handle)
-        if phases:
-            document["phases"] = {
-                name: float(value)
-                for name, value in sorted(phases.items())}
-        if accuracy:
-            document["accuracy"] = accuracy
-        with open(path, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return path
-
-
-def save_speedscope(filename: str) -> str:
-    """Write the current profile view as a speedscope artifact."""
-    from repro.obs.frames import export_speedscope
-
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, filename)
-    return export_speedscope(ledger(), path, name=filename)
-
-
-def _git_sha() -> str:
-    """HEAD commit of the repo this file lives in ("unknown" outside git)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10)
-        if proc.returncode == 0:
-            return proc.stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
-
-
-def append_history(run: str, metrics: Dict[str, float],
-                   path: Optional[str] = None,
-                   phases: Optional[Dict[str, float]] = None) -> str:
-    """Append one run entry to the benchmark history ledger.
-
-    Args:
-        run: benchmark name (``"headline"``).
-        metrics: headline metric name -> value for this run.
-        path: history file override (default :data:`HISTORY_FILE`).
-        phases: optional phase self-time section (frame label ->
-            exclusive seconds); ``repro bench-diff`` uses consecutive
-            profiled entries to attribute a regression to the phase
-            whose self time grew the most.
-
-    Returns:
-        The history file path.
-    """
-    path = path or HISTORY_FILE
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    entry = {
-        "run": run,
-        "git_sha": _git_sha(),
-        "timestamp_unix": time.time(),
-        "smoke": bool(os.environ.get("BENCH_SMOKE")),
-        "metrics": {name: float(value)
-                    for name, value in sorted(metrics.items())},
-    }
-    if phases:
-        entry["phases"] = {name: float(value)
-                           for name, value in sorted(phases.items())}
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
-def append_accuracy_history(run: str, cases: Dict[str, Dict],
-                            path: Optional[str] = None) -> str:
-    """Append one entry to the accuracy history ledger.
-
-    Thin wrapper over :func:`repro.obs.accuracy.history_entry` /
-    ``append_history_entry`` that fills in the git SHA and the default
-    ledger path, mirroring :func:`append_history` for the bench side.
-    """
-    from repro.obs.accuracy import append_history_entry, history_entry
-
-    entry = history_entry(run, cases, git_sha=_git_sha())
-    return append_history_entry(entry, path or ACCURACY_HISTORY_FILE)
-
-
-def load_history(path: Optional[str] = None) -> List[Dict]:
-    """All entries of the benchmark history ledger (oldest first)."""
-    path = path or HISTORY_FILE
-    if not os.path.exists(path):
-        return []
-    entries = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+    return ledger().metrics.export_json(path)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

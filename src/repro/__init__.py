@@ -22,9 +22,9 @@ including every substrate the paper depends on:
   model, solver-preflight and interconnect checks with structured
   diagnostics (also the ``repro lint`` CLI subcommand).
 * :mod:`repro.obs` — observability: one frame ledger whose views are
-  hierarchical tracing, the phase profile and a metrics registry keyed
-  to the paper's cost model, plus pluggable sinks (also the ``repro
-  stats`` CLI subcommand).
+  hierarchical tracing, the phase profile, a metrics registry keyed
+  to the paper's cost model and the solver flight recorder (also the
+  ``repro stats`` CLI subcommand).
 
 Quickstart::
 

@@ -273,20 +273,6 @@ class AuditReport:
                 "records": list(self.records),
                 "summary": self.summary()}
 
-    def history_cases(self) -> Dict[str, Dict[str, Any]]:
-        """Records keyed for the accuracy-history ledger."""
-        cases = {}
-        for record in self.records:
-            name = "/".join(record["arc"][:4])
-            cases[name] = {
-                "delay_error_pct": record["delay_error_pct"],
-                "slew_error_pct": record["slew_error_pct"],
-                "margin_to_band_pct": record["margin_to_band_pct"],
-                "attribution": record["attribution"].get("dominant"),
-                "status": record["status"],
-            }
-        return cases
-
     def render(self) -> str:
         """Human-readable audit table."""
         lines = [f"{'arc':<40}{'qwm':>10}{'spice':>10}{'err%':>8}"

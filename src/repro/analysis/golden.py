@@ -11,7 +11,11 @@ under ``tests/golden/`` and regenerated with ``repro golden --update``;
 the regression test (``tests/test_golden_differential.py``) re-runs
 only the cheap QWM side and checks it against the stored SPICE
 reference, so drift in either the solver or the device models shows up
-as a failing diff without paying for SPICE on every CI run.
+as a failing diff without paying for SPICE on every CI run.  The
+stored QWM numbers are the committed accuracy baseline: the report
+marks a case whose fresh delay error grew by more than
+:data:`DRIFT_PP` over its record's, and names the solver phase the
+worst one is attributed to.
 
 Both engines use DC initial conditions (``precharge="dc"``) and measure
 delay from the input's 50% crossing (``T_SWITCH + slew/2``), so the
@@ -47,6 +51,10 @@ DELAY_TOLERANCE_PCT = 10.0
 #: Output-slew band is looser: 10/90 transition times amplify tail
 #: shape differences that barely move the 50 % crossing.
 SLEW_TOLERANCE_PCT = 35.0
+#: Delay-error growth over the committed record [percentage points]
+#: that marks a case ``DRIFT``.  The golden errors are small (1-9 %),
+#: so one point of growth matters; shrinking error never marks.
+DRIFT_PP = 1.0
 
 GOLDEN_VERSION = 1
 
@@ -322,7 +330,8 @@ class GoldenDiff:
     ``attribution`` is the accuracy observatory's error-budget roll-up
     of the fresh QWM solve (dominant ``phase:tag`` cell by summed
     residual norm) — populated by :func:`check`, None when the record
-    was not re-measured through it.
+    was not re-measured through it.  :attr:`ok` is the band verdict
+    alone; :attr:`drift_pp` is reported, never gated on.
     """
 
     record: GoldenRecord
@@ -347,6 +356,16 @@ class GoldenDiff:
     def margin_to_band_pct(self) -> float:
         """Headroom to the delay band (negative = outside the band)."""
         return DELAY_TOLERANCE_PCT - self.delay_error_pct
+
+    @property
+    def drift_pp(self) -> float:
+        """Fresh delay error minus the committed record's [pp]."""
+        return self.delay_error_pct - self.record.delay_error_pct
+
+    @property
+    def drifted(self) -> bool:
+        """The error grew by more than :data:`DRIFT_PP`."""
+        return self.drift_pp > DRIFT_PP
 
     @property
     def ok(self) -> bool:
@@ -407,44 +426,46 @@ def _capture_violation(diff: GoldenDiff, tech: Technology,
             pass
 
 
-def history_cases(diffs: Sequence[GoldenDiff]
-                  ) -> Dict[str, Dict]:
-    """Diffs keyed for the accuracy-history ledger.
-
-    The shape :func:`repro.obs.accuracy.history_entry` consumes — one
-    section per case with error, band margin and the dominant
-    attribution cell.
-    """
-    cases: Dict[str, Dict] = {}
-    for diff in diffs:
-        attribution = diff.attribution or {}
-        cases[diff.record.case.name] = {
-            "delay_error_pct": diff.delay_error_pct,
-            "slew_error_pct": diff.slew_error_pct,
-            "margin_to_band_pct": diff.margin_to_band_pct,
-            "attribution": attribution.get("dominant"),
-            "status": "ok" if diff.ok else "band-violation",
-        }
-    return cases
-
-
 def format_report(diffs: Sequence[GoldenDiff]) -> str:
-    """Human-readable pass/fail table over the grid."""
-    lines = [f"{'case':<28}{'spice':>10}{'qwm':>10}{'err%':>8}  status",
-             "-" * 64]
+    """Human-readable pass/fail table over the grid, with drift.
+
+    Each row shows the fresh error's drift from the committed record
+    and ``DRIFT`` where it grew by more than :data:`DRIFT_PP`; the last
+    line names the worst-drifting case and its dominant ``phase:tag``.
+    """
+    lines = [f"{'case':<28}{'spice':>10}{'qwm':>10}{'err%':>8}"
+             f"{'drift':>10}  status",
+             "-" * 74]
     worst = 0.0
     for diff in diffs:
         err = diff.delay_error_pct
         worst = max(worst, err)
         status = "ok" if diff.ok else "FAIL"
+        if diff.drifted:
+            status += "  DRIFT"
+        # round(..) + 0.0 turns a -0.00 residue into +0.00.
+        drift = round(diff.drift_pp, 2) + 0.0
         lines.append(
             f"{diff.record.case.name:<28}"
             f"{diff.record.spice_delay * 1e12:>8.2f}ps"
             f"{diff.fresh_delay * 1e12:>8.2f}ps"
-            f"{err:>7.2f}%  {status}")
+            f"{err:>7.2f}%"
+            f"{drift:>+8.2f}pp  {status}")
     failed = sum(1 for d in diffs if not d.ok)
-    lines.append("-" * 64)
+    lines.append("-" * 74)
     lines.append(f"{len(diffs)} cases, worst delay error "
                  f"{worst:.2f}% (band {DELAY_TOLERANCE_PCT:.1f}%), "
                  f"{failed} failing")
+    drifted = [d for d in diffs if d.drifted]
+    if not drifted:
+        lines.append(f"no case drifted more than {DRIFT_PP:+.1f}pp "
+                     f"from its committed record")
+    else:
+        worst_drift = max(drifted, key=lambda d: d.drift_pp)
+        dominant = (worst_drift.attribution or {}).get("dominant")
+        lines.append(f"{len(drifted)} case(s) drifted more than "
+                     f"{DRIFT_PP:+.1f}pp; worst: "
+                     f"{worst_drift.record.case.name} "
+                     f"({worst_drift.drift_pp:+.2f}pp, attributed to "
+                     f"{dominant or 'unknown'})")
     return "\n".join(lines)

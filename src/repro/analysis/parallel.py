@@ -585,11 +585,10 @@ def _process_worker_init(tech, library, options, propagate_slews,
     # events append under solve ids renumbered into the parent's.
     # Flight bundles land in the shared bundle_dir either way.
     install_worker_state(obs_state)
-    # Fault plans follow the work into the pool so worker-scoped
-    # faults (crash/hang) and solver faults fire where the chaos
-    # harness aimed them; the worker marks itself so crash faults can
-    # never fire in the parent re-dispatch path.
-    faults.mark_worker_process()
+    # Fault plans follow the work into the pool so the solver faults
+    # (Newton, stage timeout) fire where the chaos harness aimed them;
+    # crash/hang faults are armed by the parent and arrive with the
+    # task (faults.worker_fault).
     if fault_plan is not None:
         faults.install(fault_plan)
 
@@ -598,10 +597,13 @@ def _process_stage_task(stage: LogicStage,
                         snapshot: Dict[Event, ArrivalTime],
                         form: Optional[CanonicalForm],
                         shipped: Optional[Dict[CacheKey, CachedArc]],
-                        clamp: Optional[str] = None):
+                        clamp: Optional[str] = None,
+                        fault: Optional[faults.FaultSpec] = None):
     """Worker-process task: :func:`_evaluate_stage` on shipped entries.
 
-    The shipped entries fill a worker-local cache.  Returns (arrivals,
+    ``fault`` is the crash/hang fault the parent armed for this
+    submission, obeyed before anything is evaluated.  The shipped
+    entries fill a worker-local cache.  Returns (arrivals,
     stats, new cache entries, cache hits, cache misses, obs delta,
     elapsed seconds); the parent merges the new entries into the shared
     cache so later dispatches of equal configurations hit, folds the
@@ -613,7 +615,7 @@ def _process_stage_task(stage: LogicStage,
     """
     analyzer = _WORKER_ANALYZER
     assert analyzer is not None, "worker pool initializer did not run"
-    faults.worker_gate(stage.name)
+    faults.obey_worker_fault(fault)
     cache = None
     if shipped is not None:
         cache = StageResultCache()
@@ -971,7 +973,6 @@ class ParallelStaEngine:
         def run_in_parent(stage: LogicStage, reason: str) -> None:
             """Re-run a pool casualty: same arc math, main process."""
             inc("sta.parallel.redispatch", reason=reason)
-            faults.note_casualty(stage.name, reason)
             led = ledger()
             if led.recording:
                 led.record("escalation", from_rung="worker",
@@ -1004,7 +1005,8 @@ class ParallelStaEngine:
                        if self.cache is not None
                        and form is not None else None)
             future = executor.submit(_process_stage_task, stage,
-                                     snapshot, form, shipped, clamp)
+                                     snapshot, form, shipped, clamp,
+                                     faults.worker_fault(stage.name))
             futures[future] = stage
             submitted_at[future] = time.monotonic()
 
@@ -1025,9 +1027,11 @@ class ParallelStaEngine:
             in the main process (a deterministic crasher must not kill
             the replacement pool too); the other in-flight stages lost
             nothing but their dispatch, so they resubmit to a fresh
-            pool instead of serializing the whole wave.  A survivor
-            that *is* the crasher simply surfaces as the next broken
-            future and becomes the next first casualty.
+            pool instead of serializing the whole wave.  Each
+            resubmission asks the fault plan afresh, so a crasher whose
+            ``count`` is spent runs cleanly; one that crashes again
+            surfaces as the next broken future and becomes the next
+            first casualty.
             """
             nonlocal executor
             survivors = [stage for stage in futures.values()

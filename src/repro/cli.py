@@ -19,8 +19,7 @@ Commands
     :mod:`repro.resilience.ladder`).  ``--audit N`` shadow-SPICE
     audits N deterministically sampled arcs of the run and prints the
     per-arc error distribution with phase attribution
-    (:mod:`repro.analysis.audit`); ``--history`` appends the errors
-    to the accuracy ledger.
+    (:mod:`repro.analysis.audit`).
 
 ``simulate DECK.sp --input a=step:0:3.3:20p --node out``
     Transient-simulate a single-stage deck with the reference engine
@@ -46,7 +45,11 @@ Commands
 ``golden [--update]``
     Differential QWM-vs-SPICE suite: re-measure every stored golden
     case with QWM and compare against the stored reference-simulator
-    numbers (exit 1 outside the tolerance bands).  ``--update``
+    numbers (exit 1 outside the tolerance bands).  Each case also
+    reports its drift against the committed record's delay error; a
+    case whose error grew by more than 1 pp is marked ``DRIFT`` and
+    the report names the worst one with its attributed solver phase
+    (report-only: drift does not change the exit code).  ``--update``
     re-runs *both* engines over the slew x load grid and rewrites
     ``tests/golden/*.json``.  ``--flight-bundles DIR`` records the run
     with the flight view on and writes a self-contained debug bundle
@@ -75,22 +78,6 @@ Commands
     is not absorbed).  ``--scenario NAME`` narrows the matrix
     (repeatable, see ``--list``); ``--json`` emits the
     machine-readable report.
-
-``bench-diff``
-    Compare the last two entries of the benchmark history ledger
-    (``benchmarks/results/BENCH_history.jsonl``, appended by the bench
-    suite) and flag metrics that regressed by more than 10 % (exit 1;
-    CI runs this report-only).
-
-``accuracy-diff``
-    The accuracy analogue: compare the last two entries of the
-    accuracy history ledger (``benchmarks/results/
-    ACCURACY_history.jsonl``, appended by ``golden --history``,
-    ``sta --audit N --history`` and the ``BENCH_ACCURACY=1`` bench
-    section) and flag cases whose delay error *grew* by more than
-    1 pp or newly left the tolerance band (direction-aware: shrinking
-    error never flags).  Names the worst-drifting case and its
-    attributed solver phase; exit 1 on drift.
 
 ``stats [DECK.sp]``
     Evaluate one transition with QWM under full telemetry and print a
@@ -169,23 +156,6 @@ from repro.spice import (
 )
 
 
-#: Default accuracy-history ledger, next to the bench ledger.
-ACCURACY_HISTORY_PATH = os.path.join("benchmarks", "results",
-                                     "ACCURACY_history.jsonl")
-
-
-def _git_sha() -> str:
-    """HEAD commit for ledger entries (``unknown`` outside a repo)."""
-    import subprocess
-
-    try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"],
-                             capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
-
-
 def parse_source_spec(spec: str) -> (str, Source):
     """Parse ``name=kind:args`` into an input name and a Source."""
     if "=" not in spec:
@@ -208,17 +178,12 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     from repro.analysis.parallel import ExecutionConfig, StageResultCache
 
     tech = CMOSP35
+    text = None
     if args.deck:
         with open(args.deck) as handle:
             text = handle.read()
-        deck_name = args.deck
-    else:
-        text = None
-        deck_name = f"decoder{args.bits} (built-in)"
     required = parse_value(args.required) if args.required else None
     audit = args.audit or 0
-    if args.history and not audit:
-        raise ValueError("--history needs --audit")
 
     # Built on every call, so its checks (a flag without its partner,
     # --workers 0) reject the command line before any analysis runs.
@@ -267,19 +232,6 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     if audit_report is not None:
         print()
         print(audit_report.render())
-        if args.history:
-            from repro.obs.accuracy import (append_history_entry,
-                                            history_entry)
-
-            entry = history_entry(
-                "sta-audit", audit_report.history_cases(),
-                git_sha=_git_sha(),
-                extra={"design": deck_name,
-                       "seed": args.audit_seed})
-            path = append_history_entry(
-                entry, args.history_file or ACCURACY_HISTORY_PATH)
-            print(f"appended audit entry to {path}", file=sys.stderr)
-
     if args.corners:
         delays = {}
         for name, corner_tech in all_corners(tech).items():
@@ -509,14 +461,15 @@ def _counter_total(registry, name: str, **labels) -> float:
 
 
 def _evaluate_single_arc(args: argparse.Namespace,
-                         library: Optional[TableModelLibrary] = None):
+                         library: TableModelLibrary):
     """Solve the one transition ``stats``/``profile`` target describes.
 
-    ``library`` reuses already-characterized tables (``profile
-    --repeat`` passes one library to every repeat); by default a fresh
-    one is built at ``--grid-step``.
+    ``library`` holds the characterized tables (``profile --repeat``
+    passes one library to every repeat, ``stats --audit`` audits on
+    the one it evaluated with).
 
-    Returns ``(solution, circuit_name, output, switching_input)``.
+    Returns ``(solution, stage, circuit_name, output,
+    switching_input)``.
     """
     from repro.core import WaveformEvaluator
 
@@ -542,28 +495,22 @@ def _evaluate_single_arc(args: argparse.Namespace,
     for name in inputs_avail:
         sources.setdefault(name, ConstantSource(held))
 
-    if library is None:
-        library = TableModelLibrary(tech,
-                                    grid_step=parse_value(args.grid_step))
     evaluator = WaveformEvaluator(tech, library=library)
     solution = evaluator.evaluate(stage, output=output,
                                   direction=args.direction,
                                   inputs=sources)
-    return solution, circuit_name, output, switching
+    return solution, stage, circuit_name, output, switching
 
 
-def _stats_audit_record(args: argparse.Namespace, output: str,
+def _stats_audit_record(args: argparse.Namespace, stage,
+                        library: TableModelLibrary, output: str,
                         switching: str) -> Dict:
     """Shadow-SPICE audit of the single arc ``stats`` evaluated."""
     from repro.analysis import StaticTimingAnalyzer
     from repro.analysis.audit import ArcSample, audit_arc
     from repro.analysis.parallel import canonical_form_for
 
-    tech = CMOSP35
-    stage, _ = _stats_stage(args, tech)
-    library = TableModelLibrary(tech,
-                                grid_step=parse_value(args.grid_step))
-    analyzer = StaticTimingAnalyzer(tech, library=library)
+    analyzer = StaticTimingAnalyzer(CMOSP35, library=library)
     sample = ArcSample(
         stage=stage.name, output=output, direction=args.direction,
         switching_input=switching, input_slew=None,
@@ -574,9 +521,12 @@ def _stats_audit_record(args: argparse.Namespace, output: str,
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.resilience.ladder import QUALITY_ORDER
 
-    solution, circuit_name, output, switching = \
-        _evaluate_single_arc(args)
-    audit_record = (_stats_audit_record(args, output, switching)
+    library = TableModelLibrary(CMOSP35,
+                                grid_step=parse_value(args.grid_step))
+    solution, stage, circuit_name, output, switching = \
+        _evaluate_single_arc(args, library)
+    audit_record = (_stats_audit_record(args, stage, library, output,
+                                        switching)
                     if args.audit else None)
     registry = ledger().metrics
     stats = solution.stats
@@ -705,7 +655,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         library = TableModelLibrary(CMOSP35,
                                     grid_step=parse_value(args.grid_step))
         for _ in range(max(1, args.repeat)):
-            _, workload, _, _ = _evaluate_single_arc(args, library)
+            _, _, workload, _, _ = _evaluate_single_arc(args, library)
 
     document = prof.profile_json()
     summary = summarize_profile(document)
@@ -771,15 +721,6 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     else:
         diffs = golden.check(records, tech)
     print(golden.format_report(diffs))
-    if args.history:
-        from repro.obs.accuracy import (append_history_entry,
-                                        history_entry)
-
-        entry = history_entry("golden", golden.history_cases(diffs),
-                              git_sha=_git_sha())
-        path = append_history_entry(
-            entry, args.history_file or ACCURACY_HISTORY_PATH)
-        print(f"appended golden entry to {path}", file=sys.stderr)
     return 0 if all(d.ok for d in diffs) else 1
 
 
@@ -878,171 +819,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.absorbed_all else 1
 
 
-#: Relative change beyond which ``bench-diff`` flags a regression.
-BENCH_DIFF_THRESHOLD_PCT = 10.0
-
-#: Metric-name fragments where smaller values are better.
-_LOWER_IS_BETTER = ("error", "seconds", "time", "failures")
-
-
-def _bench_regressions(prev: Dict, last: Dict,
-                       threshold_pct: float) -> List[Dict]:
-    """Metrics of ``last`` that regressed vs ``prev`` beyond the band."""
-    regressions = []
-    prev_metrics = prev.get("metrics", {})
-    for name, current in last.get("metrics", {}).items():
-        baseline = prev_metrics.get(name)
-        if baseline is None or baseline == 0:
-            continue
-        change_pct = 100.0 * (current - baseline) / abs(baseline)
-        lower_better = any(frag in name for frag in _LOWER_IS_BETTER)
-        worse = change_pct > threshold_pct if lower_better \
-            else change_pct < -threshold_pct
-        regressions.append({
-            "metric": name, "baseline": baseline, "current": current,
-            "change_pct": change_pct, "regression": worse,
-        })
-    return regressions
-
-
-def _phase_attribution(prev: Dict, last: Dict) -> Optional[Dict]:
-    """The phase whose self time grew the most between two entries.
-
-    Both history entries must carry a ``phases`` section (frame label
-    -> exclusive seconds, written by the bench suite when profiling is
-    on); returns None when either lacks one or nothing grew.
-    """
-    prev_phases = prev.get("phases") or {}
-    last_phases = last.get("phases") or {}
-    if not prev_phases or not last_phases:
-        return None
-    best = None
-    for frame in sorted(last_phases):
-        delta = last_phases[frame] - prev_phases.get(frame, 0.0)
-        if best is None or delta > best[1]:
-            best = (frame, delta)
-    if best is None or best[1] <= 0.0:
-        return None
-    frame, delta = best
-    baseline = prev_phases.get(frame, 0.0)
-    change_pct = (100.0 * delta / baseline) if baseline > 0 else None
-    return {"phase": frame, "delta_seconds": delta,
-            "change_pct": change_pct}
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    history = args.history or os.path.join(
-        "benchmarks", "results", "BENCH_history.jsonl")
-    if not os.path.exists(history):
-        print(f"bench-diff: no history at {history} (run the benchmark "
-              f"suite first)", file=sys.stderr)
-        return 0
-    entries = []
-    with open(history) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    if args.run:
-        entries = [e for e in entries if e.get("run") == args.run]
-    if len(entries) < 2:
-        print(f"bench-diff: {len(entries)} history entr"
-              f"{'y' if len(entries) == 1 else 'ies'} in {history}; "
-              "need two to compare")
-        return 0
-    prev, last = entries[-2], entries[-1]
-    if prev.get("smoke") != last.get("smoke"):
-        print("bench-diff: note: comparing a smoke run against a full "
-              "run — absolute numbers are not comparable",
-              file=sys.stderr)
-    rows = _bench_regressions(prev, last, args.threshold)
-    attribution = _phase_attribution(prev, last)
-    print(f"bench-diff: {prev.get('git_sha', '?')[:12]} -> "
-          f"{last.get('git_sha', '?')[:12]} "
-          f"(run={last.get('run', '?')}, band ±{args.threshold:.0f}%)")
-    time_like = ("seconds", "time")
-    for row in rows:
-        marker = "REGRESSION" if row["regression"] else "ok"
-        print(f"  {row['metric']:<28} {row['baseline']:>12.4g} -> "
-              f"{row['current']:>12.4g}  {row['change_pct']:>+8.2f}%  "
-              f"{marker}")
-        if (row["regression"] and attribution is not None
-                and any(frag in row["metric"] for frag in time_like)):
-            pct = attribution["change_pct"]
-            growth = (f"+{pct:.0f}% self-time" if pct is not None
-                      else f"+{attribution['delta_seconds'] * 1e3:.1f}ms "
-                           "self-time (new phase)")
-            print(f"      regression attributed to: "
-                  f"{attribution['phase']}, {growth}")
-    if attribution is not None:
-        pct = attribution["change_pct"]
-        growth = (f"+{pct:.0f}%" if pct is not None else "new")
-        print(f"  phase attribution: largest self-time growth in "
-              f"{attribution['phase']} ({growth})")
-    flagged = [r for r in rows if r["regression"]]
-    if flagged:
-        print(f"{len(flagged)} metric(s) regressed beyond "
-              f"{args.threshold:.0f}%")
-        return 1
-    print("no regressions beyond the band")
-    return 0
-
-
-#: Delay-error growth (percentage points) beyond which accuracy-diff
-#: flags a case.  Tighter than bench-diff's 10 % relative band because
-#: the golden errors are small (1-8 %) and drift of one point matters.
-ACCURACY_DIFF_THRESHOLD_PP = 1.0
-
-
-def _cmd_accuracy_diff(args: argparse.Namespace) -> int:
-    from repro.obs.accuracy import (accuracy_regressions,
-                                    load_history_entries,
-                                    worst_regression)
-
-    history = args.history or ACCURACY_HISTORY_PATH
-    entries = load_history_entries(history)
-    if not entries:
-        print(f"accuracy-diff: no history at {history} (run "
-              f"`repro golden --history` or `repro sta --audit N "
-              f"--history` first)", file=sys.stderr)
-        return 0
-    # Entries from different sources (golden suite, audits, bench)
-    # measure different cases; compare within the latest entry's run
-    # unless --run narrows it explicitly.
-    run = args.run or entries[-1].get("run")
-    entries = [e for e in entries if e.get("run") == run]
-    if len(entries) < 2:
-        print(f"accuracy-diff: {len(entries)} history entr"
-              f"{'y' if len(entries) == 1 else 'ies'} for run "
-              f"{run!r} in {history}; need two to compare")
-        return 0
-    prev, last = entries[-2], entries[-1]
-    rows = accuracy_regressions(prev, last, args.threshold)
-    print(f"accuracy-diff: {prev.get('git_sha', '?')[:12]} -> "
-          f"{last.get('git_sha', '?')[:12]} "
-          f"(run={run}, band +{args.threshold:.1f}pp)")
-    for row in rows:
-        marker = "DRIFT" if row["regression"] else "ok"
-        attribution = row["attribution"] or "-"
-        print(f"  {row['case']:<40} "
-              f"{row['baseline_error_pct']:>7.2f}% -> "
-              f"{row['current_error_pct']:>7.2f}%  "
-              f"{row['drift_pp']:>+7.2f}pp  {marker:<6} {attribution}"
-              + ("  [left band]" if row["left_band"] else ""))
-    if not rows:
-        print("  (no cases shared between the two entries)")
-    flagged = [r for r in rows if r["regression"]]
-    if flagged:
-        worst = worst_regression(rows)
-        print(f"{len(flagged)} case(s) drifted beyond "
-              f"{args.threshold:.1f}pp; worst: {worst['case']} "
-              f"({worst['drift_pp']:+.2f}pp, attributed to "
-              f"{worst['attribution'] or 'unknown'})")
-        return 1
-    print("no accuracy drift beyond the band")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1131,12 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     sta.add_argument("--audit-band", type=float, default=10.0,
                      help="audit acceptance band in percent (audit "
                           "arcs outside it count as violations)")
-    sta.add_argument("--history", action="store_true",
-                     help="append the audit errors to the accuracy "
-                          "history ledger (needs --audit)")
-    sta.add_argument("--history-file", metavar="PATH", default=None,
-                     help="accuracy ledger path (default: benchmarks/"
-                          "results/ACCURACY_history.jsonl)")
     sta.set_defaults(func=_cmd_sta)
 
     sim = sub.add_parser("simulate",
@@ -1274,12 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="record the run with the flight recorder "
                            "and write a debug bundle per band "
                            "violation under DIR")
-    gold.add_argument("--history", action="store_true",
-                      help="append this run's per-case errors to the "
-                           "accuracy history ledger")
-    gold.add_argument("--history-file", metavar="PATH", default=None,
-                      help="accuracy ledger path (default: benchmarks/"
-                           "results/ACCURACY_history.jsonl)")
     gold.set_defaults(func=_cmd_golden)
 
     replay = sub.add_parser("replay",
@@ -1327,34 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the machine-readable report")
     chaos.set_defaults(func=_cmd_chaos)
 
-    bdiff = sub.add_parser("bench-diff",
-                           help="flag regressions between the last two "
-                                "benchmark history entries")
-    bdiff.add_argument("--history", default=None,
-                       help="history file (default: benchmarks/results/"
-                            "BENCH_history.jsonl)")
-    bdiff.add_argument("--run", default=None,
-                       help="only compare entries of this run name")
-    bdiff.add_argument("--threshold", type=float,
-                       default=BENCH_DIFF_THRESHOLD_PCT,
-                       help="regression band in percent")
-    bdiff.set_defaults(func=_cmd_bench_diff)
-
-    adiff = sub.add_parser("accuracy-diff",
-                           help="flag accuracy drift between the last "
-                                "two accuracy history entries")
-    adiff.add_argument("--history", default=None,
-                       help="history file (default: benchmarks/results/"
-                            "ACCURACY_history.jsonl)")
-    adiff.add_argument("--run", default=None,
-                       help="compare entries of this run name "
-                            "(default: the latest entry's run)")
-    adiff.add_argument("--threshold", type=float,
-                       default=ACCURACY_DIFF_THRESHOLD_PP,
-                       help="drift band in percentage points of delay "
-                            "error (one-sided: shrinking error never "
-                            "flags)")
-    adiff.set_defaults(func=_cmd_accuracy_diff)
     return parser
 
 

@@ -15,8 +15,7 @@ A frame (:mod:`repro.obs.frames`) feeds the trace view and the profile
 view and carries the arc context the flight view and the fault gates
 read; the metric helpers feed the ledger's metrics registry and the
 solver's ``record`` calls its flight events (:mod:`repro.obs.flight`).
-:func:`configure` switches the trace view (with its live span sink)
-and the metrics view.
+:func:`configure` switches the trace view and the metrics view.
 
 By default every view is *disabled* and every helper degrades to a
 single attribute check (plus a shared no-op frame), so instrumented hot
@@ -31,12 +30,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.obs.accuracy import (accuracy_regressions,
-                                append_history_entry, attribute_regions,
-                                capture_regions, history_entry,
-                                load_history_entries, note_region,
-                                worst_regression)
-from repro.obs.config import ObsConfig, SINK_KINDS
+from repro.obs.accuracy import (attribute_regions, capture_regions,
+                                note_region)
+from repro.obs.config import ObsConfig
 from repro.obs.flight import (FlightConfig, LedgerEvent, render_report,
                               summarize_ledger)
 from repro.obs.frames import (NOOP_FRAME, Frame, FrameLedger,
@@ -44,29 +40,23 @@ from repro.obs.frames import (NOOP_FRAME, Frame, FrameLedger,
                               configure_profile, count, disable_flight,
                               disable_profile, export_speedscope,
                               format_span_tree, frame, fresh_ledger, inc,
-                              interval, ledger, observe,
-                              phase_self_seconds, render_profile,
+                              interval, ledger, observe, render_profile,
                               set_gauge, summarize_profile, to_collapsed,
                               to_speedscope)
 from repro.obs.metrics import (CATALOG, Counter, Gauge, Histogram,
                                MetricsRegistry)
-from repro.obs.sinks import (JsonlSink, NullSink, Sink, StderrSink,
-                             make_sink)
 
 __all__ = [
-    "ObsConfig", "SINK_KINDS", "configure", "disable", "frame",
+    "ObsConfig", "configure", "disable", "frame",
     "interval", "count", "inc", "observe", "set_gauge", "CATALOG",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Sink",
-    "NullSink", "StderrSink", "JsonlSink", "make_sink", "Frame",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "Frame",
     "FrameLedger", "ledger", "NOOP_FRAME", "format_span_tree",
     "FlightConfig", "LedgerEvent", "configure_flight", "disable_flight",
     "summarize_ledger", "render_report",
     "ProfileConfig", "configure_profile", "disable_profile",
     "to_collapsed", "to_speedscope", "export_speedscope",
-    "summarize_profile", "render_profile", "phase_self_seconds",
+    "summarize_profile", "render_profile",
     "capture_regions", "note_region", "attribute_regions",
-    "history_entry", "append_history_entry", "load_history_entries",
-    "accuracy_regressions", "worst_regression",
     "worker_state", "install_worker_state", "drain_delta",
     "merge_delta",
 ]
@@ -75,14 +65,14 @@ __all__ = [
 def configure(config: ObsConfig) -> FrameLedger:
     """Switch the trace and metrics views per ``config``; the ledger.
 
-    The trace view restarts empty with a fresh live sink (the previous
-    one is closed) and the metrics view with an empty registry, both
-    on when ``config.enabled``; the profile view is untouched.
+    The trace view restarts with an empty span buffer and the metrics
+    view with an empty registry, both on when ``config.enabled``; the
+    profile view is untouched.
     Instrumented code reads the ledger through the module-level helpers
     at each call, so the switch takes effect immediately everywhere.
     """
     led = ledger()
-    led.set_trace(config.enabled, make_sink(config))
+    led.set_trace(config.enabled)
     led.set_metrics(config.enabled)
     return led
 

@@ -1,13 +1,14 @@
-"""Accuracy observatory: error ledgers and residual attribution.
+"""Accuracy observatory: residual attribution for error measurements.
 
 The repo's other observability legs watch *time* (the frame profile),
 *events* (the flight recorder) and *counts* (metrics); this module
 watches *error* — the quantity the paper's headline claim ("average
 accuracy of 99%") is actually about.  The shadow-SPICE auditor
-(:mod:`repro.analysis.audit`) builds on its two pieces:
+(:mod:`repro.analysis.audit`) and the golden suite
+(:mod:`repro.analysis.golden`) build on its two pieces:
 
-* **Region capture** — a thread-local recorder the auditor arms around
-  a QWM re-solve.  :meth:`repro.core.qwm.QWMSolver._solve_region`
+* **Region capture** — a thread-local recorder armed around a QWM
+  solve.  :meth:`repro.core.qwm.QWMSolver._solve_region`
   notes every converged Newton solve's final residual norm into the
   active capture, passing the phase and tag of the frame it runs in
   (``qwm.phase12`` vs ``qwm.phase3``, region condition) and the
@@ -15,11 +16,9 @@ accuracy of 99%") is actually about.  The shadow-SPICE auditor
   *phase*, not just a case.  When no capture is armed the hook is a
   thread-local read.
 
-* **History ledger** — append-only ``ACCURACY_history.jsonl`` entries
-  (format :data:`HISTORY_FORMAT`) fed by the golden suite, audits and
-  the benchmark accuracy section; ``repro accuracy-diff`` compares
-  consecutive entries direction-aware (error *growing* is a
-  regression, error shrinking never is).
+* **Attribution** — :func:`attribute_regions` rolls the captured notes
+  up into an error budget whose dominant ``phase:tag`` cell names the
+  phase an error (or a golden case's drift) is attributed to.
 
 Determinism contract: nothing recorded here carries wall-clock or
 host state — records are pure functions of the design, the seed and
@@ -29,24 +28,17 @@ runs produce bit-identical audit records" testable.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "RegionCapture", "capture_regions", "note_region",
-    "attribute_regions", "slew_token", "history_entry",
-    "append_history_entry", "load_history_entries",
-    "accuracy_regressions", "worst_regression",
-    "LEDGER_FORMAT", "HISTORY_FORMAT",
+    "attribute_regions", "slew_token", "LEDGER_FORMAT",
 ]
 
 #: Audit-ledger format tag (bumped on incompatible record changes).
 LEDGER_FORMAT = "repro-accuracy-audit/1"
-#: History-ledger format tag (one JSONL entry per golden/audit run).
-HISTORY_FORMAT = "repro-accuracy-history/1"
 
 #: One arc candidate: (stage, output, direction, input, slew token).
 ArcKey = Tuple[str, str, str, str, str]
@@ -142,129 +134,3 @@ def attribute_regions(notes: Sequence[Dict[str, Any]]
         "dominant": dominant,
         "cells": {label: cells[label] for label in sorted(cells)},
     }
-
-
-# ----------------------------------------------------------------------
-# History ledger (ACCURACY_history.jsonl).
-# ----------------------------------------------------------------------
-def history_entry(run: str, cases: Dict[str, Dict[str, Any]],
-                  git_sha: str = "unknown",
-                  extra: Optional[Dict[str, Any]] = None
-                  ) -> Dict[str, Any]:
-    """Build one history-ledger entry.
-
-    Args:
-        run: source of the errors (``"golden"``, ``"sta-audit"``,
-            ``"bench-headline"``).
-        cases: case/arc name -> per-case section.  Recognized keys:
-            ``delay_error_pct`` (required for the diff),
-            ``slew_error_pct``, ``margin_to_band_pct``,
-            ``attribution`` (dominant ``phase:tag`` label), ``status``.
-        git_sha: HEAD commit, when known.
-        extra: optional additional top-level fields (e.g. audit seed).
-
-    Deliberately carries no timestamp: entries must be bit-identical
-    when the design and solver are (lint rule DET003), and the ledger
-    is append-only so ordering already encodes history.
-    """
-    errors = [float(section["delay_error_pct"])
-              for section in cases.values()
-              if section.get("delay_error_pct") is not None]
-    worst_case = None
-    for name in sorted(cases):
-        err = cases[name].get("delay_error_pct")
-        if err is None:
-            continue
-        if worst_case is None \
-                or err > cases[worst_case]["delay_error_pct"]:
-            worst_case = name
-    entry: Dict[str, Any] = {
-        "format": HISTORY_FORMAT,
-        "run": run,
-        "git_sha": git_sha,
-        "cases": {name: cases[name] for name in sorted(cases)},
-        "summary": {
-            "cases": len(cases),
-            "compared": len(errors),
-            "mean_delay_error_pct": (sum(errors) / len(errors)
-                                     if errors else None),
-            "worst_delay_error_pct": (max(errors) if errors else None),
-            "worst_case": worst_case,
-        },
-    }
-    if extra:
-        entry.update(extra)
-    return entry
-
-
-def append_history_entry(entry: Dict[str, Any], path: str) -> str:
-    """Append one entry to a JSONL accuracy-history ledger."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
-def load_history_entries(path: str) -> List[Dict[str, Any]]:
-    """All entries of an accuracy-history ledger (oldest first)."""
-    if not os.path.exists(path):
-        return []
-    entries = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
-
-
-def accuracy_regressions(prev: Dict[str, Any], last: Dict[str, Any],
-                         threshold_pp: float) -> List[Dict[str, Any]]:
-    """Per-case drift between two history entries, direction-aware.
-
-    A case *regresses* when its delay error grew by more than
-    ``threshold_pp`` percentage points, or when it newly left the
-    tolerance band (``margin_to_band_pct`` crossing below zero).
-    Error shrinking is never a regression — the gate is one-sided,
-    like ``repro bench-diff``'s lower-is-better metrics.
-    """
-    rows = []
-    prev_cases = prev.get("cases", {})
-    for name in sorted(last.get("cases", {})):
-        current = last["cases"][name]
-        baseline = prev_cases.get(name)
-        if baseline is None:
-            continue
-        err_now = current.get("delay_error_pct")
-        err_before = baseline.get("delay_error_pct")
-        if err_now is None or err_before is None:
-            continue
-        drift_pp = float(err_now) - float(err_before)
-        margin_now = current.get("margin_to_band_pct")
-        margin_before = baseline.get("margin_to_band_pct")
-        left_band = (margin_now is not None
-                     and margin_before is not None
-                     and margin_now < 0.0 <= margin_before)
-        rows.append({
-            "case": name,
-            "baseline_error_pct": float(err_before),
-            "current_error_pct": float(err_now),
-            "drift_pp": drift_pp,
-            "attribution": current.get("attribution"),
-            "left_band": left_band,
-            "regression": drift_pp > threshold_pp or left_band,
-        })
-    return rows
-
-
-def worst_regression(rows: Sequence[Dict[str, Any]]
-                     ) -> Optional[Dict[str, Any]]:
-    """The worst-drifting regressed case (None when nothing regressed)."""
-    worst = None
-    for row in rows:
-        if not row["regression"]:
-            continue
-        if worst is None or row["drift_pp"] > worst["drift_pp"]:
-            worst = row
-    return worst

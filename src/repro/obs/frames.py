@@ -64,7 +64,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.flight import FlightConfig, LedgerEvent
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.sinks import NullSink, Sink
 
 #: Profile-ledger format tag (bumped on incompatible cell-shape changes).
 LEDGER_FORMAT = "repro-phase-profile/1"
@@ -182,13 +181,6 @@ class Frame:
         """End an :func:`interval` (it never entered the stack)."""
         self._ledger._finish(self, time.perf_counter() - self.start)
 
-    def to_json(self, t0: float) -> dict:
-        """The span as a plain dict, ``start`` relative to ``t0``."""
-        return {"id": self.span_id, "parent": self.parent_id,
-                "name": self.name, "start": self.start - t0,
-                "duration": self.duration, "attrs": dict(self.attrs),
-                "thread": self.thread}
-
 
 class _Cell:
     """Accumulated cost of one frame path."""
@@ -207,8 +199,8 @@ class FrameLedger:
     The stack is thread-local, so frames nest per thread; one lock
     guards the trace, profile and flight buffers and is taken at frame
     *exit* (once per view fed) or per flight event, never per op
-    counted.  The ledger is the only holder of the live span sink, of
-    the metrics registry and of the flight events.
+    counted.  The ledger is the only holder of the metrics registry and
+    of the flight events.
     """
 
     def __init__(self) -> None:
@@ -225,7 +217,6 @@ class FrameLedger:
         #: Trace, profile or flight view on, or a fault plan installed:
         #: the one check the disabled path pays.
         self.active = False
-        self._sink: Sink = NullSink()
         self._spans: List[Frame] = []
         self._spans_dropped = 0
         #: perf_counter offset so exported timestamps start near zero.
@@ -249,21 +240,14 @@ class FrameLedger:
         self.viewing = self.tracing or self.profiling
         self.active = self.viewing or self.recording or self.targeting
 
-    def set_trace(self, enabled: bool, sink: Optional[Sink] = None
-                  ) -> None:
-        """Switch the trace view, starting an empty span buffer.
-
-        The live sink it replaces is closed.
-        """
+    def set_trace(self, enabled: bool) -> None:
+        """Switch the trace view, starting an empty span buffer."""
         with self._lock:
-            replaced = self._sink
             self.tracing = enabled
-            self._sink = sink if sink is not None else NullSink()
             self._spans = []
             self._spans_dropped = 0
             self._t0 = time.perf_counter()
         self._switched()
-        replaced.close()
 
     def set_metrics(self, enabled: bool) -> None:
         """Switch the metrics view, starting an empty registry."""
@@ -341,12 +325,9 @@ class FrameLedger:
                 self._spans_dropped += 1
             else:
                 self._spans.append(frame)
-            sink, t0 = self._sink, self._t0
         if dropped:
             # A silently truncated trace must show up in the metrics.
             self.metrics.counter("obs.trace.dropped").inc()
-        if not isinstance(sink, NullSink):
-            sink.emit("span", frame.to_json(t0))
 
     # ------------------------------------------------------------------
     # Arc context: what the open frames carry
@@ -807,14 +788,6 @@ def summarize_profile(ledger: Any) -> Dict[str, Any]:
                                        tuple(c["path"])))
     return {"total_seconds": total, "frames": frames, "cells": hot,
             "dropped_cells": int(document.get("dropped_cells", 0))}
-
-
-def phase_self_seconds(ledger: Any) -> Dict[str, float]:
-    """Frame label -> exclusive seconds (the bench ``phases`` section)."""
-    summary = summarize_profile(ledger)
-    return {row["frame"]: row["self_seconds"]
-            for row in summary["frames"] if row["calls"] > 0
-            or row["self_seconds"] > 0.0 or row["ops"]}
 
 
 def render_profile(summary: Dict[str, Any], top: int = 10) -> str:

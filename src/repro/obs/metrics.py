@@ -12,9 +12,7 @@ an optional set of labels per observation and one of three kinds:
   per-bucket counts plus the running sum and count.
 
 The registry exposes a JSON dump (machine-readable, used by the CLI
-``--metrics`` flag and the benchmark artifacts) and a Prometheus-style
-text exposition (dots become underscores, histograms expand into
-``_bucket``/``_sum``/``_count`` series).  A pool worker drains its
+``--metrics`` flag and the benchmark artifacts).  A pool worker drains its
 registry into each task's delta and the parent merges it
 (:meth:`MetricsRegistry.drain`, :meth:`MetricsRegistry.merge`).
 
@@ -420,60 +418,3 @@ class MetricsRegistry:
             json.dump(self.to_json(), handle, indent=2, sort_keys=True)
             handle.write("\n")
         return path
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-        lines: List[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            pname = _prom_name(name)
-            if metric.help:
-                lines.append(f"# HELP {pname} {metric.help}")
-            lines.append(f"# TYPE {pname} {metric.kind}")
-            dump = metric.to_json()
-            for series in dump["series"]:
-                labels = series["labels"]
-                if metric.kind == "histogram":
-                    cumulative = 0
-                    for bound, count in zip(series["buckets"],
-                                            series["counts"]):
-                        cumulative += count
-                        lines.append(_prom_line(
-                            pname + "_bucket",
-                            dict(labels, le=_prom_float(bound)),
-                            cumulative))
-                    cumulative += series["counts"][-1]
-                    lines.append(_prom_line(
-                        pname + "_bucket", dict(labels, le="+Inf"),
-                        cumulative))
-                    lines.append(_prom_line(pname + "_sum", labels,
-                                            series["sum"]))
-                    lines.append(_prom_line(pname + "_count", labels,
-                                            series["count"]))
-                else:
-                    lines.append(_prom_line(pname, labels,
-                                            series["value"]))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _prom_name(name: str) -> str:
-    return name.replace(".", "_").replace("-", "_")
-
-
-def _prom_float(value: float) -> str:
-    text = repr(float(value))
-    return text[:-2] if text.endswith(".0") else text
-
-
-def _prom_escape(value) -> str:
-    """Escape a label value per the text exposition format."""
-    return (str(value).replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_line(name: str, labels: dict, value) -> str:
-    if labels:
-        body = ",".join(f'{k}="{_prom_escape(v)}"'
-                        for k, v in sorted(labels.items()))
-        return f"{name}{{{body}}} {value}"
-    return f"{name} {value}"

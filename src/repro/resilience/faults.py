@@ -13,12 +13,12 @@ and consulted by cheap gates wired into the solver stack:
 * :func:`check_stage_timeout` — checked at
   :meth:`repro.core.engine.WaveformEvaluator.evaluate` entry; a match
   raises :class:`StageTimeoutError`.
-* :func:`worker_gate` — checked at the top of the process-backend
-  stage task; crashes (``os._exit``) or hangs (``time.sleep``) the
-  worker, but only inside a real pool worker
-  (:func:`mark_worker_process`), so the parent's serial re-dispatch of
-  the same stage survives.  The parent counts the injection when it
-  re-runs the casualty (:func:`note_casualty`).
+* :func:`worker_fault` — asked by the parent once per stage it submits
+  to the worker pool, so a spec's ``nth``/``count`` bookkeeping and the
+  injection count are the run's; the task carries the answer and the
+  worker obeys it (:func:`obey_worker_fault`: ``os._exit`` or
+  ``time.sleep``) before evaluating.  A stage evaluated in the parent
+  never asks, so its serial re-dispatch of a casualty survives.
 * :func:`apply_table_faults` / :func:`apply_store_faults` /
   :func:`apply_journal_faults` — applied by the chaos harness before
   (or between) runs: NaN cells, truncated JSON store, truncated run
@@ -59,9 +59,8 @@ __all__ = [
     "FAULT_KINDS", "FaultSpec", "FaultPlan", "StageTimeoutError",
     "RunKilled",
     "install", "uninstall", "installed", "active_plan",
-    "mark_worker_process",
-    "newton_should_fail", "check_stage_timeout", "worker_gate",
-    "note_casualty",
+    "newton_should_fail", "check_stage_timeout", "worker_fault",
+    "obey_worker_fault",
     "journal_write_gate", "wave_gate", "deadline_exhaust_gate",
     "apply_table_faults", "apply_store_faults",
     "apply_journal_faults", "truncate_file",
@@ -193,9 +192,9 @@ class FaultPlan:
     """A seeded set of :class:`FaultSpec` with firing bookkeeping.
 
     The plan is picklable (it ships to process-pool workers through the
-    pool initializer), and its counters are process-local: the parent
-    only relies on worker-side counters for the crash/hang gates, whose
-    effects (a dead pool, a watchdog timeout) it observes directly.
+    pool initializer, for the Newton and timeout gates), and its
+    counters are process-local: the crash/hang specs are armed and
+    counted in the parent only (:func:`worker_fault`).
     """
 
     def __init__(self, specs: Tuple[FaultSpec, ...] = (), seed: int = 0):
@@ -265,7 +264,6 @@ class FaultPlan:
 # Process-wide installation.
 # ----------------------------------------------------------------------
 _PLAN: Optional[FaultPlan] = None
-_IN_WORKER = False
 
 
 def install(plan: FaultPlan) -> FaultPlan:
@@ -299,17 +297,6 @@ def installed(plan: FaultPlan) -> Iterator[FaultPlan]:
 
 def active_plan() -> Optional[FaultPlan]:
     return _PLAN
-
-
-def mark_worker_process() -> None:
-    """Flag this process as a pool worker (enables the worker gates).
-
-    Called by the process-pool initializer; crash/hang faults only fire
-    where this flag is set, so the parent's serial re-dispatch of a
-    crashed stage cannot re-crash the parent.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
 
 
 def _note_injection(spec: FaultSpec, **extra: Any) -> None:
@@ -378,47 +365,36 @@ def check_stage_timeout() -> None:
                 elapsed=elapsed)
 
 
-def worker_gate(stage_name: str) -> None:
-    """Crash or hang a pool worker about to evaluate ``stage_name``.
+def worker_fault(stage_name: str) -> Optional[FaultSpec]:
+    """The worker fault a pool task for ``stage_name`` must obey.
 
-    No-op outside marked worker processes — the parent re-dispatching
-    the same stage serially must survive.
+    Asked in the parent just before the stage is submitted: the first
+    matching ``worker_hang`` or ``worker_crash`` spec that arms is
+    counted here and returned (None when none does), and the task
+    hands it to :func:`obey_worker_fault`.  A crashed or hung worker
+    ships nothing home, so this is where the injection is counted.
     """
     plan = _PLAN
-    if plan is None or not _IN_WORKER:
+    if plan is None:
+        return None
+    for kind in ("worker_hang", "worker_crash"):
+        for index, spec in plan.matching(kind):
+            if _stage_matches(spec, stage_name) and plan._arm(index):
+                _note_injection(spec)
+                return spec
+    return None
+
+
+def obey_worker_fault(spec: Optional[FaultSpec]) -> None:
+    """Hang or crash this pool worker as :func:`worker_fault` answered."""
+    if spec is None:
         return
-    for index, spec in plan.matching("worker_hang"):
-        if _stage_matches(spec, stage_name) and plan._arm(index):
-            time.sleep(spec.hang_seconds)
-    for index, spec in plan.matching("worker_crash"):
-        if _stage_matches(spec, stage_name) and plan._arm(index):
-            # A hard kill, not an exception: this is what a segfaulted
-            # or OOM-killed worker looks like to the parent pool.
-            os._exit(WORKER_CRASH_EXIT_CODE)
-
-
-#: The worker fault behind each casualty reason the engine reports.
-_CASUALTY_FAULTS = {"worker_crash": "worker_crash",
-                    "stage_timeout": "worker_hang"}
-
-
-def note_casualty(stage_name: str, reason: str) -> None:
-    """Count the worker fault behind a casualty the parent re-runs.
-
-    A crashed or hung worker never ships its delta home, so the
-    injection it fired is counted here, in the parent, when it re-runs
-    the stage: a ``worker_crash`` casualty counts a matching
-    ``worker_crash`` spec, a ``stage_timeout`` casualty a matching
-    ``worker_hang`` spec, each up to the spec's ``count``.
-    """
-    plan = _PLAN
-    kind = _CASUALTY_FAULTS.get(reason)
-    if plan is None or kind is None:
-        return
-    for index, spec in plan.matching(kind):
-        if _stage_matches(spec, stage_name) and plan._arm(index):
-            _note_injection(spec)
-            return
+    if spec.kind == "worker_hang":
+        time.sleep(spec.hang_seconds)
+    else:
+        # A hard kill, not an exception: this is what a segfaulted or
+        # OOM-killed worker looks like to the parent pool.
+        os._exit(WORKER_CRASH_EXIT_CODE)
 
 
 def journal_write_gate(path: str) -> None:

@@ -1,4 +1,4 @@
-"""Accuracy observatory: sampling determinism, ledgers, the diff gate.
+"""Accuracy observatory: sampling determinism, attribution, golden drift.
 
 The auditor's candidates are the arcs the run attempted, derived from
 its arrivals, and its records are pure functions of (design, seed,
@@ -7,7 +7,9 @@ down.
 """
 
 import json
+import shutil
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,10 +24,12 @@ from repro.analysis.audit import (
 )
 from repro.analysis.accuracy import ComparisonOutcome, compare_delays
 from repro.analysis.golden import (
+    DRIFT_PP,
     GoldenCase,
     GoldenRecord,
-    history_cases,
     check as golden_check,
+    default_golden_dir,
+    format_report,
 )
 from repro.analysis.parallel import ExecutionConfig, canonical_form_for
 from repro.analysis.sta import StaticTimingAnalyzer
@@ -33,13 +37,10 @@ from repro.circuit import builders
 from repro.circuit.stage import extract_stages
 from repro.cli import main
 from repro.obs.accuracy import (
-    accuracy_regressions,
     attribute_regions,
     capture_regions,
-    history_entry,
     note_region,
     slew_token,
-    worst_regression,
 )
 
 
@@ -273,82 +274,57 @@ class TestAuditor:
 
 
 # ----------------------------------------------------------------------
-# History ledger + the accuracy-diff gate.
+# Golden drift against the committed records, through the CLI.
 # ----------------------------------------------------------------------
-class TestHistoryAndDiff:
-    def _cases(self, errors):
-        return {name: {"delay_error_pct": err,
-                       "margin_to_band_pct": 10.0 - err,
-                       "attribution": "qwm.phase3:crossing"}
-                for name, err in errors.items()}
+class TestGoldenDriftCli:
+    CASE = "inv_fall_a_s0p_l2f"  # QWM below SPICE, 8.33 % stored error
 
-    def test_history_entry_summary(self):
-        entry = history_entry("golden",
-                              self._cases({"a": 1.0, "b": 8.0}),
-                              git_sha="abc")
-        assert entry["format"] == "repro-accuracy-history/1"
-        assert entry["summary"]["worst_case"] == "b"
-        assert entry["summary"]["mean_delay_error_pct"] \
-            == pytest.approx(4.5)
-        assert "timestamp" not in entry
-        assert "timestamp_unix" not in entry
+    def _golden_dir(self, tmp_path, shift_pp):
+        """The committed inv records, CASE's stored error moved by
+        ``shift_pp`` percentage points."""
+        directory = tmp_path / "golden"
+        directory.mkdir()
+        path = directory / "inv.json"
+        shutil.copy(f"{default_golden_dir()}/inv.json", path)
+        document = json.loads(path.read_text())
+        for case in document["cases"]:
+            if case["name"] == self.CASE:
+                assert case["qwm_delay"] < case["spice_delay"]
+                case["qwm_delay"] -= shift_pp / 100.0 * case["spice_delay"]
+        path.write_text(json.dumps(document))
+        return str(directory)
 
-    def test_regressions_are_direction_aware(self):
-        prev = history_entry("golden",
-                             self._cases({"a": 5.0, "b": 5.0}))
-        last = history_entry("golden",
-                             self._cases({"a": 8.0, "b": 2.0}))
-        rows = accuracy_regressions(prev, last, threshold_pp=1.0)
-        by_case = {row["case"]: row for row in rows}
-        assert by_case["a"]["regression"]
-        assert not by_case["b"]["regression"]  # improvement never flags
-        worst = worst_regression(rows)
-        assert worst["case"] == "a"
-        assert worst["drift_pp"] == pytest.approx(3.0)
-
-    def test_leaving_band_flags_even_below_threshold(self):
-        prev = history_entry("golden", self._cases({"a": 9.8}))
-        last = history_entry("golden", self._cases({"a": 10.3}))
-        rows = accuracy_regressions(prev, last, threshold_pp=1.0)
-        assert rows[0]["left_band"]
-        assert rows[0]["regression"]
-
-    def test_accuracy_diff_cli_gate(self, tmp_path, capsys):
-        path = tmp_path / "ACCURACY_history.jsonl"
-        prev = history_entry("golden",
-                             self._cases({"inv_fall_a_s0p_l2f": 2.0,
-                                          "nand2_fall_a0_s0p_l2f": 3.0}),
-                             git_sha="old")
-        last = history_entry("golden",
-                             self._cases({"inv_fall_a_s0p_l2f": 6.5,
-                                          "nand2_fall_a0_s0p_l2f": 3.1}),
-                             git_sha="new")
-        with open(path, "w") as handle:
-            for entry in (prev, last):
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        code = main(["accuracy-diff", "--history", str(path)])
+    def test_record_doctored_low_drifts_but_passes(self, tmp_path,
+                                                   capsys):
+        code = main(["golden", "--dir", self._golden_dir(tmp_path, -3.0)])
         out = capsys.readouterr().out
-        assert code == 1
-        assert "worst: inv_fall_a_s0p_l2f" in out
-        assert "qwm.phase3:crossing" in out
-        assert "DRIFT" in out
+        assert code == 0  # drift is reported, the bands still gate
+        drifted = [line for line in out.splitlines() if "DRIFT" in line]
+        assert len(drifted) == 1 and drifted[0].startswith(self.CASE)
+        assert "+3.00pp" in drifted[0]
+        assert f"worst: {self.CASE} (+3.00pp, attributed to qwm." in out
 
-    def test_accuracy_diff_cli_clean(self, tmp_path, capsys):
-        path = tmp_path / "ACCURACY_history.jsonl"
-        entry = history_entry("golden", self._cases({"a": 2.0}))
-        with open(path, "w") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        assert main(["accuracy-diff", "--history", str(path)]) == 0
-        assert "no accuracy drift" in capsys.readouterr().out
+    def test_record_doctored_high_never_drifts(self, tmp_path, capsys):
+        code = main(["golden", "--dir", self._golden_dir(tmp_path, 3.0)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "DRIFT" not in out
+        assert "-3.00pp" in out
+        assert "no case drifted" in out
 
-    def test_accuracy_diff_missing_history(self, tmp_path, capsys):
-        missing = tmp_path / "nope.jsonl"
-        assert main(["accuracy-diff", "--history", str(missing)]) == 0
+    @pytest.mark.parametrize("command", [["sta", "--bits", "2"],
+                                         ["golden"]],
+                             ids=["sta", "golden"])
+    @pytest.mark.parametrize("flag", ["history", "history-file"])
+    def test_ledger_flags_are_gone(self, flag, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + [f"--{flag}"])
+        assert exit_info.value.code == 2
+        assert f"--{flag}" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# Golden integration: margins, attribution, ledger shape.
+# Golden integration: margins, attribution, drift.
 # ----------------------------------------------------------------------
 class TestGoldenIntegration:
     def _record(self, tech):
@@ -376,12 +352,35 @@ class TestGoldenIntegration:
         assert diffs[0].attribution["regions"] > 0
         assert diffs[0].margin_to_band_pct \
             == pytest.approx(10.0 - diffs[0].delay_error_pct)
-        cases = history_cases(diffs)
-        section = cases[record.case.name]
-        assert section["delay_error_pct"] \
+        # The record stores QWM = SPICE, so all of the fresh error is
+        # drift.
+        assert diffs[0].drift_pp \
             == pytest.approx(diffs[0].delay_error_pct)
-        assert section["attribution"] \
-            == diffs[0].attribution["dominant"]
+
+    def test_error_growth_is_drift(self, tech, evaluator):
+        record = self._record(tech)
+        diffs = golden_check([record], tech, evaluator)
+        assert diffs[0].drift_pp > DRIFT_PP  # fresh error ~8.3 %
+        assert diffs[0].ok  # drift never gates
+        report = format_report(diffs)
+        drifted = [line for line in report.splitlines() if "DRIFT" in line]
+        assert len(drifted) == 1 and drifted[0].startswith(
+            record.case.name)
+        dominant = diffs[0].attribution["dominant"]
+        assert dominant.startswith("qwm.phase3:")
+        assert (f"worst: {record.case.name} "
+                f"(+{diffs[0].drift_pp:.2f}pp, attributed to "
+                f"{dominant})") in report
+
+    def test_error_shrink_is_not_drift(self, tech, evaluator):
+        measured = self._record(tech)
+        # A stored error of 20 %, well above the fresh one.
+        record = replace(measured, qwm_delay=1.2 * measured.spice_delay)
+        diffs = golden_check([record], tech, evaluator)
+        assert diffs[0].drift_pp < -DRIFT_PP
+        report = format_report(diffs)
+        assert "DRIFT" not in report
+        assert "no case drifted" in report
 
 
 # ----------------------------------------------------------------------

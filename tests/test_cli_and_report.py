@@ -252,9 +252,8 @@ class TestCli:
     @pytest.mark.parametrize("flags,partner", [
         (["--resume"], "journal"),
         (["--grace", "1"], "deadline"),
-        (["--history"], "--audit"),
         (["--workers", "0"], "workers"),
-    ], ids=["resume", "grace", "history", "workers-0"])
+    ], ids=["resume", "grace", "workers-0"])
     def test_sta_rejects_flag_without_partner(self, flags, partner,
                                               capsys):
         code = main(["sta", "--bits", "2"] + flags)
@@ -329,6 +328,20 @@ class TestCliStats:
         assert hist["count"] == stats["regions"]
         evals = metrics["device.table.evaluations"]["series"][0]
         assert evals["value"] == stats["device_evaluations"]
+
+    def test_audit_characterizes_once(self, capsys):
+        """The audit re-solves the arc on the tables it was evaluated
+        with, so ``--audit`` characterizes nothing more."""
+        import json as json_mod
+
+        documents = []
+        for extra in ([], ["--audit"]):
+            assert main(self.ARGS + ["--json"] + extra) == 0
+            documents.append(json_mod.loads(capsys.readouterr().out))
+        plain, audited = documents
+        assert plain["characterization_cache"]["miss"] == 1
+        assert audited["characterization_cache"]["miss"] == 1
+        assert audited["accuracy"]["status"] == "ok"
 
     def test_deck_input(self, tmp_path, capsys):
         deck = tmp_path / "inv.sp"

@@ -26,7 +26,6 @@ from repro.obs import (
 from repro.obs import frames as frames_mod
 from repro.obs.flight import FlightConfig
 from repro.obs.metrics import ITERATION_BUCKETS
-from repro.obs.sinks import JsonlSink, StderrSink, make_sink
 from repro.spice import StepSource
 
 
@@ -51,15 +50,6 @@ class TestConfig:
     def test_defaults_disabled(self):
         config = ObsConfig()
         assert not config.enabled
-        assert config.sink == "null"
-
-    def test_rejects_unknown_sink(self):
-        with pytest.raises(ValueError, match="sink"):
-            ObsConfig(sink="syslog")
-
-    def test_jsonl_needs_path(self):
-        with pytest.raises(ValueError, match="sink_path"):
-            ObsConfig(sink="jsonl")
 
     def test_rejects_non_positive_bounds(self):
         # The trace and series caps are module constants; the settable
@@ -303,22 +293,6 @@ class TestMetrics:
         assert hist["counts"] == [0, 1, 0]
         assert document["dropped_series"] == 0
 
-    def test_prometheus_exposition(self):
-        registry = MetricsRegistry()
-        registry.counter("device.table.evaluations").inc(3)
-        hist = registry.histogram("qwm.newton.iterations",
-                                  buckets=(1.0, 5.0))
-        hist.observe(2.0)
-        hist.observe(7.0)
-        text = registry.to_prometheus()
-        assert "# TYPE device_table_evaluations counter" in text
-        assert "device_table_evaluations 3.0" in text
-        assert 'qwm_newton_iterations_bucket{le="1"} 0' in text
-        assert 'qwm_newton_iterations_bucket{le="5"} 1' in text
-        assert 'qwm_newton_iterations_bucket{le="+Inf"} 2' in text
-        assert "qwm_newton_iterations_sum 9.0" in text
-        assert "qwm_newton_iterations_count 2" in text
-
     def test_reset_clears_everything(self):
         registry = MetricsRegistry(max_series=1)
         registry.counter("c").inc(a=1)
@@ -356,41 +330,6 @@ class TestMetrics:
         assert snap["counts"] == [1, 0, 0, 2, 0, 0, 0, 0, 1, 1]
         # Gauges describe the process that set them: skipped.
         assert ab.get("sta.cache.entries") is None
-
-
-class TestSinks:
-    def test_make_sink_dispatch(self, tmp_path):
-        assert type(make_sink(ObsConfig())).__name__ == "NullSink"
-        assert isinstance(make_sink(ObsConfig(sink="stderr")), StderrSink)
-        jsonl = make_sink(ObsConfig(
-            sink="jsonl", sink_path=str(tmp_path / "out.jsonl")))
-        assert isinstance(jsonl, JsonlSink)
-        jsonl.close()
-
-    def test_jsonl_round_trip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        configure(ObsConfig(enabled=True, sink="jsonl", sink_path=path))
-        with frame("qwm.phase3", k=1):
-            pass
-        with frame("qwm.phase3", k=2):
-            pass
-        disable()  # closes (and so flushes) the replaced sink
-        lines = [json.loads(line)
-                 for line in open(path).read().splitlines()]
-        assert len(lines) == 2
-        assert all(line["kind"] == "span" for line in lines)
-        assert [line["attrs"]["k"] for line in lines] == [1, 2]
-
-    def test_stderr_sink_formats_spans(self):
-        import io
-
-        stream = io.StringIO()
-        sink = StderrSink(stream=stream)
-        sink.emit("span", {"name": "qwm.solve", "duration": 1e-3,
-                           "attrs": {"k": 2}})
-        text = stream.getvalue()
-        assert "[obs] span qwm.solve" in text
-        assert "k=2" in text
 
 
 class TestModuleHelpers:
@@ -496,54 +435,6 @@ class TestSolverIntegration:
         assert overhead < 0.05 * stats.wall_time, (
             f"disabled telemetry overhead {overhead * 1e6:.1f}us vs "
             f"solve {stats.wall_time * 1e6:.1f}us")
-
-
-class TestPrometheusExposition:
-    """Wire-format conformance for the text exposition 0.0.4."""
-
-    def test_label_escaping(self):
-        registry = MetricsRegistry()
-        registry.counter("files.scanned").inc(
-            2, path='a"b\\c\nd', kind="netlist")
-        text = registry.to_prometheus()
-        assert ('files_scanned{kind="netlist",'
-                'path="a\\"b\\\\c\\nd"} 2.0') in text
-        # The escaped payload still fits on one physical line.
-        lines = [ln for ln in text.splitlines()
-                 if ln.startswith("files_scanned{")]
-        assert len(lines) == 1
-
-    def test_round_trip_parse_back(self):
-        registry = MetricsRegistry()
-        registry.counter("solves").inc(4, gate="nand2")
-        registry.counter("solves").inc(1, gate="inv")
-        registry.gauge("speedup").set(31.6)
-        parsed = {}
-        for line in registry.to_prometheus().splitlines():
-            if line.startswith("#") or not line.strip():
-                continue
-            name, value = line.rsplit(" ", 1)
-            parsed[name] = float(value)
-        assert parsed['solves{gate="nand2"}'] == 4.0
-        assert parsed['solves{gate="inv"}'] == 1.0
-        assert parsed["speedup"] == 31.6
-
-    def test_histogram_buckets_cumulative_and_ordered(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("iters", buckets=(1.0, 3.0, 8.0))
-        for value in (0.5, 2.0, 2.5, 5.0, 99.0):
-            hist.observe(value)
-        lines = [ln for ln in registry.to_prometheus().splitlines()
-                 if ln.startswith("iters_bucket")]
-        bounds = [ln.split('le="')[1].split('"')[0] for ln in lines]
-        counts = [float(ln.rsplit(" ", 1)[1]) for ln in lines]
-        # Buckets appear in ascending order ending at +Inf, and the
-        # counts are cumulative (monotone non-decreasing).
-        assert bounds == ["1", "3", "8", "+Inf"]
-        assert counts == sorted(counts)
-        assert counts[-1] == 5.0
-        text = registry.to_prometheus()
-        assert "iters_sum" in text and "iters_count 5" in text
 
 
 class TestTraceDropVisibility:

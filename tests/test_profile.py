@@ -5,8 +5,7 @@ accumulation, merge commutativity), the disabled-mode overhead budget,
 the parallel-backend merge contract (process workers agree with the
 serial engine bit-for-bit on every operation count), the speedscope /
 collapsed-stack exports, and the CLI surfaces (``repro profile``,
-``repro stats`` resilience section, ``repro bench-diff`` phase
-attribution).
+``repro stats`` resilience section).
 """
 
 import json
@@ -31,7 +30,6 @@ from repro.obs.frames import (
     export_speedscope,
     frame,
     ledger,
-    phase_self_seconds,
     render_profile,
     summarize_profile,
     to_collapsed,
@@ -464,7 +462,8 @@ class TestExports:
         summary = summarize_profile(ledger)
         text = render_profile(summary, top=5)
         assert "engine.evaluate:nand2" in text
-        self_times = phase_self_seconds(ledger)
+        self_times = {row["frame"]: row["self_seconds"]
+                      for row in summary["frames"]}
         assert set(self_times) == {
             "sta.arc:nand2", "engine.evaluate:nand2"}
         assert summary["total_seconds"] == pytest.approx(
@@ -557,56 +556,3 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc["resilience"]["escalations"]) == set(QUALITY_ORDER)
         assert set(doc["resilience"]["arc_quality"]) == set(QUALITY_ORDER)
-
-
-class TestBenchDiffAttribution:
-    def _history(self, tmp_path, prev_phases, last_phases,
-                 prev_seconds=1.0, last_seconds=1.5):
-        entries = [
-            {"run": "headline", "git_sha": "a" * 12, "smoke": False,
-             "metrics": {"qwm_total_seconds": prev_seconds,
-                         "accuracy_percent": 99.0},
-             "phases": prev_phases},
-            {"run": "headline", "git_sha": "b" * 12, "smoke": False,
-             "metrics": {"qwm_total_seconds": last_seconds,
-                         "accuracy_percent": 99.0},
-             "phases": last_phases},
-        ]
-        path = tmp_path / "BENCH_history.jsonl"
-        path.write_text("".join(json.dumps(e) + "\n" for e in entries))
-        return str(path)
-
-    def test_regression_names_responsible_phase(self, tmp_path, capsys):
-        history = self._history(
-            tmp_path,
-            {"qwm.phase3:newton": 0.50, "spice.transient:nand2": 0.30},
-            {"qwm.phase3:newton": 0.92, "spice.transient:nand2": 0.31})
-        code = main(["bench-diff", "--history", history])
-        out = capsys.readouterr().out
-        assert code == 1, "a +50% time regression must fail the diff"
-        assert ("regression attributed to: qwm.phase3:newton, "
-                "+84% self-time") in out
-        assert ("phase attribution: largest self-time growth in "
-                "qwm.phase3:newton (+84%)") in out
-
-    def test_no_attribution_without_phases(self, tmp_path, capsys):
-        history = self._history(tmp_path, {}, {})
-        code = main(["bench-diff", "--history", history])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "attributed to" not in out
-        assert "phase attribution" not in out
-
-    def test_clean_run_still_reports_attribution(self, tmp_path,
-                                                 capsys):
-        history = self._history(
-            tmp_path,
-            {"qwm.phase12:crossing": 0.40},
-            {"qwm.phase12:crossing": 0.41},
-            prev_seconds=1.0, last_seconds=1.0)
-        code = main(["bench-diff", "--history", history])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "no regressions beyond the band" in out
-        assert ("phase attribution: largest self-time growth in "
-                "qwm.phase12:crossing (+2%)") in out

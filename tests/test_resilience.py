@@ -156,21 +156,25 @@ class TestScopes:
                        ctx={"stage": "s0", "rung": "qwm"}):
                 assert faults.newton_should_fail()
 
-    def test_worker_gate_noop_in_parent(self):
-        spec = FaultSpec("worker_crash", stage="s0")
-        with faults.installed(FaultPlan((spec,))):
-            # Not a marked worker process: must NOT crash.
-            faults.worker_gate("s0")
+    def test_worker_gate_noop_in_parent(self, tech, library,
+                                        decoder_graph):
+        plan = FaultPlan((FaultSpec("worker_crash"),))
+        with faults.installed(plan):
+            # In-process stages never arm a worker fault: must NOT crash.
+            StaticTimingAnalyzer(tech, library=library).analyze(
+                decoder_graph)
+        assert plan.fired("worker_crash") == 0
+        # Only a pool worker obeys an answer; no answer is a no-op.
+        faults.obey_worker_fault(None)
 
     def test_casualty_counts_worker_fault_up_to_count(self):
         plan = FaultPlan((FaultSpec("worker_crash", stage="s0", count=1),
                           FaultSpec("worker_hang", stage="s1")))
         with faults.installed(plan):
-            faults.note_casualty("other", "worker_crash")  # another stage
-            faults.note_casualty("s0", "task_error")  # no worker fault
-            faults.note_casualty("s0", "worker_crash")
-            faults.note_casualty("s0", "worker_crash")  # count spent
-            faults.note_casualty("s1", "stage_timeout")
+            assert faults.worker_fault("other") is None  # another stage
+            assert faults.worker_fault("s0").kind == "worker_crash"
+            assert faults.worker_fault("s0") is None  # count spent
+            assert faults.worker_fault("s1").kind == "worker_hang"
         assert plan.fired("worker_crash") == 1
         assert plan.fired("worker_hang") == 1
 
@@ -511,14 +515,20 @@ class TestChaosMatrix:
     def test_worker_scenarios_absorbed(self, tech, library):
         from repro.resilience.chaos import run_matrix
 
-        report = run_matrix(seed=0, tech=tech, library=library,
-                            only=["worker-crash", "worker-hang"])
-        for outcome in report.outcomes:
+        outcomes = run_matrix(seed=0, tech=tech, library=library,
+                              only=["worker-crash", "worker-hang"]
+                              ).outcomes
+        for _ in range(2):
+            outcomes += run_matrix(seed=0, tech=tech, library=library,
+                                   only=["worker-crash"]).outcomes
+        assert [o.name for o in outcomes].count("worker-crash") == 3
+        for outcome in outcomes:
             assert outcome.absorbed, (outcome.name, outcome.absorbed_by,
                                       outcome.error)
-            assert outcome.redispatches >= 1
-            # The fault fires in a worker that never reports back; the
-            # parent counts it once (count=1) when it re-runs the stage.
+            # The parent arms the fault once per run (count=1), so the
+            # resubmitted crasher runs cleanly on the fresh pool and
+            # exactly one stage is re-run in the parent.
+            assert outcome.redispatches == 1
             assert outcome.faults_injected == 1
             # Serial re-dispatch is the same arithmetic: every single
             # arrival matches the baseline bit for bit.
