@@ -24,6 +24,7 @@ from repro.circuit.elements import DeviceKind
 from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
 from repro.core.engine import WaveformEvaluator
+from repro.core.path import NoConductingPath
 from repro.core.qwm import QWMOptions
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
@@ -414,8 +415,15 @@ class StaticTimingAnalyzer:
                 candidate = evaluator.evaluate(
                     stage, output, out_direction, inputs,
                     precharge="dc")
-            except ValueError:
+            except NoConductingPath:
                 continue
+            except ValueError as exc:
+                # Raised inside the solve (a NaN state reaching a table
+                # lookup, say): the solver failed on a real candidate,
+                # so escalate rather than try another sensitization.
+                raise ArcSolveError(
+                    f"QWM solve of {stage.name}:{output} {out_direction} "
+                    f"via {switching_input} raised {exc}") from exc
             inc("sta.stage.solves")
             count("solves", 1, root="sta.arc")
             # The run total counts every solve actually performed,

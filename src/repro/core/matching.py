@@ -109,12 +109,13 @@ class RegionSystem:
         self.path = path
         self.sources = sources
         self.m = active
-        self.tau = tau
-        self.u_start = np.asarray(u_start, dtype=float)
-        self.i_start = np.asarray(i_start, dtype=float)
+        self.tau = float(tau)
+        # Float lists: the residual reads them once per Newton iterate.
+        self.u_start = np.asarray(u_start, dtype=float).tolist()
+        self.i_start = np.asarray(i_start, dtype=float).tolist()
         self.condition = condition
-        self.caps = (path.node_caps if caps is None
-                     else np.asarray(caps, dtype=float))
+        self.caps = np.asarray(path.node_caps if caps is None else caps,
+                               dtype=float).tolist()
         if order not in (1, 2):
             raise ValueError("waveform order must be 1 or 2")
         self.order = order
@@ -129,28 +130,6 @@ class RegionSystem:
                 raise ValueError(
                     "turn-on condition must target the device just above "
                     "the active frontier")
-
-    # ------------------------------------------------------------------
-    def _gate_actual(self, device_idx: int, t: float) -> float:
-        """Actual gate voltage of device ``device_idx`` (1-based) at t."""
-        device = self.path.devices[device_idx - 1]
-        if device.gate is None:
-            return 0.0
-        return self.sources[device.gate].value(t)
-
-    def _gate_slope(self, device_idx: int, t: float) -> float:
-        device = self.path.devices[device_idx - 1]
-        if device.gate is None:
-            return 0.0
-        return self.sources[device.gate].slope(t)
-
-    def _u_at(self, values: np.ndarray, node_idx: int) -> float:
-        """Frame voltage of node ``node_idx`` (0 = rail) given unknowns."""
-        if node_idx == 0:
-            return 0.0
-        if node_idx <= self.m:
-            return float(values[node_idx - 1])
-        return float(self.u_start[node_idx - 1])  # frozen above frontier
 
     # ------------------------------------------------------------------
     def residual_and_parts(self, x: np.ndarray) -> Tuple[
@@ -173,91 +152,100 @@ class RegionSystem:
 
     def _compute_parts(self, x: np.ndarray) -> Tuple[
             np.ndarray, TridiagonalMatrix, np.ndarray]:
+        # Runs once per Newton iterate and line-search probe: it works on
+        # Python floats and builds each array once at the end.
         m = self.m
-        n = m + 1
-        u_new = x[:m]
-        tau_new = float(x[m])
+        values = x.tolist()
+        tau_new = values[m]
         delta = max(tau_new - self.tau, self._min_delta)
         path = self.path
+        sources = self.sources
         caps = self.caps
-
-        f = np.zeros(n)
-        diag = np.zeros(n)
-        lower = np.zeros(n - 1)
-        upper = np.zeros(n - 1)
-        last_col = np.zeros(n)
+        u_start = self.u_start
+        i_start = self.i_start
+        vdd = self.vdd
 
         # Miller injection from moving gates (zero for step inputs away
         # from the step instant; the scheduler handles step kicks).
-        injection = path.coupling_injection(self.sources, tau_new)
+        injection = path.coupling_injection(sources, tau_new)
 
         # Device currents J_k (device k connects node k-1 and node k).
         # We evaluate devices 1..min(m+1, K): device m+1 (just above the
         # frontier) sees a frozen outer node but still injects current
-        # into node m (it is usually sub-threshold there).
+        # into node m (it is usually sub-threshold there).  Node 0 is
+        # the rail; nodes above the frontier keep their start values.
         top_device = min(m + 1, path.length)
+        u_nodes = [0.0] + values[:m] + u_start[m:top_device]
+        gates: List[Tuple[float, float]] = []
         currents: List[Tuple[float, float, float, float]] = []
-        for k in range(1, top_device + 1):
-            device = path.devices[k - 1]
-            gate_v = self._gate_actual(k, tau_new)
+        for k, device in enumerate(path.devices[:top_device]):
+            if device.gate is None:
+                gate_v = gate_slope = 0.0
+            else:
+                source = sources[device.gate]
+                gate_v = source.value(tau_new)
+                gate_slope = source.slope(tau_new)
+            gates.append((gate_v, gate_slope))
             j, dj_inner, dj_outer, dj_gate = device.frame_current(
-                gate_v, self._u_at(u_new, k - 1), self._u_at(u_new, k),
-                self.vdd)
-            dj_dtau = dj_gate * self._gate_slope(k, tau_new)
-            currents.append((j, dj_inner, dj_outer, dj_dtau))
+                gate_v, u_nodes[k], u_nodes[k + 1], vdd)
+            currents.append((j, dj_inner, dj_outer, dj_gate * gate_slope))
 
         order = float(self.order)
-        for k in range(1, m + 1):
-            c_k = caps[k - 1]
-            i_new = (order * c_k
-                     * (u_new[k - 1] - self.u_start[k - 1]) / delta
-                     - (order - 1.0) * self.i_start[k - 1])
-            j_k, djk_in, djk_out, djk_tau = currents[k - 1]
-            if k < len(currents) + 1 and k <= top_device - 1:
-                j_up, dju_in, dju_out, dju_tau = currents[k]
+        f: List[float] = []
+        diag: List[float] = []
+        lower: List[float] = []
+        upper: List[float] = []
+        last_col: List[float] = []
+        for row in range(m):
+            c_k = caps[row]
+            du = values[row] - u_start[row]
+            i_new = order * c_k * du / delta - (order - 1.0) * i_start[row]
+            j_k, djk_in, djk_out, djk_tau = currents[row]
+            if row + 1 < top_device:
+                j_up, dju_in, dju_out, dju_tau = currents[row + 1]
             else:
                 j_up, dju_in, dju_out, dju_tau = 0.0, 0.0, 0.0, 0.0
-            row = k - 1
-            f[row] = i_new - (j_up - j_k) - injection[k - 1]
-            diag[row] = order * c_k / delta + djk_out - dju_in
-            if k >= 2:
-                lower[row - 1] = djk_in
-            if k + 1 <= m:
-                upper[row] = -dju_out
-            d_tau = (-order * c_k * (u_new[k - 1] - self.u_start[k - 1])
-                     / (delta * delta) + djk_tau - dju_tau)
-            if k == m:
-                upper[m - 1] = d_tau  # in-band: row m, column m+1
+            f.append(i_new - (j_up - j_k) - injection[row])
+            diag.append(order * c_k / delta + djk_out - dju_in)
+            if row >= 1:
+                lower.append(djk_in)
+            d_tau = (-order * c_k * du / (delta * delta) + djk_tau
+                     - dju_tau)
+            if row + 1 < m:
+                upper.append(-dju_out)
+                last_col.append(d_tau)
             else:
-                last_col[row] = d_tau
+                upper.append(d_tau)  # in-band: row m, column m+1
+                last_col.append(0.0)
+        last_col.append(0.0)
 
         # Condition row (row index m, 1-based row m+1).
-        if isinstance(self.condition, CrossingCondition):
-            f[m] = u_new[m - 1] - self.condition.target
-            lower[m - 1] = 1.0
-            diag[m] = 0.0
-        elif isinstance(self.condition, TimeCondition):
-            f[m] = tau_new - self.condition.t_end
-            lower[m - 1] = 0.0
-            diag[m] = 1.0
+        condition = self.condition
+        if isinstance(condition, CrossingCondition):
+            f.append(values[m - 1] - condition.target)
+            lower.append(1.0)
+            diag.append(0.0)
+        elif isinstance(condition, TimeCondition):
+            f.append(tau_new - condition.t_end)
+            lower.append(0.0)
+            diag.append(1.0)
         else:
-            idx = self.condition.device_index
+            idx = condition.device_index
             device = path.devices[idx - 1]
-            gate_v = self._gate_actual(idx, tau_new)
-            u_src = float(u_new[m - 1])
-            vth = device.threshold(gate_v, u_src, self.vdd)
+            gate_v, gate_slope = gates[idx - 1]
+            u_src = values[m - 1]
+            vth = device.threshold(gate_v, u_src, vdd)
             h = 1e-3
-            vth_hi = device.threshold(gate_v, u_src + h, self.vdd)
+            vth_hi = device.threshold(gate_v, u_src + h, vdd)
             dvth_du = (vth_hi - vth) / h
-            g_frame = device.frame_gate(gate_v, self.vdd)
-            g_slope = (device.frame_gate_slope_sign()
-                       * self._gate_slope(idx, tau_new))
-            f[m] = u_src + vth - g_frame
-            lower[m - 1] = 1.0 + dvth_du
-            diag[m] = -g_slope
+            g_frame = device.frame_gate(gate_v, vdd)
+            g_slope = device.frame_gate_slope_sign() * gate_slope
+            f.append(u_src + vth - g_frame)
+            lower.append(1.0 + dvth_du)
+            diag.append(-g_slope)
 
         matrix = TridiagonalMatrix(lower=lower, diag=diag, upper=upper)
-        return f, matrix, last_col
+        return np.array(f), matrix, np.array(last_col)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Residual only (for the Newton driver)."""

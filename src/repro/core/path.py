@@ -30,7 +30,11 @@ import numpy as np
 
 from repro.circuit.elements import DeviceKind
 from repro.circuit.netlist import CircuitEdge, CircuitNode, LogicStage
-from repro.devices.capacitance import wire_capacitance, wire_resistance
+from repro.devices.capacitance import (
+    equivalent_junction_cap,
+    wire_capacitance,
+    wire_resistance,
+)
 from repro.devices.table_model import TableDeviceModel, TableModelLibrary
 from repro.interconnect.pi_model import wire_chain_pi
 from repro.spice.sources import Source
@@ -87,15 +91,15 @@ class PathDevice:
             g = 1.0 / self.resistance
             return (g * (u_outer - u_inner), -g, g, 0.0)
         if self.kind is DeviceKind.NMOS:
-            q = self.table.iv_query(self.w, self.l, gate_value,
-                                    v_src=u_outer, v_snk=u_inner)
-            return (q.ids, q.g_snk, q.g_src, q.g_gate)
+            ids, g_gate, g_src, g_snk = self.table.iv_query(
+                self.w, self.l, gate_value, u_outer, u_inner)
+            return (ids, g_snk, g_src, g_gate)
         # PMOS pull-up: actual voltages are vdd - u; the frame current is
         # the actual current flowing from the rail-side (high) node into
         # the output-side node.
-        q = self.table.iv_query(self.w, self.l, gate_value,
-                                v_src=vdd - u_inner, v_snk=vdd - u_outer)
-        return (q.ids, -q.g_src, -q.g_snk, q.g_gate)
+        ids, g_gate, g_src, g_snk = self.table.iv_query(
+            self.w, self.l, gate_value, vdd - u_inner, vdd - u_outer)
+        return (ids, -g_src, -g_snk, g_gate)
 
     def frame_gate(self, gate_value: float, vdd: float) -> float:
         """Gate voltage in the conduction frame."""
@@ -176,24 +180,28 @@ class DischargePath:
         """
         if self.fixed_caps is None or self.junctions is None:
             return self.node_caps
-        from repro.devices.capacitance import equivalent_junction_cap
-
-        caps = self.fixed_caps.copy()
-        for k in range(len(caps)):
-            v_a = self.from_frame(float(u_from[k]))
-            v_b = self.from_frame(float(u_to[k]))
+        vdd = self.vdd
+        fall = self.direction == "fall"
+        caps = self.fixed_caps.tolist()
+        for k, (u_a, u_b, junctions) in enumerate(zip(
+                np.asarray(u_from, dtype=float).tolist(),
+                np.asarray(u_to, dtype=float).tolist(), self.junctions)):
+            v_a = u_a if fall else vdd - u_a
+            v_b = u_b if fall else vdd - u_b
             if abs(v_b - v_a) < 1e-6:
                 v_b = v_a + 1e-3
-            for polarity, params, width in self.junctions[k]:
+            total = caps[k]
+            for polarity, params, width in junctions:
                 # NMOS junctions reverse-bias with the node voltage;
                 # PMOS junctions sit in an n-well tied to vdd.
                 if polarity == "p":
-                    r_a, r_b = self.vdd - v_a, self.vdd - v_b
+                    r_a, r_b = vdd - v_a, vdd - v_b
                 else:
                     r_a, r_b = v_a, v_b
-                caps[k] += abs(equivalent_junction_cap(
+                total += abs(equivalent_junction_cap(
                     params, width, r_a, r_b))
-        return caps
+            caps[k] = total
+        return np.array(caps)
 
     @property
     def length(self) -> int:
@@ -210,21 +218,25 @@ class DischargePath:
         return 1.0 if self.direction == "fall" else -1.0
 
     def coupling_injection(self, sources: Dict[str, Source],
-                           t: float) -> np.ndarray:
+                           t: float) -> List[float]:
         """Frame current injected into each node by moving gates [A].
 
         ``S_k = sum_m C_m * d(G_frame_m)/dt`` over the node's incident
-        gate couplings; zero when the path carries no coupling data.
+        gate couplings, one float per node; zero when the path carries
+        no coupling data.  Each source's slope is read once per call.
         """
-        k = len(self.node_names)
-        s = np.zeros(k)
         if self.gate_couplings is None:
-            return s
-        for idx, couplings in enumerate(self.gate_couplings):
+            return [0.0] * len(self.node_names)
+        sign = self.frame_sign
+        slopes = {gate: src.slope(t) for gate, src in sources.items()}
+        s = []
+        for couplings in self.gate_couplings:
+            total = 0.0
             for gate, cap in couplings:
-                src = sources.get(gate)
-                if src is not None:
-                    s[idx] += cap * self.frame_sign * src.slope(t)
+                slope = slopes.get(gate)
+                if slope is not None:
+                    total += cap * sign * slope
+            s.append(total)
         return s
 
     def coupling_kick(self, sources: Dict[str, Source], t: float,
@@ -256,6 +268,14 @@ class DischargePath:
     def from_frame(self, u: float) -> float:
         """Frame voltage -> actual node voltage."""
         return u if self.direction == "fall" else self.vdd - u
+
+
+class NoConductingPath(ValueError):
+    """No conducting path joins the output to the pulling rail.
+
+    A property of the stage and its input levels, not a solver failure:
+    STA reads it as "this sensitization cannot make the transition".
+    """
 
 
 def _final_level(source_like, t_probe: float) -> float:
@@ -354,7 +374,10 @@ def extract_path(stage: LogicStage, output: str, direction: str,
         The extracted :class:`DischargePath`.
 
     Raises:
-        ValueError: if no conducting path reaches the rail.
+        NoConductingPath: if no conducting path reaches the rail (a
+            ``ValueError``).
+        ValueError: if ``direction`` is neither ``"fall"`` nor
+            ``"rise"``.
     """
     if direction not in ("fall", "rise"):
         raise ValueError("direction must be 'fall' or 'rise'")
@@ -372,7 +395,7 @@ def extract_path(stage: LogicStage, output: str, direction: str,
     out_node = stage.node(output)
     hops = _trace(stage, rail, out_node, usable)
     if hops is None:
-        raise ValueError(
+        raise NoConductingPath(
             f"no conducting {direction} path from {output!r} to "
             f"{rail.name!r} at the given input levels")
 
@@ -458,8 +481,6 @@ def extract_path(stage: LogicStage, output: str, direction: str,
                     and edge.name in collapsed_edges):
                 fixed_caps[i] -= 0.5 * wire_capacitance(
                     tech.wire, edge.w, edge.l)
-
-    from repro.devices.capacitance import equivalent_junction_cap
 
     caps = fixed_caps.copy()
     for i, node_junctions in enumerate(junctions):

@@ -43,18 +43,18 @@ def junction_capacitance(params: MosParams, w: float,
 
 
 def _junction_charge(params: MosParams, w: float, v_reverse: float) -> float:
-    """Integral of the junction capacitance from 0 to ``v_reverse`` [C]."""
-    area = w * params.ldiff
-    perim = 2.0 * (w + params.ldiff)
-    vr = max(v_reverse, -0.5 * params.pb)
+    """Integral of the junction capacitance from 0 to ``v_reverse`` [C].
 
-    def integral(c0: float, m: float) -> float:
-        # d/dv [ c0*pb/(1-m) * (1+v/pb)^(1-m) ] = c0*(1+v/pb)^-m
-        return c0 * params.pb / (1.0 - m) * (
-            (1.0 + vr / params.pb) ** (1.0 - m) - 1.0)
-
-    return integral(params.cj * area, params.mj) + integral(
-        params.cjsw * perim, params.mjsw)
+    Area plus sidewall term, each
+    ``d/dv [c0*pb/(1-m) * (1+v/pb)^(1-m)] = c0*(1+v/pb)^-m``.
+    """
+    pb = params.pb
+    base = 1.0 + max(v_reverse, -0.5 * pb) / pb
+    m_area, m_side = params.mj, params.mjsw
+    return (params.cj * (w * params.ldiff) * pb / (1.0 - m_area)
+            * (base ** (1.0 - m_area) - 1.0)
+            + params.cjsw * (2.0 * (w + params.ldiff)) * pb / (1.0 - m_side)
+            * (base ** (1.0 - m_side) - 1.0))
 
 
 def equivalent_junction_cap(params: MosParams, w: float,

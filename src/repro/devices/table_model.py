@@ -16,8 +16,7 @@ interpolation-weight gradients, no re-sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -41,9 +40,11 @@ _VTH, _VDSAT = 5, 6
 _Axis = Tuple[float, float, float, List[float]]
 
 
-@dataclass(frozen=True)
-class IVQuery:
+class IVQuery(NamedTuple):
     """Result of a tabular I/V evaluation with derivatives.
+
+    A named tuple: the QWM residual unpacks it positionally, once per
+    device per Newton iterate, so it costs no attribute lookups.
 
     Attributes:
         ids: current from the structural src node to the snk node [A].
@@ -90,23 +91,23 @@ class TableDeviceModel:
     # ------------------------------------------------------------------
     # Frame helpers
     # ------------------------------------------------------------------
-    def _to_frame(self, v: float) -> float:
-        return v if self.grid.polarity == "n" else self._vdd - v
-
-    def _check_length(self, l: float) -> None:
-        if abs(l - self.grid.l_ref) > LENGTH_TOLERANCE * self.grid.l_ref:
-            raise ValueError(
-                f"table characterized at L={self.grid.l_ref:.3e} m, queried "
-                f"with L={l:.3e} m; use TableModelLibrary for multi-length "
-                "designs")
+    def _to_frame(self, v_gate: float, v_src: float,
+                  v_snk: float) -> Tuple[float, float, float]:
+        """Gate, source and sink voltages in the conduction frame."""
+        if self._sign > 0.0:
+            return v_gate, v_src, v_snk
+        vdd = self._vdd
+        return vdd - v_gate, vdd - v_src, vdd - v_snk
 
     @staticmethod
     def _cell(axis: _Axis, value: float) -> Tuple[int, float, float]:
         """Locate the interpolation cell: (index, fraction, width)."""
         lo, hi, step, widths = axis
         clipped = lo if value < lo else (hi if value > hi else value)
+        # ``clipped >= lo``, so only the top needs a bound.
         idx = int((clipped - lo) / step)
-        idx = min(max(idx, 0), len(widths) - 1)
+        if idx >= len(widths):
+            idx = len(widths) - 1
         return idx, (clipped - lo - idx * step) / step, widths[idx]
 
     def _frame_query(self, vg_f: float, vs_f: float,
@@ -152,11 +153,16 @@ class TableDeviceModel:
                  v_snk: float) -> IVQuery:
         """Current plus node-voltage derivatives (for the QWM Jacobian)."""
         self.query_count += 1
-        self._check_length(l)
-        scale = w / self.grid.w_ref
-        g = self._to_frame(v_gate)
-        a = self._to_frame(v_src)
-        b = self._to_frame(v_snk)
+        grid = self.grid
+        if abs(l - grid.l_ref) > LENGTH_TOLERANCE * grid.l_ref:
+            raise ValueError(
+                f"table characterized at L={grid.l_ref:.3e} m, queried "
+                f"with L={l:.3e} m; use TableModelLibrary for multi-length "
+                "designs")
+        # float(): a numpy width would make every product below a
+        # numpy scalar.
+        scale = float(w) / grid.w_ref
+        g, a, b = self._to_frame(v_gate, v_src, v_snk)
         if a >= b:
             q, dq_dg, dq_ds, dq_dd = self._frame_query(g, b, a - b)
             ids = self._sign * q
@@ -167,21 +173,17 @@ class TableDeviceModel:
             d_src, d_snk, d_gate = -dq_ds, -dq_dd, -dq_dg
         # Frame sign and value sign cancel in the derivative chain for
         # PMOS, so node derivatives are frame-agnostic (see module tests).
-        return IVQuery(ids=ids * scale, g_gate=d_gate * scale,
-                       g_src=d_src * scale, g_snk=d_snk * scale)
+        return IVQuery(ids * scale, d_gate * scale, d_src * scale,
+                       d_snk * scale)
 
     def threshold(self, v_gate: float, v_src: float, v_snk: float) -> float:
         """Threshold magnitude for the effective source (paper Def. 2)."""
-        a = self._to_frame(v_src)
-        b = self._to_frame(v_snk)
-        g = self._to_frame(v_gate)
+        g, a, b = self._to_frame(v_gate, v_src, v_snk)
         return self._interp_column(_VTH, min(a, b), g)
 
     def vdsat(self, v_gate: float, v_src: float, v_snk: float) -> float:
         """Saturation voltage at the effective bias [V]."""
-        a = self._to_frame(v_src)
-        b = self._to_frame(v_snk)
-        g = self._to_frame(v_gate)
+        g, a, b = self._to_frame(v_gate, v_src, v_snk)
         return self._interp_column(_VDSAT, min(a, b), g)
 
     def _interp_column(self, column: int, vs_f: float,

@@ -189,7 +189,7 @@ class NewtonSolver:
                     last_residual_norm=fnorm,
                     reason="linear_solve_failed",
                 ) from exc
-            if not np.all(np.isfinite(step)):
+            if not np.isfinite(step).all():
                 raise NewtonConvergenceError(
                     f"non-finite Newton step at iteration {iteration}",
                     last_x=x,
@@ -258,4 +258,4 @@ def _dense_solve(jacobian_value: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _inf_norm(vec: np.ndarray) -> float:
-    return float(np.max(np.abs(vec))) if vec.size else 0.0
+    return float(np.abs(vec).max()) if vec.size else 0.0

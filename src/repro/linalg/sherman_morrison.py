@@ -29,7 +29,8 @@ def solve_rank_one_update(
 ) -> np.ndarray:
     """Solve ``(A + u v^T) x = rhs`` with ``A`` tridiagonal.
 
-    Uses the Sherman-Morrison formula with two Thomas solves, O(n) total.
+    Uses the Sherman-Morrison formula; ``A y = rhs`` and ``A z = u``
+    share one Thomas elimination, O(n) total.
 
     Raises:
         np.linalg.LinAlgError: if ``A`` is singular or ``1 + v^T A^{-1} u``
@@ -37,8 +38,8 @@ def solve_rank_one_update(
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    y = solve_tridiagonal(matrix, rhs)
-    z = solve_tridiagonal(matrix, u)
+    y, z = solve_tridiagonal(
+        matrix, np.array((rhs, u), dtype=float).T).T
     denom = 1.0 + float(v @ z)
     if abs(denom) < 1e-300:
         raise np.linalg.LinAlgError("singular rank-one update in Sherman-Morrison")

@@ -85,12 +85,18 @@ def tridiagonal_matvec(matrix: TridiagonalMatrix, x: np.ndarray) -> np.ndarray:
 def solve_tridiagonal(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve ``A x = rhs`` with the Thomas algorithm in O(n).
 
+    Several right-hand sides share one elimination: pass them as the
+    columns of an ``(n, r)`` array.  Each column gets exactly the
+    arithmetic a one-column solve would give it.  The sweep runs on
+    Python floats, one row at a time.
+
     Args:
         matrix: the tridiagonal coefficient matrix.
-        rhs: right-hand side of length ``n``.
+        rhs: right-hand side of length ``n``, or an ``(n, r)`` array of
+            ``r`` right-hand sides.
 
     Returns:
-        The solution vector ``x``.
+        The solution, shaped like ``rhs``.
 
     Raises:
         np.linalg.LinAlgError: if a pivot underflows (matrix numerically
@@ -102,29 +108,38 @@ def solve_tridiagonal(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     n = matrix.n
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != matrix dim {n}")
+    columns = rhs.T.tolist() if rhs.ndim == 2 else [rhs.tolist()]
+    lower = matrix.lower.tolist()
+    diag = matrix.diag.tolist()
+    upper = matrix.upper.tolist()
 
-    # Forward sweep: eliminate the sub-diagonal.
-    scratch_upper = np.empty(n - 1) if n > 1 else np.empty(0)
-    scratch_rhs = np.empty(n)
-    pivot = matrix.diag[0]
+    # Forward sweep: eliminate the sub-diagonal.  The pivots depend on
+    # the matrix alone; every column is scaled by the same ones.
+    scratch_upper = [0.0] * (n - 1)
+    pivot = diag[0]
     if abs(pivot) < 1e-300:
         raise np.linalg.LinAlgError("zero pivot in tridiagonal solve at row 0")
-    scratch_rhs[0] = rhs[0] / pivot
+    for col in columns:
+        col[0] = col[0] / pivot
     if n > 1:
-        scratch_upper[0] = matrix.upper[0] / pivot
+        scratch_upper[0] = upper[0] / pivot
     for i in range(1, n):
-        pivot = matrix.diag[i] - matrix.lower[i - 1] * scratch_upper[i - 1]
+        below = lower[i - 1]
+        pivot = diag[i] - below * scratch_upper[i - 1]
         if abs(pivot) < 1e-300:
             raise np.linalg.LinAlgError(
                 f"zero pivot in tridiagonal solve at row {i}"
             )
         if i < n - 1:
-            scratch_upper[i] = matrix.upper[i] / pivot
-        scratch_rhs[i] = (rhs[i] - matrix.lower[i - 1] * scratch_rhs[i - 1]) / pivot
+            scratch_upper[i] = upper[i] / pivot
+        for col in columns:
+            col[i] = (col[i] - below * col[i - 1]) / pivot
 
-    # Back substitution.
-    x = np.empty(n)
-    x[-1] = scratch_rhs[-1]
+    # Back substitution, in place.
     for i in range(n - 2, -1, -1):
-        x[i] = scratch_rhs[i] - scratch_upper[i] * x[i + 1]
-    return x
+        factor = scratch_upper[i]
+        for col in columns:
+            col[i] = col[i] - factor * col[i + 1]
+    if rhs.ndim == 2:
+        return np.array(columns).T
+    return np.array(columns[0])

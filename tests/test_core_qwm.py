@@ -1,5 +1,8 @@
 """Tests for the QWM scheduler and public evaluator."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -187,3 +190,21 @@ class TestEvaluatorApi:
         assert s3.stats.steps > s1.stats.steps
         # And the answers agree to a few percent.
         assert s3.delay() == pytest.approx(s1.delay(), rel=0.05)
+
+
+def test_scalar_clip_matches_np_clip():
+    """``qwm._clip`` stands in for scalar ``np.clip`` in the initial
+    guess: the same value, zero sign included, for NaNs, infinities,
+    zeros and ``lo > hi``."""
+    from repro.core.qwm import _clip
+
+    def bits(x):
+        return "nan" if math.isnan(x) else (x, math.copysign(1.0, x))
+
+    # A value equal to a bound is kept, zero sign included.
+    assert bits(_clip(-0.0, 0.0, 1.0)) == bits(-0.0)
+    assert bits(_clip(0.0, -1.0, -0.0)) == bits(0.0)
+    values = (-1.0, -0.0, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan)
+    for x, lo, hi in itertools.product(values, repeat=3):
+        assert bits(_clip(x, lo, hi)) == bits(float(np.clip(x, lo, hi))), (
+            x, lo, hi)

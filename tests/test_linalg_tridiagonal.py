@@ -74,6 +74,18 @@ class TestSolve:
         np.testing.assert_allclose(x, np.linalg.solve(m.to_dense(), rhs),
                                    rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_several_rhs_equal_single_solves(self, n):
+        # Columns share one elimination and get each single solve's bits.
+        rng = np.random.default_rng(40 + n)
+        m = _random_dd_tridiag(rng, n) if n > 1 else TridiagonalMatrix(
+            lower=np.array([]), diag=[3.0], upper=np.array([]))
+        rhs = rng.uniform(-1, 1, (n, 3))
+        x = solve_tridiagonal(m, rhs)
+        assert x.shape == (n, 3)
+        for col in range(3):
+            assert (x[:, col] == solve_tridiagonal(m, rhs[:, col])).all()
+
     def test_rejects_wrong_rhs_length(self):
         m = TridiagonalMatrix(lower=[1.0], diag=[2.0, 3.0], upper=[1.0])
         with pytest.raises(ValueError):

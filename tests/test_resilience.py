@@ -451,6 +451,55 @@ class TestAnalyzeDegradation:
                 continue
             assert injected.arrivals[event].time == reference.time
 
+    def test_nan_table_never_reports_early(self, tech, library,
+                                           decoder_graph):
+        """A NaN-poisoned table escalates the arc.  A NaN guess raises
+        ``ValueError`` in the cell lookup; when the sweep read that as
+        "no conducting path" it solved another side-input assignment
+        instead, and ``n1`` fell 27.6% early on this decoder."""
+        clean = StaticTimingAnalyzer(tech, library=library).analyze(
+            decoder_graph)
+        plan = FaultPlan((FaultSpec("nan_table", fraction=0.25,
+                                    polarity="n"),), seed=0)
+        poisoned = pickle.loads(pickle.dumps(library))
+        faults.apply_table_faults(plan, poisoned)
+        with faults.installed(plan):
+            result = StaticTimingAnalyzer(
+                tech, library=poisoned).analyze(decoder_graph)
+        assert result.degraded()
+        for event, reference in clean.arrivals.items():
+            assert result.arrivals[event].time == pytest.approx(
+                reference.time, rel=0.05), event
+
+    def test_solver_value_error_escalates(self, tech, library,
+                                          decoder_graph, monkeypatch):
+        """A ``ValueError`` from inside the QWM solve is a solver
+        failure: the stage's arcs degrade, and none is dropped as an
+        unsensitizable assignment."""
+        from repro.core.qwm import QWMSolver
+        from repro.resilience.chaos import _leaf_stage
+
+        clean = StaticTimingAnalyzer(tech, library=library).analyze(
+            decoder_graph)
+        target = _leaf_stage(decoder_graph)
+        original = QWMSolver._run_schedule
+
+        def run_schedule(self, inputs, initial, t_start):
+            if self.path.stage.name == target:
+                raise ValueError("cannot convert float NaN to integer")
+            return original(self, inputs, initial, t_start)
+
+        monkeypatch.setattr(QWMSolver, "_run_schedule", run_schedule)
+        result = StaticTimingAnalyzer(tech, library=library).analyze(
+            decoder_graph)
+        outputs = {o.name for o in decoder_graph.stage(target).outputs}
+        events = [e for e in clean.arrivals if e[0] in outputs]
+        assert events
+        degraded = result.degraded()
+        for event in events:
+            assert event in degraded, event
+        assert set(result.arrivals) == set(clean.arrivals)
+
     def test_quality_propagates_downstream(self, tech, library,
                                            decoder_graph):
         """An arrival fed by a degraded predecessor inherits (at
