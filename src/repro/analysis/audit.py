@@ -3,11 +3,17 @@
 The golden suite checks ~20 canned cases; it says nothing about the
 arcs of the design actually being timed.  The auditor closes that gap:
 during an audited STA run it deterministically samples N of the run's
-attempted stage arcs, re-solves each with the adaptive transient
-engine (the same reference solver the golden suite and the resilience
-ladder's ``spice`` rung use — one measurement convention throughout),
-and records per-arc delay/slew error with an error-budget attribution
-naming the QWM solver phase that dominated the arc's residual.
+attempted stage arcs, re-solves each with
+:func:`repro.resilience.ladder.adaptive_spice_arc` (the LTE-controlled
+adaptive transient engine, also the resilience ladder's ``spice``
+rung, so audit and ladder share one measurement convention), and
+records per-arc delay/slew error with an error-budget attribution
+naming the QWM solver phase that dominated the arc's residual.  The
+golden suite measures its own way: :func:`repro.analysis.golden.
+spice_measure` runs the fixed-step 1 ps backward-Euler engine with the
+edge at the suite's ``T_SWITCH`` and reports the raw 10-90 % slew, so
+audit errors and golden errors are not measured against the same
+reference.
 
 Sampling contract (what makes audits reproducible and comparable):
 

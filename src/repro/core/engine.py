@@ -16,7 +16,7 @@ Example:
     >>> sol = evaluator.evaluate(
     ...     stage, output="out", direction="fall",
     ...     inputs={"a0": StepSource(0.0, tech.vdd, 0.0), "a1": tech.vdd})
-    >>> sol.delay() > 0
+    >>> float(sol.delay()) > 0
     True
 """
 

@@ -121,8 +121,6 @@ class RegionSystem:
         self.order = order
         self.vdd = path.vdd
         self._min_delta = 1e-16
-        self._cache_key: Optional[bytes] = None
-        self._cache_value = None
         if isinstance(condition, TurnOnCondition):
             if not (2 <= condition.device_index <= path.length):
                 raise ValueError("turn-on device index out of range")
@@ -138,24 +136,13 @@ class RegionSystem:
 
         Returns ``(F, A, u_col)`` where the full Jacobian is
         ``A + u_col e_{M+1}^T`` (``u_col`` is zero in its last two rows,
-        whose tau' entries live inside the band).  Results are memoized
-        on ``x`` since the Newton driver requests the residual and the
-        Jacobian separately.
+        whose tau' entries live inside the band).
         """
-        key = np.asarray(x, dtype=float).tobytes()
-        if key == self._cache_key:
-            return self._cache_value
-        value = self._compute_parts(np.asarray(x, dtype=float))
-        self._cache_key = key
-        self._cache_value = value
-        return value
-
-    def _compute_parts(self, x: np.ndarray) -> Tuple[
-            np.ndarray, TridiagonalMatrix, np.ndarray]:
-        # Runs once per Newton iterate and line-search probe: it works on
-        # Python floats and builds each array once at the end.
+        # Runs once per Newton trial point (start, full step, line-search
+        # probe): it works on Python floats and builds each array once at
+        # the end.
         m = self.m
-        values = x.tolist()
+        values = np.asarray(x, dtype=float).tolist()
         tau_new = values[m]
         delta = max(tau_new - self.tau, self._min_delta)
         path = self.path
@@ -247,17 +234,10 @@ class RegionSystem:
         matrix = TridiagonalMatrix(lower=lower, diag=diag, upper=upper)
         return np.array(f), matrix, np.array(last_col)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        """Residual only (for the Newton driver)."""
-        f, _, _ = self.residual_and_parts(x)
-        return f
-
     def dense_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Full dense Jacobian (fallback path and for testing)."""
+        """Full dense Jacobian (for testing)."""
         _, matrix, last_col = self.residual_and_parts(x)
-        dense = matrix.to_dense()
-        dense[:, -1] += last_col
-        return dense
+        return _dense(matrix, last_col)
 
     # ------------------------------------------------------------------
     def newton_solve(self, x0: np.ndarray,
@@ -279,9 +259,9 @@ class RegionSystem:
             abstol=1e-10, xtol=1e-15, max_iterations=60)
         solver = NewtonSolver(opts)
 
-        def jacobian(x: np.ndarray):
-            _, matrix, last_col = self.residual_and_parts(x)
-            return (matrix, last_col)
+        def system(x: np.ndarray):
+            f, matrix, last_col = self.residual_and_parts(x)
+            return f, (matrix, last_col)
 
         # Linear-solve kinds are tallied in plain ints here and counted
         # on the region's frame once per solve — never per Newton
@@ -300,18 +280,22 @@ class RegionSystem:
                     return out
                 except np.linalg.LinAlgError:
                     pass
-            dense = matrix.to_dense()
-            dense[:, -1] += last_col
             lu_solves += 1
             inc("linalg.solve.dense_lu")
-            return np.linalg.solve(dense, rhs)
+            return np.linalg.solve(_dense(matrix, last_col), rhs)
 
         try:
-            return solver.solve(self.residual, jacobian, x0,
-                                linear_solve=linear_solve,
+            return solver.solve(system, x0, linear_solve=linear_solve,
                                 trajectory=trajectory)
         finally:
             if sm_solves:
                 count("sherman_morrison", sm_solves)
             if lu_solves:
                 count("dense_lu", lu_solves)
+
+
+def _dense(matrix: TridiagonalMatrix, last_col: np.ndarray) -> np.ndarray:
+    """The full Jacobian ``A + u_col e_{M+1}^T`` as a dense array."""
+    dense = matrix.to_dense()
+    dense[:, -1] += last_col
+    return dense

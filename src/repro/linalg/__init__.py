@@ -9,8 +9,9 @@ This package provides:
 * :func:`~repro.linalg.sherman_morrison.solve_bordered_tridiagonal` —
   tridiagonal-plus-rank-one solve via the Sherman-Morrison formula, as
   described in the paper's Section IV-B.
-* :class:`~repro.linalg.newton.NewtonSolver` — a damped Newton-Raphson
-  driver shared by the SPICE engine and the QWM matcher.
+* :class:`~repro.linalg.newton.NewtonSolver` — a Newton-Raphson driver,
+  fed one ``x -> (F, J)`` callback, shared by the SPICE engine and the
+  QWM matcher.
 """
 
 from repro.linalg.tridiagonal import (

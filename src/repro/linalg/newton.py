@@ -1,24 +1,27 @@
-"""A damped Newton-Raphson driver.
+"""A Newton-Raphson driver with step limiting and a line search.
 
-Shared by the SPICE engine (per-timestep nonlinear solves) and the QWM
-matcher (per-critical-point solves).  The driver is deliberately generic:
-callers supply a residual function, a Jacobian function, and optionally a
-custom linear solver (the QWM matcher plugs in the bordered-tridiagonal
-Sherman-Morrison solve here).
+Shared by the SPICE engine (DC and per-timestep nonlinear solves) and
+the QWM matcher (per-critical-point solves).  The driver is deliberately
+generic: callers supply one system function that assembles the residual
+and its Jacobian together, and optionally a custom linear solver (the
+QWM matcher plugs in the bordered-tridiagonal Sherman-Morrison solve
+here).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.resilience import faults
 
-ResidualFn = Callable[[np.ndarray], np.ndarray]
-JacobianFn = Callable[[np.ndarray], np.ndarray]
-LinearSolveFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+SystemFn = Callable[[np.ndarray], Tuple[np.ndarray, Any]]
+LinearSolveFn = Callable[[Any, np.ndarray], np.ndarray]
+
+#: Halvings the line search tries per iteration.
+LINE_SEARCH_TRIES = 8
 
 #: Machine-readable values of :attr:`NewtonConvergenceError.reason`.
 FAILURE_REASONS = (
@@ -48,7 +51,7 @@ class NewtonConvergenceError(RuntimeError):
 
 @dataclass
 class NewtonOptions:
-    """Convergence and damping controls for :class:`NewtonSolver`.
+    """Convergence controls for :class:`NewtonSolver`.
 
     Attributes:
         abstol: absolute residual tolerance (per component, inf-norm).
@@ -60,20 +63,16 @@ class NewtonOptions:
             limited update keeps the Newton direction and the line
             search still starts from a descent direction; ``None``
             disables the limit.
-        damping: multiplier applied to every accepted step (1.0 = full
-            Newton).
-        line_search: if True, halve the step up to ``line_search_tries``
-            times whenever the residual norm would increase.
-        line_search_tries: maximum halvings per iteration.
+        line_search: if True, halve the step up to
+            :data:`LINE_SEARCH_TRIES` times whenever the residual norm
+            would increase.
     """
 
     abstol: float = 1e-9
     xtol: float = 1e-9
     max_iterations: int = 100
     max_step: Optional[float] = None
-    damping: float = 1.0
     line_search: bool = True
-    line_search_tries: int = 8
 
 
 @dataclass
@@ -85,8 +84,8 @@ class NewtonResult:
         iterations: Newton iterations actually used.
         residual_norm: final residual inf-norm.
         converged: always True on a returned result (failures raise).
-        function_evaluations: number of residual evaluations (includes
-            line-search probes).
+        function_evaluations: number of system evaluations (the start
+            point, each full step and each line-search probe).
     """
 
     x: np.ndarray
@@ -98,14 +97,14 @@ class NewtonResult:
 
 @dataclass
 class NewtonSolver:
-    """Damped Newton-Raphson with optional step limiting and line search.
+    """Newton-Raphson with optional step limiting and line search.
 
     Example:
         >>> import numpy as np
         >>> solver = NewtonSolver()
         >>> result = solver.solve(
-        ...     residual=lambda x: np.array([x[0] ** 2 - 4.0]),
-        ...     jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        ...     lambda x: (np.array([x[0] ** 2 - 4.0]),
+        ...                np.array([[2.0 * x[0]]])),
         ...     x0=np.array([1.0]),
         ... )
         >>> round(float(result.x[0]), 6)
@@ -116,18 +115,20 @@ class NewtonSolver:
 
     def solve(
         self,
-        residual: ResidualFn,
-        jacobian: JacobianFn,
+        system: SystemFn,
         x0: np.ndarray,
         linear_solve: Optional[LinearSolveFn] = None,
         trajectory: Optional[List[Dict[str, float]]] = None,
     ) -> NewtonResult:
-        """Solve ``residual(x) = 0`` starting from ``x0``.
+        """Solve ``F(x) = 0`` starting from ``x0``.
 
         Args:
-            residual: maps x to the residual vector F(x).
-            jacobian: maps x to dF/dx.  When ``linear_solve`` is provided
-                the Jacobian may be any object that solver understands.
+            system: maps x to ``(F(x), dF/dx)``, assembled together.  It
+                is called once per trial point (the start, each full
+                step, each line-search probe), and the Jacobian of the
+                accepted point is kept for the next step.  When
+                ``linear_solve`` is provided the Jacobian may be any
+                object that solver understands.
             x0: initial guess (not modified).
             linear_solve: optional ``(jacobian_value, rhs) -> update``;
                 defaults to ``numpy.linalg.solve``.
@@ -157,7 +158,8 @@ class NewtonSolver:
         if linear_solve is None:
             linear_solve = _dense_solve
         x = np.array(x0, dtype=float, copy=True)
-        f = np.asarray(residual(x), dtype=float)
+        f, jac = system(x)
+        f = np.asarray(f, dtype=float)
         evals = 1
         fnorm = _inf_norm(f)
         if trajectory is not None:
@@ -179,7 +181,6 @@ class NewtonSolver:
                     residual_norm=fnorm,
                     function_evaluations=evals,
                 )
-            jac = jacobian(x)
             try:
                 step = np.asarray(linear_solve(jac, f), dtype=float)
             except np.linalg.LinAlgError as exc:
@@ -196,14 +197,14 @@ class NewtonSolver:
                     last_residual_norm=fnorm,
                     reason="non_finite_step",
                 )
-            step *= opts.damping
             if opts.max_step is not None:
                 largest = _inf_norm(step)
                 if largest > opts.max_step:
                     step *= opts.max_step / largest
 
             x_new = x - step
-            f_new = np.asarray(residual(x_new), dtype=float)
+            f_new, jac_new = system(x_new)
+            f_new = np.asarray(f_new, dtype=float)
             evals += 1
             fnorm_new = _inf_norm(f_new)
             if not np.isfinite(fnorm_new):
@@ -217,20 +218,22 @@ class NewtonSolver:
             accepted_shrink = 1.0
             if opts.line_search and fnorm_new > fnorm and fnorm_new > opts.abstol:
                 shrink = 0.5
-                for _ in range(opts.line_search_tries):
+                for _ in range(LINE_SEARCH_TRIES):
                     x_try = x - shrink * step
-                    f_try = np.asarray(residual(x_try), dtype=float)
+                    f_try, jac_try = system(x_try)
+                    f_try = np.asarray(f_try, dtype=float)
                     evals += 1
                     fnorm_try = _inf_norm(f_try)
                     if fnorm_try < fnorm_new:
-                        x_new, f_new, fnorm_new = x_try, f_try, fnorm_try
+                        x_new, f_new, jac_new = x_try, f_try, jac_try
+                        fnorm_new = fnorm_try
                         accepted_shrink = shrink
                     if fnorm_try < fnorm:
                         break
                     shrink *= 0.5
 
             step_norm = _inf_norm(x_new - x)
-            x, f, fnorm = x_new, f_new, fnorm_new
+            x, f, jac, fnorm = x_new, f_new, jac_new, fnorm_new
             if trajectory is not None:
                 trajectory.append({"iteration": iteration,
                                    "residual_norm": fnorm,

@@ -171,9 +171,12 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     produces a crossing.
 
     This is both the ladder's ``spice`` rung and the reference solver
-    of the shadow-SPICE auditor (:mod:`repro.analysis.audit`) — one
-    measurement convention, so audit errors are comparable to the
-    golden suite's.  ``analyzer`` is duck-typed like the ladder's: any
+    of the shadow-SPICE auditor (:mod:`repro.analysis.audit`), so the
+    two share one measurement convention: the adaptive engine, the edge
+    at ``settle``, and the 10-90 % slew scaled by 1/0.8.  The golden
+    suite does not use it: :func:`repro.analysis.golden.spice_measure`
+    runs the fixed-step 1 ps engine with its own edge time and the raw
+    10-90 % slew.  ``analyzer`` is duck-typed like the ladder's: any
     object with ``tech``, ``evaluator`` and the sensitization helpers.
     """
     vdd = stage.vdd

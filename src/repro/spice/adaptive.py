@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -170,19 +170,14 @@ class AdaptiveTransientSimulator:
                 dvg = (gate_new[gate] - gate_prev[gate]) / dt
                 miller[idx] -= cap * dvg
 
-            def residual(x: np.ndarray) -> np.ndarray:
-                f, _ = eq.static_residual(x, gate_new)
-                return f + caps * (x - v_old) / dt + miller
-
-            def jacobian(x: np.ndarray) -> np.ndarray:
-                _, jac = eq.static_residual(x, gate_new)
-                jac = jac.copy()
+            def system(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                f, jac = eq.static_residual(x, gate_new)
                 jac[np.diag_indices(eq.n)] += caps / dt
-                return jac
+                return f + caps * (x - v_old) / dt + miller, jac
 
             predictor = self._predict(history, times, dt, prev_dt)
             try:
-                result = solver.solve(residual, jacobian, predictor)
+                result = solver.solve(system, predictor)
             except NewtonConvergenceError:
                 if dt <= opts.dt_min * 1.001:
                     raise

@@ -11,7 +11,7 @@ as they do in HSPICE.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -20,35 +20,6 @@ from repro.circuit.netlist import LogicStage
 from repro.linalg.newton import NewtonConvergenceError, NewtonOptions, NewtonSolver
 from repro.spice.mna import StageEquations
 from repro.spice.sources import SourceLike, as_source
-
-
-def _static_system(equations: StageEquations,
-                   input_levels: Dict[str, float], gmin: float
-                   ) -> Tuple[Callable[[np.ndarray], np.ndarray],
-                              Callable[[np.ndarray], np.ndarray]]:
-    """Residual and Jacobian closures that assemble once per iterate.
-
-    :meth:`StageEquations.static_residual` returns both halves, and
-    :class:`NewtonSolver` asks for the Jacobian only at a point whose
-    residual it has already evaluated (the start point or an accepted
-    trial).  The residual closure therefore keeps each trial's Jacobian,
-    keyed by the iterate's bytes, until the next Jacobian request.
-    """
-    pending: Dict[bytes, np.ndarray] = {}
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        f, jac = equations.static_residual(x, input_levels, gmin=gmin)
-        pending[x.tobytes()] = jac
-        return f
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = pending.pop(x.tobytes(), None)
-        pending.clear()
-        if jac is None:
-            _, jac = equations.static_residual(x, input_levels, gmin=gmin)
-        return jac
-
-    return residual, jacobian
 
 
 def solve_dc(equations: StageEquations,
@@ -84,13 +55,15 @@ def solve_dc(equations: StageEquations,
         abstol=1e-9, xtol=1e-12, max_iterations=200,
         max_step=0.3 * equations.vdd))
     while True:
-        residual, jacobian = _static_system(equations, input_levels, gmin)
+        def system(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            return equations.static_residual(x, input_levels, gmin=gmin)
+
         if gmin <= gmin_final:
             solver = NewtonSolver(NewtonOptions(
                 abstol=abstol, xtol=1e-12, max_iterations=200,
                 max_step=0.3 * equations.vdd))
         try:
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
             v = result.x
         except NewtonConvergenceError:
             # Pseudo-transient continuation: the model's vds = 0 body-
@@ -128,21 +101,17 @@ def pseudo_transient_dc(equations: StageEquations,
     solver = NewtonSolver(NewtonOptions(
         abstol=1e-9, xtol=1e-10, max_iterations=80,
         max_step=0.3 * equations.vdd))
-    static_f, static_jac = _static_system(equations, input_levels, gmin)
     for _ in range(max_steps):
         caps = equations.node_capacitances(v)
         v_old = v.copy()
 
-        def residual(x: np.ndarray) -> np.ndarray:
-            return static_f(x) + caps * (x - v_old) / dt
-
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            jac = static_jac(x)
+        def system(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            f, jac = equations.static_residual(x, input_levels, gmin=gmin)
             jac[np.diag_indices(equations.n)] += caps / dt
-            return jac
+            return f + caps * (x - v_old) / dt, jac
 
         try:
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
         except NewtonConvergenceError:
             dt *= 0.25
             if dt < 1e-16:

@@ -188,7 +188,9 @@ class StageEquations:
         Returns:
             ``(residual, jacobian)``: residual[i] is the net current
             leaving node i through resistive/channel elements; jacobian
-            is its dense derivative.
+            is its dense derivative.  Both arrays are new on every call,
+            so the DC and transient solvers add their companion terms
+            to them in place.
         """
         f = np.zeros(self.n)
         jac = np.zeros((self.n, self.n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -122,8 +122,9 @@ class TransientSimulator:
         eq.device_evaluations = 0
         solver = NewtonSolver(opts.newton)
         gate_prev = eq.gate_values(sources, 0.0)
-        # Static residual at t=0 for the trapezoidal history term.
-        f_static_prev, _ = eq.static_residual(v, gate_prev)
+        if opts.method == "trap":
+            # Static residual at t=0 for the trapezoidal history term.
+            f_static_prev, _ = eq.static_residual(v, gate_prev)
 
         t_start = time.perf_counter()
         for step in range(1, n_steps + 1):
@@ -141,29 +142,20 @@ class TransientSimulator:
                 miller[idx] = miller[idx] - cap * dvg
 
             if opts.method == "be":
-                def residual(x: np.ndarray) -> np.ndarray:
-                    f, _ = eq.static_residual(x, gate_new)
-                    return f + caps * (x - v_old) / dt + miller
-
-                def jacobian(x: np.ndarray) -> np.ndarray:
-                    _, jac = eq.static_residual(x, gate_new)
-                    jac = jac.copy()
+                def system(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                    f, jac = eq.static_residual(x, gate_new)
                     jac[np.diag_indices(eq.n)] += caps / dt
-                    return jac
+                    return f + caps * (x - v_old) / dt + miller, jac
             else:
                 # Trapezoidal: C*(v'-v)/dt = -(f(v') + f(v))/2 + inj.
-                def residual(x: np.ndarray) -> np.ndarray:
-                    f, _ = eq.static_residual(x, gate_new)
-                    return (0.5 * (f + f_static_prev)
-                            + caps * (x - v_old) / dt + miller)
-
-                def jacobian(x: np.ndarray) -> np.ndarray:
-                    _, jac = eq.static_residual(x, gate_new)
-                    jac = 0.5 * jac
+                def system(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                    f, jac = eq.static_residual(x, gate_new)
+                    jac *= 0.5
                     jac[np.diag_indices(eq.n)] += caps / dt
-                    return jac
+                    return (0.5 * (f + f_static_prev)
+                            + caps * (x - v_old) / dt + miller), jac
 
-            result = solver.solve(residual, jacobian, v)
+            result = solver.solve(system, v)
             # Loose divergence guard only: Miller kicks legitimately push
             # floating nodes past the rails (no junction diodes in the
             # device model), so the bounds must not clip real charge.

@@ -24,6 +24,10 @@ def stack_setup(tech, library):
     return path, sources
 
 
+def _residual(system, x):
+    return system.residual_and_parts(x)[0]
+
+
 def _region(path, sources, active, condition, tech):
     u0 = np.full(path.length, tech.vdd)
     u0[0] = 3.0  # node 1 partway down
@@ -38,7 +42,7 @@ class TestResidualStructure:
         path, sources = stack_setup
         system, u0 = _region(path, sources, 1, TurnOnCondition(2), tech)
         x = np.array([2.5, 20e-12])
-        f = system.residual(x)
+        f = _residual(system, x)
         assert f.shape == (2,)
 
     def test_turnon_condition_index_validation(self, stack_setup, tech):
@@ -61,7 +65,7 @@ class TestResidualStructure:
                              CrossingCondition(1.65), tech)
         x = np.concatenate([u0, [25e-12]])
         x[3] = 1.65  # output exactly at target
-        f = system.residual(x)
+        f = _residual(system, x)
         assert f[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_turnon_condition_residual_sign(self, stack_setup, tech):
@@ -69,9 +73,9 @@ class TestResidualStructure:
         system, u0 = _region(path, sources, 1, TurnOnCondition(2), tech)
         # Node 1 still above vdd - vth: condition residual positive.
         x = np.array([3.0, 20e-12])
-        f_high = system.residual(x)[-1]
+        f_high = _residual(system, x)[-1]
         x2 = np.array([1.0, 20e-12])
-        f_low = system.residual(x2)[-1]
+        f_low = _residual(system, x2)[-1]
         assert f_high > 0 > f_low
 
 
@@ -89,12 +93,12 @@ class TestJacobian:
         x = np.concatenate([
             np.linspace(2.6, 3.2, active), [22e-12]])
         jac = system.dense_jacobian(x)
-        f0 = system.residual(x)
+        f0 = _residual(system, x)
         for j in range(active + 1):
             h = 1e-7 if j < active else 1e-16
             xp = x.copy()
             xp[j] += h
-            fd_col = (system.residual(xp) - f0) / h
+            fd_col = (_residual(system, xp) - f0) / h
             np.testing.assert_allclose(
                 jac[:, j], fd_col, rtol=5e-3,
                 atol=max(1e-9, 1e-4 * np.max(np.abs(jac[:, j]))))
@@ -111,14 +115,6 @@ class TestJacobian:
         dense[:, -1] += last_col
         via_dense = np.linalg.solve(dense, f)
         np.testing.assert_allclose(via_sm, via_dense, rtol=1e-8)
-
-    def test_memoization_returns_same_object(self, stack_setup, tech):
-        path, sources = stack_setup
-        system, _ = _region(path, sources, 2, TurnOnCondition(3), tech)
-        x = np.array([2.8, 3.1, 15e-12])
-        a = system.residual_and_parts(x)
-        b = system.residual_and_parts(x.copy())
-        assert a is b
 
 
 class TestNewtonSolve:
@@ -141,6 +137,30 @@ class TestNewtonSolve:
         device = path.devices[1]
         vth = device.threshold(tech.vdd, u1, tech.vdd)
         assert u1 + vth == pytest.approx(tech.vdd, abs=1e-6)
+
+    def test_each_trial_point_is_assembled_once(self, stack_setup, tech,
+                                                monkeypatch):
+        path, sources = stack_setup
+        assembled = []
+        assemble = RegionSystem.residual_and_parts
+
+        def counted(self, x):
+            assembled.append(np.array(x))
+            return assemble(self, x)
+
+        monkeypatch.setattr(RegionSystem, "residual_and_parts", counted)
+        u0 = np.full(path.length, float(tech.vdd))
+        i0 = np.zeros(path.length)
+        j1, _, _, _ = path.devices[0].frame_current(tech.vdd, 0.0,
+                                                    u0[0], tech.vdd)
+        i0[0] = -j1
+        system = RegionSystem(path, sources, 1, tau=0.0, u_start=u0,
+                              i_start=i0, condition=TurnOnCondition(2))
+        result = system.newton_solve(np.array([2.2, 6e-12]))
+        assert result.iterations > 0
+        assert len(assembled) == result.function_evaluations
+        # No trial point is assembled twice.
+        assert len({x.tobytes() for x in assembled}) == len(assembled)
 
     def test_dense_fallback_equivalent(self, stack_setup, tech):
         path, sources = stack_setup

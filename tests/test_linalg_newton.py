@@ -15,8 +15,8 @@ class TestScalarProblems:
     def test_square_root(self):
         solver = NewtonSolver()
         result = solver.solve(
-            residual=lambda x: np.array([x[0] ** 2 - 9.0]),
-            jacobian=lambda x: np.array([[2.0 * x[0]]]),
+            lambda x: (np.array([x[0] ** 2 - 9.0]),
+                       np.array([[2.0 * x[0]]])),
             x0=np.array([1.0]))
         assert result.x[0] == pytest.approx(3.0, abs=1e-8)
         assert result.converged
@@ -24,8 +24,7 @@ class TestScalarProblems:
     def test_already_converged_takes_no_iterations(self):
         solver = NewtonSolver()
         result = solver.solve(
-            residual=lambda x: np.array([0.0]),
-            jacobian=lambda x: np.array([[1.0]]),
+            lambda x: (np.array([0.0]), np.array([[1.0]])),
             x0=np.array([5.0]))
         assert result.iterations == 0
         assert result.x[0] == 5.0
@@ -33,8 +32,8 @@ class TestScalarProblems:
     def test_quadratic_convergence_speed(self):
         solver = NewtonSolver()
         result = solver.solve(
-            residual=lambda x: np.array([np.exp(x[0]) - 2.0]),
-            jacobian=lambda x: np.array([[np.exp(x[0])]]),
+            lambda x: (np.array([np.exp(x[0]) - 2.0]),
+                       np.array([[np.exp(x[0])]])),
             x0=np.array([0.0]))
         assert result.x[0] == pytest.approx(np.log(2.0), abs=1e-10)
         assert result.iterations <= 8
@@ -45,29 +44,25 @@ class TestMultidimensional:
         a = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([5.0, 5.0])
         solver = NewtonSolver()
-        result = solver.solve(
-            residual=lambda x: a @ x - b,
-            jacobian=lambda x: a,
-            x0=np.zeros(2))
+        result = solver.solve(lambda x: (a @ x - b, a), x0=np.zeros(2))
         np.testing.assert_allclose(result.x, np.linalg.solve(a, b),
                                    atol=1e-10)
         assert result.iterations <= 2
 
     def test_rosenbrock_gradient_root(self):
-        def residual(x):
-            return np.array([
+        def system(x):
+            residual = np.array([
                 -2.0 * (1 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
                 200.0 * (x[1] - x[0] ** 2),
             ])
-
-        def jacobian(x):
-            return np.array([
+            jacobian = np.array([
                 [2.0 - 400.0 * (x[1] - 3.0 * x[0] ** 2), -400.0 * x[0]],
                 [-400.0 * x[0], 200.0],
             ])
+            return residual, jacobian
 
         solver = NewtonSolver(NewtonOptions(max_iterations=200))
-        result = solver.solve(residual, jacobian, np.array([-1.2, 1.0]))
+        result = solver.solve(system, np.array([-1.2, 1.0]))
         np.testing.assert_allclose(result.x, [1.0, 1.0], atol=1e-6)
 
 
@@ -78,8 +73,8 @@ class TestControls:
         # No root: x^2 + 1 = 0 over the reals.
         with pytest.raises(NewtonConvergenceError) as info:
             solver.solve(
-                residual=lambda x: np.array([x[0] ** 2 + 1.0]),
-                jacobian=lambda x: np.array([[2.0 * x[0] + 1e-3]]),
+                lambda x: (np.array([x[0] ** 2 + 1.0]),
+                           np.array([[2.0 * x[0] + 1e-3]])),
                 x0=np.array([1.0]))
         assert info.value.last_residual_norm > 0
 
@@ -87,23 +82,20 @@ class TestControls:
         solver = NewtonSolver()
         with pytest.raises(NewtonConvergenceError):
             solver.solve(
-                residual=lambda x: np.array([x[0] + 1.0]),
-                jacobian=lambda x: np.array([[0.0]]),
+                lambda x: (np.array([x[0] + 1.0]), np.array([[0.0]])),
                 x0=np.array([0.0]))
 
     def test_max_step_limits_update(self):
         seen = []
 
-        def residual(x):
+        def system(x):
             seen.append(float(x[0]))
-            return np.array([1000.0 * x[0] - 1.0])
+            return np.array([1000.0 * x[0] - 1.0]), np.array([[1000.0]])
 
         solver = NewtonSolver(NewtonOptions(max_step=1e-4,
                                             line_search=False,
                                             max_iterations=50))
-        result = solver.solve(residual,
-                              lambda x: np.array([[1000.0]]),
-                              np.array([0.0]))
+        result = solver.solve(system, np.array([0.0]))
         assert result.x[0] == pytest.approx(1e-3, rel=1e-4)
         # Steps were clamped: first update must be exactly max_step.
         assert abs(seen[1] - seen[0]) <= 1e-4 + 1e-12
@@ -116,27 +108,40 @@ class TestControls:
         target = np.array([0.5, -4.0])
         seen = []
 
-        def residual(x):
+        def system(x):
             seen.append(np.array(x))
-            return jac @ (x - target)
+            return jac @ (x - target), jac
 
         solver = NewtonSolver(NewtonOptions(max_step=1.0,
                                             line_search=False,
                                             max_iterations=20))
-        result = solver.solve(residual, lambda x: jac, np.zeros(2))
+        result = solver.solve(system, np.zeros(2))
         np.testing.assert_allclose(result.x, target, atol=1e-9)
         np.testing.assert_array_equal(seen[1] - seen[0],
                                       target * (1.0 / 4.0))
 
     def test_line_search_recovers_overshoot(self):
         # atan has a famously divergent Newton iteration from |x|>~1.39
-        # without damping; the line search must rescue it.
-        solver = NewtonSolver(NewtonOptions(max_iterations=100))
-        result = solver.solve(
-            residual=lambda x: np.array([np.arctan(x[0])]),
-            jacobian=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
-            x0=np.array([2.0]))
+        # without damping; the line search must rescue it.  It accepts a
+        # probe, and the next step must solve with that probe's Jacobian,
+        # paired with its residual.
+        points = []
+
+        def system(x):
+            points.append(float(x[0]))
+            jac = np.array([[1.0 / (1.0 + x[0] ** 2)]])
+            return np.array([np.arctan(x[0])]), (float(x[0]), jac)
+
+        def linear_solve(jac, rhs):
+            at, matrix = jac
+            assert rhs[0] == np.arctan(at)
+            return np.linalg.solve(matrix, rhs)
+
+        result = NewtonSolver(NewtonOptions(max_iterations=100)).solve(
+            system, np.array([2.0]), linear_solve=linear_solve)
         assert result.x[0] == pytest.approx(0.0, abs=1e-7)
+        assert len(points) == result.function_evaluations
+        assert result.function_evaluations > result.iterations + 1
 
     def test_custom_linear_solver_is_used(self):
         calls = []
@@ -147,8 +152,7 @@ class TestControls:
 
         solver = NewtonSolver()
         solver.solve(
-            residual=lambda x: np.array([x[0] - 1.0]),
-            jacobian=lambda x: np.array([[1.0]]),
+            lambda x: (np.array([x[0] - 1.0]), np.array([[1.0]])),
             x0=np.array([0.0]),
             linear_solve=linear_solve)
         assert calls
@@ -156,8 +160,8 @@ class TestControls:
     def test_result_reports_function_evaluations(self):
         solver = NewtonSolver()
         result = solver.solve(
-            residual=lambda x: np.array([x[0] ** 3 - 8.0]),
-            jacobian=lambda x: np.array([[3.0 * x[0] ** 2]]),
+            lambda x: (np.array([x[0] ** 3 - 8.0]),
+                       np.array([[3.0 * x[0] ** 2]])),
             x0=np.array([1.0]))
         assert isinstance(result, NewtonResult)
         assert result.function_evaluations >= result.iterations

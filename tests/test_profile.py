@@ -200,29 +200,34 @@ def test_disabled_overhead_under_one_percent(tech, evaluator):
 
     Same arithmetic-budget style as the telemetry overhead test:
     (per-call cost of the disabled helpers) x (a generous over-estimate
-    of hook sites per solve) against the solve's own wall time.
+    of hook sites per solve) against the solve's own wall time.  Both
+    are the minimum of interleaved repeats, so that a burst of host
+    load inflates neither alone.
     """
     n_calls = 20000
-    start = time.perf_counter()
-    for _ in range(n_calls):
-        with frame("x", "y"):
-            pass
-        count("op")
-    per_op = (time.perf_counter() - start) / n_calls
-
     stage = builders.nand_gate(tech, 3)
-    solution = evaluator.evaluate(stage, output="out",
-                                  direction="fall",
-                                  inputs=_nand3_sources(tech))
+    per_op = wall_time = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(n_calls):
+            with frame("x", "y"):
+                pass
+            count("op")
+        per_op = min(per_op, (time.perf_counter() - start) / n_calls)
+        solution = evaluator.evaluate(stage, output="out",
+                                      direction="fall",
+                                      inputs=_nand3_sources(tech))
+        wall_time = min(wall_time, solution.stats.wall_time)
+
     stats = solution.stats
     # Hook sites per solve: one frame + ~4 counts per region,
     # one add per Newton iteration, a fixed handful elsewhere — then
     # doubled for margin.
     ops = 2 * (5 * stats.steps + stats.newton_iterations + 20)
     overhead = ops * per_op
-    assert overhead < 0.01 * stats.wall_time + 1e-4, (
+    assert overhead < 0.01 * wall_time + 1e-4, (
         f"disabled profiler overhead {overhead * 1e6:.1f}us vs "
-        f"solve {stats.wall_time * 1e6:.1f}us")
+        f"solve {wall_time * 1e6:.1f}us")
 
 
 # ----------------------------------------------------------------------
