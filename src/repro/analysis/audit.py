@@ -129,21 +129,24 @@ def stratified_sample(candidates: Sequence[ArcSample], count: int,
                       seed: int) -> List[ArcSample]:
     """Draw ``count`` arcs, round-robin across fingerprint strata.
 
-    Deterministic: candidates are grouped by fingerprint, each group
-    is shuffled by a :class:`random.Random` seeded from ``seed`` and
-    the group's own fingerprint, and picks rotate across groups in
-    sorted-fingerprint order — so isomorphic stages (one stratum)
-    collectively get one pick per round no matter how many there are.
-    The returned sample is sorted by arc key.
+    Deterministic: candidates are grouped by fingerprint, and each
+    group is named by its smallest arc key.  Each group is shuffled by
+    a :class:`random.Random` seeded from ``seed`` and that name, and
+    picks rotate across groups in name order — so isomorphic stages
+    (one stratum) collectively get one pick per round no matter how
+    many there are.  The fingerprint only groups: its text (a hash of
+    the solver options' ``repr``, among others) never reaches the
+    draw, so renaming an option does not redraw the sample.  The
+    returned sample is sorted by arc key.
     """
     strata: Dict[str, List[ArcSample]] = {}
     for sample in candidates:
         strata.setdefault(sample.fingerprint, []).append(sample)
-    queues: List[List[ArcSample]] = []
-    for fp in sorted(strata):
-        group = sorted(strata[fp], key=lambda s: s.key)
-        random.Random(f"{seed}:{fp}").shuffle(group)
-        queues.append(group)
+    queues = sorted((sorted(group, key=lambda s: s.key)
+                     for group in strata.values()),
+                    key=lambda group: group[0].key)
+    for group in queues:
+        random.Random(f"{seed}:{group[0].key}").shuffle(group)
     picked: List[ArcSample] = []
     while queues and len(picked) < count:
         exhausted = []

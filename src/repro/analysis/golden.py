@@ -27,14 +27,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit import builders
 from repro.circuit.netlist import LogicStage
 from repro.core import WaveformEvaluator
 from repro.devices import TableModelLibrary, Technology
-from repro.spice import (ConstantSource, RampSource, Source, StepSource,
-                         TransientOptions, TransientSimulator)
+from repro.resilience.ladder import input_edge
+from repro.spice import (ConstantSource, Source, TransientOptions,
+                         TransientSimulator)
 
 #: Input switching instant [s] (matches benchmarks/harness.py).
 T_SWITCH = 20e-12
@@ -103,26 +104,17 @@ class GoldenCase:
     def build(self, tech: Technology) -> LogicStage:
         return CIRCUITS[self.circuit](tech, self.load)
 
-    def sources(self, tech: Technology) -> Dict[str, Source]:
-        """Driving sources: output *direction* fixes the input edge."""
-        vdd = tech.vdd
-        v0, v1 = (0.0, vdd) if self.direction == "fall" else (vdd, 0.0)
-        if self.input_slew > 0:
-            switching: Source = RampSource(v0, v1, T_SWITCH,
-                                           self.input_slew)
-        else:
-            switching = StepSource(v0, v1, T_SWITCH)
-        held_level = vdd if self.held == "high" else 0.0
+    def sources(self, tech: Technology
+                ) -> Tuple[Dict[str, Source], float]:
+        """Driving sources and the input's 50 % crossing (the delay
+        reference point): output *direction* fixes the input edge."""
+        switching, t_input = input_edge(tech.vdd, self.direction,
+                                        self.input_slew, T_SWITCH)
+        held_level = tech.vdd if self.held == "high" else 0.0
         sources: Dict[str, Source] = {self.switching_input: switching}
-        stage = self.build(tech)
-        for name in stage.inputs:
+        for name in self.build(tech).inputs:
             sources.setdefault(name, ConstantSource(held_level))
-        return sources
-
-    @property
-    def t_input(self) -> float:
-        """The input's 50 % crossing — the delay reference point."""
-        return T_SWITCH + 0.5 * self.input_slew
+        return sources, t_input
 
 
 def golden_cases(slews: Sequence[float] = GRID_SLEWS,
@@ -213,9 +205,10 @@ def qwm_measure(case: GoldenCase, tech: Technology,
     from repro.analysis.delay import measure_slew
 
     stage = case.build(tech)
+    sources, t_input = case.sources(tech)
     solution = evaluator.evaluate(stage, "out", case.direction,
-                                  case.sources(tech), precharge="dc")
-    delay = solution.delay(t_input=case.t_input)
+                                  sources, precharge="dc")
+    delay = solution.delay(t_input=t_input)
     if delay is None:
         raise ValueError(f"QWM produced no 50% crossing for "
                          f"{case.name}")
@@ -229,8 +222,9 @@ def spice_measure(case: GoldenCase, tech: Technology):
     stage = case.build(tech)
     simulator = TransientSimulator(
         stage, tech, TransientOptions(t_stop=T_STOP, dt=SPICE_DT))
-    result = simulator.run(case.sources(tech))
-    delay = result.delay_50("out", tech.vdd, t_input=case.t_input,
+    sources, t_input = case.sources(tech)
+    result = simulator.run(sources)
+    delay = result.delay_50("out", tech.vdd, t_input=t_input,
                             direction=case.direction)
     if delay is None:
         raise ValueError(f"SPICE produced no 50% crossing for "

@@ -27,7 +27,6 @@ from repro.circuit.stage import StageGraph
 from repro.devices.capacitance import gate_capacitance
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
-from repro.resilience.ladder import EscalationPolicy
 
 
 @dataclass
@@ -59,15 +58,15 @@ class IncrementalTimer:
             new one that lives as long as the timer).
         execution: scheduling policy for every pass (see
             :class:`repro.analysis.parallel.ExecutionConfig`).
-        resilience: escalation policy for failed arc solves (see
-            :class:`repro.resilience.ladder.EscalationPolicy`).
+        escalate: False runs every arc on the ``qwm`` rung alone (see
+            :class:`repro.analysis.sta.StaticTimingAnalyzer`).
     """
 
     def __init__(self, tech: Technology, graph: StageGraph,
                  library: Optional[TableModelLibrary] = None,
                  cache: Optional[StageResultCache] = None,
                  execution: Optional[ExecutionConfig] = None,
-                 resilience: Optional[EscalationPolicy] = None):
+                 escalate: bool = True):
         self.tech = tech
         self.graph = graph
         # An empty cache is falsy (it has a length), hence `is None`.
@@ -75,7 +74,7 @@ class IncrementalTimer:
         self.analyzer = StaticTimingAnalyzer(tech, library=library,
                                              execution=execution,
                                              cache=self.cache,
-                                             resilience=resilience)
+                                             escalate=escalate)
         self.last_stats = IncrementalStats()
 
     # ------------------------------------------------------------------

@@ -572,12 +572,13 @@ _WORKER_ANALYZER: Optional[StaticTimingAnalyzer] = None
 
 
 def _process_worker_init(tech, library, options, propagate_slews,
-                         input_slew, obs_state,
+                         input_slew, escalate, obs_state,
                          fault_plan=None) -> None:
     global _WORKER_ANALYZER
     _WORKER_ANALYZER = StaticTimingAnalyzer(
         tech, library=library, options=options,
-        propagate_slews=propagate_slews, input_slew=input_slew)
+        propagate_slews=propagate_slews, input_slew=input_slew,
+        escalate=escalate)
     # Workers record into their own profile cells, metric series and
     # flight events.  Each stage task drains one delta of all three
     # into its return payload and the parent merges it: cells and
@@ -839,8 +840,8 @@ class ParallelStaEngine:
             initializer=_process_worker_init,
             initargs=(self.analyzer.tech, evaluator.library,
                       evaluator.options, self.analyzer.propagate_slews,
-                      self.analyzer.input_slew, worker_state(),
-                      faults.active_plan()))
+                      self.analyzer.input_slew, self.analyzer.escalate,
+                      worker_state(), faults.active_plan()))
 
     def _dispatch(self, graph: StageGraph, order: List[LogicStage],
                   arrivals: Dict[Event, ArrivalTime],

@@ -8,38 +8,36 @@ unateness: a rising input can only cause the pull path its transistor
 sits on to engage, so a falling output arrival derives from rising
 inputs (pull-down through NMOS) and vice versa; non-switching inputs
 are held at the levels that sensitize the path (series devices on).
+The arc itself — input edge, side-input sweep, transition test — and
+its escalation rungs live in :mod:`repro.resilience.ladder`.
 
-Input slew propagation is not modeled (transitions are ideal steps, the
-paper's operating assumption); load coupling between stages enters
-through the gate-capacitance loads the stage extraction already counts.
+By default inputs switch as ideal steps, the paper's operating
+assumption.  With ``propagate_slews`` each arc is driven by a ramp
+whose full-swing time is the tangent-ramp slew of the arriving edge
+(the upstream stage's QWM output waveform; ``input_slew`` for primary
+inputs).  Load coupling between stages enters through the
+gate-capacitance loads the stage extraction already counts.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.circuit.elements import DeviceKind
 from repro.circuit.netlist import LogicStage
 from repro.circuit.stage import StageGraph
 from repro.core.engine import WaveformEvaluator
-from repro.core.path import NoConductingPath
 from repro.core.qwm import QWMOptions
 from repro.devices.table_model import TableModelLibrary
 from repro.devices.technology import Technology
-from repro.obs import count, frame, inc, observe
-from repro.resilience.budget import CLAMP_BOUND, CLAMP_NO_SPICE
+from repro.obs import frame, inc, observe
 from repro.resilience.ladder import (
-    QUALITY_BOUNDED,
     QUALITY_QWM,
-    ArcSolveError,
     EscalationLadder,
-    EscalationPolicy,
     merge_quality,
 )
 from repro.spice.results import SimulationStats
-from repro.spice.sources import ConstantSource, RampSource, StepSource
 
 #: (net, direction) key; direction is the transition of the net.
 Event = Tuple[str, str]
@@ -249,7 +247,7 @@ class StaticTimingAnalyzer:
                  preflight: bool = False,
                  execution: Optional["ExecutionConfig"] = None,
                  cache: Optional["StageResultCache"] = None,
-                 resilience: Optional[EscalationPolicy] = None):
+                 escalate: bool = True):
         """
         Args:
             tech: process technology.
@@ -281,12 +279,10 @@ class StaticTimingAnalyzer:
                 analyzer sharing the cache, on any isomorphic stage) is
                 served from it, quality tag included.  None with a
                 caching ``execution`` gives each run a private cache.
-            resilience: escalation policy for failed arc solves (see
-                :class:`repro.resilience.ladder.EscalationPolicy`).
-                Defaults to an enabled default-policy ladder — arcs
-                degrade ``qwm → qwm-retry → spice → bounded`` instead
-                of raising; pass ``EscalationPolicy(enabled=False)``
-                for the legacy fail-fast behavior.
+            escalate: True (the default) lets failed arc solves
+                degrade ``qwm → qwm-retry → spice → bounded`` instead of
+                raising (see :mod:`repro.resilience.ladder`); False runs
+                the ``qwm`` rung alone, the legacy fail-fast timer.
         """
         self.tech = tech
         self.evaluator = WaveformEvaluator(tech, library=library,
@@ -296,12 +292,12 @@ class StaticTimingAnalyzer:
         self.preflight = preflight
         self.execution = execution
         self.cache = cache
-        self.resilience = resilience or EscalationPolicy()
-        self._ladder = (EscalationLadder(self, self.resilience)
-                        if self.resilience.enabled else None)
-        # Lazily built SPICE-rung-disabled ladder for the admission
-        # controller's "no-spice" clamp (same analyzer, same retries).
-        self._nospice_ladder: Optional[EscalationLadder] = None
+        self._ladder = EscalationLadder(self, escalate)
+
+    @property
+    def escalate(self) -> bool:
+        """Whether failed arc solves escalate (pool workers copy it)."""
+        return self._ladder.escalate
 
     # ------------------------------------------------------------------
     def stage_arc(self, stage: LogicStage, output: str,
@@ -316,189 +312,34 @@ class StaticTimingAnalyzer:
         the output slew is the full-swing tangent-ramp time of the QWM
         output waveform (None if unfittable); quality is the escalation
         rung that produced the numbers (``qwm`` when nothing escalated).
-
-        With the (default) resilience ladder enabled, a failed QWM
-        solve degrades through retry, adaptive-SPICE and switch-level
-        rungs instead of raising; None still means the arc is
-        unsensitizable — that verdict never escalates.
+        Every arc is solved by :meth:`repro.resilience.ladder.
+        EscalationLadder.evaluate_arc`: a failed QWM solve degrades
+        through retry, adaptive-SPICE and switch-level rungs instead of
+        raising; None still means the arc is unsensitizable — that
+        verdict never escalates.
 
         Args:
             stats: optional accumulator receiving the QWM cost of every
                 solve this arc performs (the engine passes one per stage
                 task); without one the cost is not recorded.
             clamp: admission-control clamp level (see
-                :mod:`repro.resilience.budget`): ``"no-spice"`` runs
-                the ladder with the SPICE rung disabled, ``"bound"``
-                routes straight to the switch-level bound.  Ignored
-                when the ladder is disabled (legacy fail-fast mode has
-                no rungs to clamp).
+                :mod:`repro.resilience.budget`): ``"no-spice"`` drops
+                the SPICE rung, ``"bound"`` runs the switch-level bound
+                alone.  Ignored without escalation.
         """
-        vdd = stage.vdd
-        rising_in = out_direction == "fall"
-        v0, v1 = (0.0, vdd) if rising_in else (vdd, 0.0)
-        if input_slew:
-            source = RampSource(v0, v1, 0.0, input_slew)
-            t_input = 0.5 * input_slew
-        else:
-            source = StepSource(v0, v1, 0.0)
-            t_input = 0.0
         arc_start = time.perf_counter()
-        result: Optional[Arc]
         with frame("sta.arc", stage.name,
                    ctx={"arc_input": switching_input}, output=output,
                    direction=out_direction, input=switching_input):
-            def qwm_attempt(evaluator: WaveformEvaluator
-                            ) -> Optional[Tuple[float, Optional[float]]]:
-                return self._qwm_attempt(evaluator, stage, output,
-                                         out_direction, switching_input,
-                                         source, t_input, stats)
-
-            if self._ladder is not None and clamp == CLAMP_BOUND:
-                # Deadline pressure: skip every iterative rung and
-                # take the cheapest honest answer.
-                inc("resilience.budget.clamped_arcs", level=clamp)
-                bound = self._ladder.bound_arc(
-                    stage, output, out_direction, switching_input)
-                result = ((bound[0], bound[1], QUALITY_BOUNDED)
-                          if bound is not None else None)
-            elif self._ladder is not None:
-                ladder = self._ladder
-                if clamp == CLAMP_NO_SPICE:
-                    inc("resilience.budget.clamped_arcs", level=clamp)
-                    ladder = self._clamped_ladder()
-                result = ladder.evaluate_arc(
-                    stage, output, out_direction, switching_input,
-                    input_slew, stats, qwm_attempt)
-            else:
-                try:
-                    arc = qwm_attempt(self.evaluator)
-                except ArcSolveError:
-                    arc = None
-                result = ((arc[0], arc[1], QUALITY_QWM)
-                          if arc is not None else None)
+            result = self._ladder.evaluate_arc(
+                stage, output, out_direction, switching_input,
+                input_slew, stats, clamp)
         observe("sta.stage.wall_seconds",
                 time.perf_counter() - arc_start)
         if result is None:
             return None
         inc("resilience.arc.quality", quality=result[2])
         return result
-
-    def _clamped_ladder(self) -> EscalationLadder:
-        """The SPICE-disabled ladder the ``no-spice`` clamp runs."""
-        if self._nospice_ladder is None:
-            self._nospice_ladder = EscalationLadder(
-                self, replace(self.resilience, spice=False))
-        return self._nospice_ladder
-
-    def _qwm_attempt(self, evaluator: WaveformEvaluator,
-                     stage: LogicStage, output: str, out_direction: str,
-                     switching_input: str, source, t_input: float,
-                     stats: Optional[SimulationStats]
-                     ) -> Optional[Tuple[float, Optional[float]]]:
-        """One full QWM sensitization sweep with the given evaluator.
-
-        Returns (delay, slew), or None when no sensitization produces a
-        genuine transition (the arc is unsensitizable).  A transition
-        that was found but whose accepted waveform never crosses
-        mid-rail — the signature of a region-schedule failure — raises
-        :class:`ArcSolveError` so the escalation ladder can tell
-        "solver failed" from "no such arc".
-        """
-        vdd = stage.vdd
-        solution = None
-        for levels in self._sensitizations(stage, switching_input,
-                                           out_direction):
-            inputs = {switching_input: source}
-            inputs.update({name: ConstantSource(level)
-                           for name, level in levels.items()})
-            try:
-                candidate = evaluator.evaluate(
-                    stage, output, out_direction, inputs,
-                    precharge="dc")
-            except NoConductingPath:
-                continue
-            except ValueError as exc:
-                # Raised inside the solve (a NaN state reaching a table
-                # lookup, say): the solver failed on a real candidate,
-                # so escalate rather than try another sensitization.
-                raise ArcSolveError(
-                    f"QWM solve of {stage.name}:{output} {out_direction} "
-                    f"via {switching_input} raised {exc}") from exc
-            inc("sta.stage.solves")
-            count("solves", 1, root="sta.arc")
-            # The run total counts every solve actually performed,
-            # including sensitizations rejected just below.
-            if stats is not None:
-                stats.accumulate(candidate.stats)
-            # A real arc starts on the far side of mid-rail: if the
-            # DC pre-state already holds the output at its final
-            # logic value, this sensitization produces no
-            # transition.
-            v_start = candidate.output_waveform.value(0.0)
-            if out_direction == "fall" and v_start < 0.55 * vdd:
-                continue
-            if out_direction == "rise" and v_start > 0.45 * vdd:
-                continue
-            solution = candidate
-            break
-        if solution is None:
-            return None
-        delay = solution.delay(t_input=t_input)
-        if delay is None:
-            raise ArcSolveError(
-                f"QWM accepted a transition for {stage.name}:{output} "
-                f"{out_direction} via {switching_input} but its "
-                f"waveform never crosses mid-rail")
-        fit = solution.output_waveform.tangent_ramp(vdd)
-        out_slew = fit[1] if fit is not None else None
-        return delay, out_slew
-
-    def _sensitizing_level(self, stage: LogicStage, input_name: str,
-                           out_direction: str) -> float:
-        """Static level that keeps this input's path devices conducting.
-
-        For a falling output the pull-down must conduct: non-switching
-        inputs sit high (series NMOS on, parallel PMOS off).  For a
-        rising output, low.  This is the standard worst-case
-        single-input-switching sensitization for complementary CMOS.
-        """
-        return stage.vdd if out_direction == "fall" else 0.0
-
-    def _sensitizations(self, stage: LogicStage, switching_input: str,
-                        out_direction: str):
-        """Yield candidate non-switching input level assignments.
-
-        No single static rule covers every topology (a NAND's rise arc
-        needs the other inputs HIGH to block the parallel pull-ups,
-        while a NOR's needs them LOW to conduct the series stack, and a
-        pass gate must be at its conducting level for either edge), so
-        candidates are enumerated in heuristic-first order — the
-        series-conduction rule, then single flips, then the remaining
-        combinations — and the caller keeps the first one that both
-        extracts a conducting path and produces a genuine transition.
-        Bounded to 16 combinations.
-        """
-        from itertools import product
-
-        others = [n for n in stage.inputs if n != switching_input]
-        base = {n: self._sensitizing_level(stage, n, out_direction)
-                for n in others}
-        yield dict(base)
-        if not others:
-            return
-
-        seen = {tuple(sorted(base.items()))}
-        flipped = {n: (0.0 if base[n] else stage.vdd) for n in others}
-        combos = sorted(product(*[[False, True]] * len(others)),
-                        key=sum)
-        for combo in combos[:16]:
-            levels = {n: (flipped[n] if flip else base[n])
-                      for n, flip in zip(others, combo)}
-            key = tuple(sorted(levels.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield levels
 
     # ------------------------------------------------------------------
     def analyze(self, graph: StageGraph,

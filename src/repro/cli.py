@@ -145,7 +145,8 @@ from repro.obs.frames import (
     to_collapsed,
 )
 from repro.resilience.journal import JournalError
-from repro.resilience.ladder import QUALITY_ORDER, QUALITY_RANK
+from repro.resilience.ladder import (QUALITY_ORDER, QUALITY_RANK,
+                                    input_edge, sensitizations)
 from repro.spice import (
     ConstantSource,
     RampSource,
@@ -195,12 +196,6 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     # hit/miss totals can be printed.
     cache = StageResultCache(path=args.cache_file)
 
-    resilience = None
-    if args.no_escalation:
-        from repro.resilience.ladder import EscalationPolicy
-
-        resilience = EscalationPolicy(enabled=False)
-
     def run(technology, with_audit=False):
         if text is not None:
             netlist = parse_spice_netlist(text, technology,
@@ -213,7 +208,7 @@ def _cmd_sta(args: argparse.Namespace) -> int:
         graph = extract_stages(netlist, tech=technology)
         timer = IncrementalTimer(technology, graph, cache=cache,
                                  execution=execution,
-                                 resilience=resilience)
+                                 escalate=not args.no_escalation)
         if with_audit:
             from repro.analysis.audit import analyze_with_audit
 
@@ -487,13 +482,12 @@ def _evaluate_single_arc(args: argparse.Namespace,
         raise ValueError(f"unknown input {switching!r} "
                          f"(stage inputs: {inputs_avail})")
 
-    vdd = stage.vdd
-    rising_in = args.direction == "fall"
-    v0, v1 = (0.0, vdd) if rising_in else (vdd, 0.0)
-    held = vdd if args.direction == "fall" else 0.0
-    sources: Dict[str, Source] = {switching: StepSource(v0, v1, 0.0)}
-    for name in inputs_avail:
-        sources.setdefault(name, ConstantSource(held))
+    # A step input edge; the side inputs at the base sensitization.
+    edge, _ = input_edge(stage.vdd, args.direction)
+    levels = next(sensitizations(stage, switching, args.direction))
+    sources: Dict[str, Source] = {switching: edge}
+    sources.update({name: ConstantSource(level)
+                    for name, level in levels.items()})
 
     evaluator = WaveformEvaluator(tech, library=library)
     solution = evaluator.evaluate(stage, output=output,

@@ -48,6 +48,45 @@ from repro.spice.results import SimulationStats, TransientResult
 from repro.spice.sources import SourceLike, as_source
 
 
+#: Milestone fractions above this are considered out of range (the
+#: default schedule starts slightly above the rail at 1.10).
+MAX_MILESTONE_FRACTION = 1.5
+
+
+def check_milestone_fractions(fractions) -> List[str]:
+    """Problems with a milestone-fraction schedule (empty list = ok).
+
+    Shared between ``QWMOptions.__post_init__`` and the SOL002 lint
+    rule (:mod:`repro.lint.rules_solver`) so the constructor and the
+    preflight can never disagree about what "degenerate" means.
+    """
+    problems: List[str] = []
+    fractions = tuple(fractions)
+    if not fractions:
+        problems.append("milestone_fractions is empty: the schedule "
+                        "would stop at the end of the turn-on cascade")
+        return problems
+    bad = [f for f in fractions
+           if not isinstance(f, (int, float)) or not math.isfinite(f)]
+    if bad:
+        problems.append(f"milestone_fractions contains non-finite "
+                        f"values: {bad}")
+        return problems
+    out_of_range = [f for f in fractions
+                    if f <= 0.0 or f > MAX_MILESTONE_FRACTION]
+    if out_of_range:
+        problems.append(
+            f"milestone fractions {out_of_range} outside "
+            f"(0, {MAX_MILESTONE_FRACTION}]: targets at or below "
+            "ground (or far above the rail) can never be matched")
+    if any(b >= a for a, b in zip(fractions, fractions[1:])):
+        problems.append(
+            f"milestone_fractions {fractions} must be strictly "
+            "decreasing: the scheduler pops targets in order and "
+            "silently skips any already above the waveform")
+    return problems
+
+
 @dataclass
 class QWMOptions:
     """Controls for :class:`QWMSolver`.
@@ -87,10 +126,6 @@ class QWMOptions:
         if self.waveform_order not in (1, 2):
             raise ValueError("waveform_order must be 1 (piecewise linear)"
                              " or 2 (piecewise quadratic)")
-        # Shared with the SOL002 lint rule so the constructor and the
-        # preflight can never disagree about what "degenerate" means.
-        from repro.lint.rules_solver import check_milestone_fractions
-
         problems = check_milestone_fractions(self.milestone_fractions)
         if problems:
             raise ValueError("; ".join(problems))

@@ -10,6 +10,7 @@ reproduces that comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,43 +19,44 @@ import numpy as np
 class TridiagonalMatrix:
     """A tridiagonal matrix stored as three diagonals.
 
+    The diagonals are kept as given — float lists from the QWM residual
+    assembly, arrays from tests — and swept as they are; only the
+    dense and matrix-vector helpers convert them to arrays.
+
     Attributes:
         lower: sub-diagonal, length ``n - 1`` (``lower[i]`` is ``A[i+1, i]``).
         diag: main diagonal, length ``n``.
         upper: super-diagonal, length ``n - 1`` (``upper[i]`` is ``A[i, i+1]``).
     """
 
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
+    lower: Sequence[float]
+    diag: Sequence[float]
+    upper: Sequence[float]
 
     def __post_init__(self) -> None:
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.diag.shape[0]
+        n = len(self.diag)
         if n == 0:
             raise ValueError("tridiagonal matrix must have at least one row")
-        if self.lower.shape[0] != max(n - 1, 0):
+        if len(self.lower) != n - 1:
             raise ValueError(
-                f"lower diagonal has length {self.lower.shape[0]}, expected {n - 1}"
+                f"lower diagonal has length {len(self.lower)}, expected {n - 1}"
             )
-        if self.upper.shape[0] != max(n - 1, 0):
+        if len(self.upper) != n - 1:
             raise ValueError(
-                f"upper diagonal has length {self.upper.shape[0]}, expected {n - 1}"
+                f"upper diagonal has length {len(self.upper)}, expected {n - 1}"
             )
 
     @property
     def n(self) -> int:
         """Matrix dimension."""
-        return self.diag.shape[0]
+        return len(self.diag)
 
     def to_dense(self) -> np.ndarray:
         """Expand into a dense ``(n, n)`` array (for tests and fallbacks)."""
-        dense = np.diag(self.diag)
+        dense = np.diag(np.asarray(self.diag, dtype=float))
         if self.n > 1:
-            dense += np.diag(self.lower, k=-1)
-            dense += np.diag(self.upper, k=1)
+            dense += np.diag(np.asarray(self.lower, dtype=float), k=-1)
+            dense += np.diag(np.asarray(self.upper, dtype=float), k=1)
         return dense
 
     @classmethod
@@ -64,9 +66,9 @@ class TridiagonalMatrix:
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("from_dense expects a square matrix")
         return cls(
-            lower=np.diag(dense, k=-1).copy(),
-            diag=np.diag(dense).copy(),
-            upper=np.diag(dense, k=1).copy(),
+            lower=np.diag(dense, k=-1).tolist(),
+            diag=np.diag(dense).tolist(),
+            upper=np.diag(dense, k=1).tolist(),
         )
 
 
@@ -75,10 +77,10 @@ def tridiagonal_matvec(matrix: TridiagonalMatrix, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[0] != matrix.n:
         raise ValueError(f"vector length {x.shape[0]} != matrix dim {matrix.n}")
-    y = matrix.diag * x
+    y = np.asarray(matrix.diag, dtype=float) * x
     if matrix.n > 1:
-        y[:-1] += matrix.upper * x[1:]
-        y[1:] += matrix.lower * x[:-1]
+        y[:-1] += np.asarray(matrix.upper, dtype=float) * x[1:]
+        y[1:] += np.asarray(matrix.lower, dtype=float) * x[:-1]
     return y
 
 
@@ -109,9 +111,7 @@ def solve_tridiagonal(matrix: TridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
     if rhs.shape[0] != n:
         raise ValueError(f"rhs length {rhs.shape[0]} != matrix dim {n}")
     columns = rhs.T.tolist() if rhs.ndim == 2 else [rhs.tolist()]
-    lower = matrix.lower.tolist()
-    diag = matrix.diag.tolist()
-    upper = matrix.upper.tolist()
+    lower, diag, upper = matrix.lower, matrix.diag, matrix.upper
 
     # Forward sweep: eliminate the sub-diagonal.  The pivots depend on
     # the matrix alone; every column is scaled by the same ones.

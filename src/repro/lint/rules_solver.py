@@ -10,18 +10,15 @@ grid resolution.
 from __future__ import annotations
 
 import ast
-import math
 import re
 from typing import Any, Iterator, List, Optional
 
+from repro.core.qwm import check_milestone_fractions
 from repro.lint.context import LintContext
 from repro.lint.diagnostics import Diagnostic, Location, Severity
 from repro.lint.rules_code import _code, _in_packages, _loc, _unparse
 from repro.lint.runner import LintRule, register
 
-#: Milestone fractions above this are considered out of range (the
-#: default schedule starts slightly above the rail at 1.10).
-MAX_MILESTONE_FRACTION = 1.5
 #: Series pull paths deeper than this get a blanket depth warning.
 MAX_RECOMMENDED_DEPTH = 16
 #: A DFS longest-path search gives up after this many steps and falls
@@ -31,40 +28,6 @@ _DFS_STEP_BUDGET = 20000
 
 def _opts_loc(element: str = None) -> Location:
     return Location("options", "qwm", element)
-
-
-def check_milestone_fractions(fractions) -> List[str]:
-    """Problems with a milestone-fraction schedule (empty list = ok).
-
-    Shared between :class:`MilestoneFractionRule` and
-    ``QWMOptions.__post_init__`` so the constructor and the lint rule
-    can never disagree.
-    """
-    problems: List[str] = []
-    fractions = tuple(fractions)
-    if not fractions:
-        problems.append("milestone_fractions is empty: the schedule "
-                        "would stop at the end of the turn-on cascade")
-        return problems
-    bad = [f for f in fractions
-           if not isinstance(f, (int, float)) or not math.isfinite(f)]
-    if bad:
-        problems.append(f"milestone_fractions contains non-finite "
-                        f"values: {bad}")
-        return problems
-    out_of_range = [f for f in fractions
-                    if f <= 0.0 or f > MAX_MILESTONE_FRACTION]
-    if out_of_range:
-        problems.append(
-            f"milestone fractions {out_of_range} outside "
-            f"(0, {MAX_MILESTONE_FRACTION}]: targets at or below "
-            "ground (or far above the rail) can never be matched")
-    if any(b >= a for a, b in zip(fractions, fractions[1:])):
-        problems.append(
-            f"milestone_fractions {fractions} must be strictly "
-            "decreasing: the scheduler pops targets in order and "
-            "silently skips any already above the waveform")
-    return problems
 
 
 def stage_stack_depth(stage: Any) -> int:

@@ -43,8 +43,8 @@ __all__ = [
     "RunKilled",
     # Lazily resolved (PEP 562):
     "ladder", "chaos", "budget", "journal",
-    "ArcSolveError", "EscalationLadder", "EscalationPolicy",
-    "QUALITY_ORDER", "merge_quality",
+    "ArcSolveError", "EscalationLadder", "QUALITY_ORDER",
+    "merge_quality",
     "ChaosReport", "ChaosScenario", "ScenarioOutcome",
     "default_scenarios", "format_report", "run_matrix",
     "RunBudget", "AdmissionController",
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 _LADDER_NAMES = ("ladder", "ArcSolveError", "EscalationLadder",
-                 "EscalationPolicy", "QUALITY_ORDER", "merge_quality")
+                 "QUALITY_ORDER", "merge_quality")
 _CHAOS_NAMES = ("chaos", "ChaosReport", "ChaosScenario",
                 "ScenarioOutcome", "default_scenarios", "format_report",
                 "run_matrix")

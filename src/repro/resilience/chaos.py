@@ -38,11 +38,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.obs import ObsConfig, configure, disable, ledger
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
-from repro.resilience.ladder import (
-    QUALITY_QWM,
-    QUALITY_RANK,
-    EscalationPolicy,
-)
+from repro.resilience.ladder import QUALITY_QWM, QUALITY_RANK
 
 __all__ = [
     "ChaosScenario", "ScenarioOutcome", "ChaosReport",
@@ -373,8 +369,7 @@ def _run_scenario(scenario: ChaosScenario, seed: int, tech, library,
                                              graph)
             else:
                 analyzer = StaticTimingAnalyzer(
-                    tech, library=run_library, execution=execution,
-                    resilience=EscalationPolicy())
+                    tech, library=run_library, execution=execution)
                 result = analyzer.analyze(graph)
         outcome.completed = result.worst is not None
     except Exception as exc:  # noqa: BLE001 - verdict, not control flow
@@ -424,8 +419,7 @@ def _journaled_analyzer(scenario, tech, library, path: str,
         tech, library=library,
         execution=ExecutionConfig(
             workers=scenario.workers, journal_path=path, resume=resume,
-            deadline=deadline),
-        resilience=EscalationPolicy())
+            deadline=deadline))
 
 
 def _runner_kill_resume(scenario, plan, tech, library, graph):
@@ -479,8 +473,7 @@ def _runner_deadline(scenario, plan, tech, library, graph):
     analyzer = StaticTimingAnalyzer(
         tech, library=library,
         execution=ExecutionConfig(workers=scenario.workers,
-                                  deadline=scenario.deadline),
-        resilience=EscalationPolicy())
+                                  deadline=scenario.deadline))
     # Mechanism None: the verdict falls through to the worst arrival
     # quality, which must be the bound the clamp routed arcs to.
     return analyzer.analyze(graph), None

@@ -34,19 +34,27 @@ A rung that *completes* and reports "no transition" (returns None) is
 trusted: the arc is unsensitizable, and the ladder stops without
 inventing a delay.  Only genuine solver failures — listed in
 ``_RUNG_FAILURES`` — escalate.
+
+Every rung times the same arc, stated once here: the switching input's
+edge (:func:`input_edge`), the side-input assignments tried in order
+(:func:`sensitizations`) and the test that an assignment really
+switches the output (:func:`is_transition`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from itertools import product
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.engine import WaveformEvaluator
+from repro.core.path import NoConductingPath
 from repro.core.qwm import QWMOptions
 from repro.linalg.newton import NewtonConvergenceError
 from repro.obs import count, frame, inc, ledger
+from repro.resilience.budget import CLAMP_BOUND
 from repro.resilience.faults import StageTimeoutError
 from repro.spice.adaptive import (
     AdaptiveOptions,
@@ -54,14 +62,24 @@ from repro.spice.adaptive import (
     TransientBudgetExceeded,
 )
 from repro.spice.results import SimulationStats
-from repro.spice.sources import ConstantSource, RampSource, StepSource
+from repro.spice.sources import (
+    ConstantSource,
+    RampSource,
+    Source,
+    SourceLike,
+    StepSource,
+)
 
 __all__ = [
     "QUALITY_QWM", "QUALITY_RETRY", "QUALITY_SPICE", "QUALITY_BOUNDED",
     "QUALITY_ORDER", "QUALITY_RANK", "merge_quality",
-    "ArcSolveError", "EscalationPolicy", "EscalationLadder",
-    "adaptive_spice_arc", "perturbed_options",
+    "ArcSolveError", "EscalationLadder",
+    "input_edge", "sensitizations", "is_transition",
+    "qwm_arc", "adaptive_spice_arc", "perturbed_options",
 ]
+
+#: (delay, output slew) as one rung measures it.
+RungArc = Tuple[float, Optional[float]]
 
 QUALITY_QWM = "qwm"
 QUALITY_RETRY = "qwm-retry"
@@ -115,26 +133,6 @@ _RUNG_FAILURES = (
 )
 
 
-@dataclass(frozen=True)
-class EscalationPolicy:
-    """Configuration of the escalation ladder.
-
-    The ladder always has one perturbed-option QWM retry rung and ends
-    in the switch-level bound; the SPICE rung runs on
-    :func:`adaptive_spice_arc`'s own budgets.
-
-    Attributes:
-        enabled: master switch.  ``EscalationPolicy(enabled=False)``
-            restores the legacy fail-fast behavior (a non-converging
-            arc raises out of :meth:`StaticTimingAnalyzer.analyze`).
-        spice: whether the adaptive-transient rung is available (the
-            run budget's ``no-spice`` clamp turns it off).
-    """
-
-    enabled: bool = True
-    spice: bool = True
-
-
 def perturbed_options(base: QWMOptions, attempt: int) -> QWMOptions:
     """QWM options for retry rung ``attempt`` (1-based).
 
@@ -153,6 +151,127 @@ def perturbed_options(base: QWMOptions, attempt: int) -> QWMOptions:
                    newton=newton)
 
 
+# ----------------------------------------------------------------------
+# The arc every rung times.
+# ----------------------------------------------------------------------
+def input_edge(vdd: float, out_direction: str,
+               input_slew: Optional[float] = None,
+               t_edge: float = 0.0) -> Tuple[Source, float]:
+    """The switching input's edge and its 50 % instant.
+
+    CMOS stages invert, so a falling output is driven by a rising
+    input and vice versa.  The edge is a ramp of ``input_slew`` (full
+    swing) starting at ``t_edge`` when there is a slew, else an ideal
+    step at ``t_edge``; delays are measured from the returned instant.
+    """
+    v0, v1 = (0.0, vdd) if out_direction == "fall" else (vdd, 0.0)
+    if input_slew:
+        return (RampSource(v0, v1, t_edge, input_slew),
+                t_edge + 0.5 * input_slew)
+    return StepSource(v0, v1, t_edge), t_edge
+
+
+def sensitizations(stage, switching_input: str, out_direction: str
+                   ) -> Iterator[Dict[str, float]]:
+    """Yield candidate levels for the non-switching inputs, best first.
+
+    The base assignment holds every side input at the level that keeps
+    series devices of the switching pull path on: high for a falling
+    output (the NAND pull-down rule), low for a rising one (the NOR
+    pull-up rule).  No single static rule covers every topology (a
+    NAND's rise arc needs the other inputs HIGH to block the parallel
+    pull-ups, and a pass gate must be at its conducting level for
+    either edge), so the base is followed by single flips, then the
+    remaining combinations by popcount.  The caller keeps the first
+    assignment that both extracts a conducting path and passes
+    :func:`is_transition`.  Bounded to 16 assignments.
+    """
+    others = [n for n in stage.inputs if n != switching_input]
+    held = stage.vdd if out_direction == "fall" else 0.0
+    flipped = 0.0 if held else stage.vdd
+    combos = sorted(product((False, True), repeat=len(others)), key=sum)
+    # combos[0] flips nothing: it is the base assignment.
+    for combo in combos[:16]:
+        yield {n: (flipped if flip else held)
+               for n, flip in zip(others, combo)}
+
+
+def is_transition(v_start: float, out_direction: str, vdd: float) -> bool:
+    """Whether an output that starts at ``v_start`` can make this edge.
+
+    A real arc starts on the far side of mid-rail: when the pre-state
+    already holds the output at its final logic value, the assignment
+    produces no transition.  Written as negations so a NaN start counts
+    as a transition: it then fails the mid-rail crossing and escalates,
+    instead of quietly dropping the arc.
+    """
+    if out_direction == "fall":
+        return not v_start < 0.55 * vdd
+    return not v_start > 0.45 * vdd
+
+
+def _sensitized_inputs(source: Source, switching_input: str,
+                       levels: Dict[str, float]) -> Dict[str, SourceLike]:
+    inputs: Dict[str, SourceLike] = {switching_input: source}
+    inputs.update({name: ConstantSource(level)
+                   for name, level in levels.items()})
+    return inputs
+
+
+# ----------------------------------------------------------------------
+# The rungs.
+# ----------------------------------------------------------------------
+def qwm_arc(evaluator: WaveformEvaluator, stage, output: str,
+            out_direction: str, switching_input: str,
+            input_slew: Optional[float] = None,
+            stats: Optional[SimulationStats] = None
+            ) -> Optional[RungArc]:
+    """One QWM sensitization sweep with ``evaluator`` (the ``qwm`` and
+    ``qwm-retry`` rungs).
+
+    Returns (delay, slew), or None when no sensitization produces a
+    genuine transition (the arc is unsensitizable).  A transition that
+    was found but whose accepted waveform never crosses mid-rail — the
+    signature of a region-schedule failure — raises
+    :class:`ArcSolveError` so the ladder can tell "solver failed" from
+    "no such arc".  ``stats`` receives the cost of every solve,
+    including sensitizations that are then rejected.
+    """
+    vdd = stage.vdd
+    source, t_input = input_edge(vdd, out_direction, input_slew)
+    for levels in sensitizations(stage, switching_input, out_direction):
+        try:
+            solution = evaluator.evaluate(
+                stage, output, out_direction,
+                _sensitized_inputs(source, switching_input, levels),
+                precharge="dc")
+        except NoConductingPath:
+            continue
+        except ValueError as exc:
+            # Raised inside the solve (a NaN state reaching a table
+            # lookup, say): the solver failed on a real candidate, so
+            # escalate rather than try another sensitization.
+            raise ArcSolveError(
+                f"QWM solve of {stage.name}:{output} {out_direction} "
+                f"via {switching_input} raised {exc}") from exc
+        inc("sta.stage.solves")
+        count("solves", 1, root="sta.arc")
+        if stats is not None:
+            stats.accumulate(solution.stats)
+        if not is_transition(solution.output_waveform.value(0.0),
+                             out_direction, vdd):
+            continue
+        delay = solution.delay(t_input=t_input)
+        if delay is None:
+            raise ArcSolveError(
+                f"QWM accepted a transition for {stage.name}:{output} "
+                f"{out_direction} via {switching_input} but its "
+                f"waveform never crosses mid-rail")
+        fit = solution.output_waveform.tangent_ramp(vdd)
+        return delay, (fit[1] if fit is not None else None)
+    return None
+
+
 def adaptive_spice_arc(analyzer: Any, stage, output: str,
                        out_direction: str, switching_input: str,
                        input_slew: Optional[float] = None,
@@ -160,10 +279,10 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
                        settle: float = 5e-12,
                        max_steps: int = 50_000,
                        max_seconds: float = 10.0
-                       ) -> Optional[Tuple[float, Optional[float]]]:
-    """Adaptive-transient evaluation of one stage arc.
+                       ) -> Optional[RungArc]:
+    """Adaptive-transient evaluation of one stage arc (the ``spice`` rung).
 
-    Mirrors the QWM sensitization loop, but on the full stage
+    Runs the QWM rung's sensitization sweep on the full stage
     equations: the input edge is delayed by ``settle`` so the t=0 DC
     solve settles to the *pre*-transition state, and the delay is
     measured from the edge's 50% crossing like the QWM path does.
@@ -177,38 +296,24 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     suite does not use it: :func:`repro.analysis.golden.spice_measure`
     runs the fixed-step 1 ps engine with its own edge time and the raw
     10-90 % slew.  ``analyzer`` is duck-typed like the ladder's: any
-    object with ``tech``, ``evaluator`` and the sensitization helpers.
+    object with ``tech`` and ``evaluator``.
     """
     vdd = stage.vdd
-    rising_in = out_direction == "fall"
-    v0, v1 = (0.0, vdd) if rising_in else (vdd, 0.0)
-    t_edge = settle
-    if input_slew:
-        source = RampSource(v0, v1, t_edge, input_slew)
-        t_input = t_edge + 0.5 * input_slew
-    else:
-        source = StepSource(v0, v1, t_edge)
-        t_input = t_edge
-    base_options = analyzer.evaluator.options
+    source, t_input = input_edge(vdd, out_direction, input_slew,
+                                 t_edge=settle)
     options = AdaptiveOptions(
-        t_stop=t_edge + base_options.t_stop,
+        t_stop=settle + analyzer.evaluator.options.t_stop,
         max_steps=max_steps,
         max_wall_seconds=max_seconds)
     simulator = AdaptiveTransientSimulator(stage, analyzer.tech,
                                            options)
-    for levels in analyzer._sensitizations(
-            stage, switching_input, out_direction):
-        inputs: Dict[str, Any] = {switching_input: source}
-        inputs.update({name: ConstantSource(level)
-                       for name, level in levels.items()})
-        result = simulator.run(inputs)
+    for levels in sensitizations(stage, switching_input, out_direction):
+        result = simulator.run(
+            _sensitized_inputs(source, switching_input, levels))
         if stats is not None:
             stats.accumulate(result.stats)
-        trace = result.voltages[output]
-        v_start = float(trace[0])
-        if out_direction == "fall" and v_start < 0.55 * vdd:
-            continue
-        if out_direction == "rise" and v_start > 0.45 * vdd:
+        if not is_transition(float(result.voltages[output][0]),
+                             out_direction, vdd):
             continue
         delay = result.delay_50(output, vdd, t_input=t_input,
                                 direction=out_direction)
@@ -222,28 +327,23 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     return None
 
 
-#: Callback the STA layer hands the ladder: run the normal QWM
-#: sensitization loop with the given evaluator, return (delay, slew)
-#: or None (unsensitizable), raise ArcSolveError / solver errors on
-#: failure.
-QwmAttempt = Callable[[WaveformEvaluator],
-                      Optional[Tuple[float, Optional[float]]]]
-
-
 class EscalationLadder:
     """Runs one stage arc down the rungs until something answers.
 
     Args:
         analyzer: the owning :class:`~repro.analysis.sta.
-            StaticTimingAnalyzer` (duck-typed: the ladder uses its
-            ``tech``, ``evaluator`` and sensitization helpers only, so
-            there is no import cycle back into the analysis package).
-        policy: the escalation policy.
+            StaticTimingAnalyzer` (duck-typed: the ladder reads its
+            ``tech`` and ``evaluator`` only, so there is no import
+            cycle back into the analysis package).
+        escalate: False runs the ``qwm`` rung alone, the legacy
+            fail-fast timer: a solve that never crosses mid-rail is the
+            arc's None verdict, any other failure raises, and clamps
+            are ignored.
     """
 
-    def __init__(self, analyzer: Any, policy: EscalationPolicy):
+    def __init__(self, analyzer: Any, escalate: bool = True):
         self.analyzer = analyzer
-        self.policy = policy
+        self.escalate = escalate
         self._retry_evaluator: Optional[WaveformEvaluator] = None
         self._switch_timer = None
 
@@ -256,27 +356,31 @@ class EscalationLadder:
                 options=perturbed_options(base.options, 1))
         return self._retry_evaluator
 
-    def _rungs(self, qwm_attempt: QwmAttempt, stage, output: str,
+    def _rungs(self, clamp: Optional[str], stage, output: str,
                out_direction: str, switching_input: str,
                input_slew: Optional[float],
                stats: Optional[SimulationStats]
-               ) -> List[Tuple[str, Callable[[], Optional[
-                   Tuple[float, Optional[float]]]]]]:
-        rungs: List[Tuple[str, Callable[
-            [], Optional[Tuple[float, Optional[float]]]]]] = []
-        rungs.append((QUALITY_QWM,
-                      lambda: qwm_attempt(self.analyzer.evaluator)))
-        rungs.append((QUALITY_RETRY, lambda: qwm_attempt(self._retry())))
-        if self.policy.spice:
-            rungs.append((QUALITY_SPICE,
-                          lambda: adaptive_spice_arc(
-                              self.analyzer, stage, output,
-                              out_direction, switching_input,
-                              input_slew=input_slew, stats=stats)))
-        rungs.append((QUALITY_BOUNDED,
-                      lambda: self.bound_arc(
-                          stage, output, out_direction,
-                          switching_input)))
+               ) -> List[Tuple[str, Callable[[], Optional[RungArc]]]]:
+        """The rungs a ``clamp`` level leaves, in order.
+
+        Full: qwm, qwm-retry, spice, bounded.  ``no-spice``: qwm,
+        qwm-retry, bounded.  ``bound``: bounded.  Without escalation:
+        qwm alone, whatever the clamp.
+        """
+        arc = (stage, output, out_direction, switching_input)
+        qwm = (QUALITY_QWM, lambda: qwm_arc(
+            self.analyzer.evaluator, *arc, input_slew, stats))
+        if not self.escalate:
+            return [qwm]
+        rungs: List[Tuple[str, Callable[[], Optional[RungArc]]]] = []
+        if clamp != CLAMP_BOUND:
+            rungs.append(qwm)
+            rungs.append((QUALITY_RETRY, lambda: qwm_arc(
+                self._retry(), *arc, input_slew, stats)))
+        if clamp is None:
+            rungs.append((QUALITY_SPICE, lambda: adaptive_spice_arc(
+                self.analyzer, *arc, input_slew=input_slew, stats=stats)))
+        rungs.append((QUALITY_BOUNDED, lambda: self.bound_arc(*arc)))
         return rungs
 
     # -- bookkeeping ---------------------------------------------------
@@ -307,9 +411,9 @@ class EscalationLadder:
     # -- the ladder ----------------------------------------------------
     def evaluate_arc(self, stage, output: str, out_direction: str,
                      switching_input: str,
-                     input_slew: Optional[float],
-                     stats: Optional[SimulationStats],
-                     qwm_attempt: QwmAttempt
+                     input_slew: Optional[float] = None,
+                     stats: Optional[SimulationStats] = None,
+                     clamp: Optional[str] = None
                      ) -> Optional[Tuple[float, Optional[float], str]]:
         """Run the rungs in order; returns (delay, slew, quality) or None.
 
@@ -318,8 +422,15 @@ class EscalationLadder:
         not escalate.  The bound rung is last and always runs; only its
         own failure re-raises (it has no failure modes beyond "no
         conducting path", which is the None verdict).
+
+        ``clamp`` is the admission controller's level for this arc (see
+        :mod:`repro.resilience.budget`): ``"no-spice"`` drops the SPICE
+        rung, ``"bound"`` every iterative rung.  Each clamped arc is
+        counted once in ``resilience.budget.clamped_arcs``.
         """
-        rungs = self._rungs(qwm_attempt, stage, output, out_direction,
+        if self.escalate and clamp is not None:
+            inc("resilience.budget.clamped_arcs", level=clamp)
+        rungs = self._rungs(clamp, stage, output, out_direction,
                             switching_input, input_slew, stats)
         last_error: Optional[BaseException] = None
         expired = False
@@ -332,6 +443,10 @@ class EscalationLadder:
                 with frame("resilience.rung", rung, ctx={"rung": rung}):
                     arc = attempt()
             except _RUNG_FAILURES as exc:
+                if not self.escalate:
+                    if isinstance(exc, ArcSolveError):
+                        return None
+                    raise
                 last_error = exc
                 if isinstance(exc, StageTimeoutError):
                     # Injected or real: stop burning wall-clock on
@@ -350,16 +465,15 @@ class EscalationLadder:
 
     # -- bound rung ----------------------------------------------------
     def bound_arc(self, stage, output: str, out_direction: str,
-                  switching_input: str
-                  ) -> Optional[Tuple[float, Optional[float]]]:
+                  switching_input: str) -> Optional[RungArc]:
         """Conservative switch-level/Elmore bound for one arc.
 
-        Purely structural — an RC ladder over the conducting pull path
-        with analytic effective resistances — so it has no Newton
-        iterations to diverge and no table data to be corrupted.  A
-        missing conducting path is the None (unsensitizable) verdict.
-        Public because the admission controller's ``bound`` clamp
-        routes arcs straight here, bypassing the iterative rungs.
+        Purely structural — an RC ladder over the path that conducts
+        once the input edge has switched, with the side inputs at the
+        base sensitization and analytic effective resistances — so it
+        has no Newton iterations to diverge and no table data to be
+        corrupted.  A missing conducting path is the None
+        (unsensitizable) verdict.
         """
         from repro.baselines.switch_level import SwitchLevelTimer
 
@@ -367,13 +481,9 @@ class EscalationLadder:
             self._switch_timer = SwitchLevelTimer(
                 self.analyzer.tech,
                 library=self.analyzer.evaluator.library)
-        final_level = stage.vdd if out_direction == "fall" else 0.0
-        inputs: Dict[str, float] = {switching_input: final_level}
-        for name in stage.inputs:
-            if name == switching_input:
-                continue
-            inputs[name] = self.analyzer._sensitizing_level(
-                stage, name, out_direction)
+        edge, _ = input_edge(stage.vdd, out_direction)
+        inputs = _sensitized_inputs(edge, switching_input, next(
+            sensitizations(stage, switching_input, out_direction)))
         try:
             estimate = self._switch_timer.estimate(
                 stage, output, out_direction, inputs)

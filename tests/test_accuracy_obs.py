@@ -171,6 +171,27 @@ class TestSampling:
         picked = stratified_sample(candidates, len(strata), seed=0)
         assert {s.fingerprint for s in picked} == strata
 
+    def test_sample_ignores_fingerprint_text(self, tech, library,
+                                             decoder_graph):
+        """Fingerprints only group arcs: relabelling them one-to-one
+        (as renaming a solver option does, through its ``repr``) must
+        not redraw the sample."""
+        analyzer = self._analyzer(tech, library)
+        candidates = collect_candidates(decoder_graph, analyzer)
+        ranks = {fp: i for i, fp in enumerate(
+            sorted({s.fingerprint for s in candidates}, reverse=True))}
+        relabellings = (
+            lambda fp: fp[::-1],
+            lambda fp: f"form{ranks[fp]}",
+        )
+        for relabel in relabellings:
+            relabelled = [replace(s, fingerprint=relabel(s.fingerprint))
+                          for s in candidates]
+            for count, seed in ((3, 0), (6, 0), (6, 7)):
+                drawn = stratified_sample(candidates, count, seed)
+                again = stratified_sample(relabelled, count, seed)
+                assert [s.key for s in again] == [s.key for s in drawn]
+
     def test_sample_exhausts_gracefully(self, tech, library,
                                         decoder_graph):
         analyzer = self._analyzer(tech, library)

@@ -28,7 +28,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.ladder import (
     QUALITY_ORDER,
-    EscalationPolicy,
     merge_quality,
     perturbed_options,
 )
@@ -274,13 +273,11 @@ class TestLadderRungs:
 
     def test_disabled_ladder_restores_legacy_none(self, tech, library,
                                                   inverter):
-        """``enabled=False`` is the pre-ladder behavior: a broken solve
+        """``escalate=False`` is the pre-ladder behavior: a broken solve
         surfaces as the historical silent None arc (QWM's per-region
         fallbacks absorb the Newton failures, the waveform never
         crosses mid-rail, no rung recovers it)."""
-        sta = StaticTimingAnalyzer(
-            tech, library=library,
-            resilience=EscalationPolicy(enabled=False))
+        sta = StaticTimingAnalyzer(tech, library=library, escalate=False)
         spec = FaultSpec("newton_nonconverge", stage=inverter.name)
         with faults.installed(FaultPlan((spec,))):
             legacy = sta.stage_arc(inverter, inverter.outputs[0].name,
@@ -288,6 +285,121 @@ class TestLadderRungs:
             recovered = self._arc(tech, library, inverter)
         assert legacy is None
         assert recovered is not None and recovered[2] != "qwm"
+
+
+class TestOneArcPath:
+    """Every arc goes through ``EscalationLadder.evaluate_arc``, and
+    every rung times the one arc the ladder module states."""
+
+    #: A Newton failure on every iterative rung.
+    ITERATIVE = ("qwm", "qwm-retry", "spice")
+
+    @pytest.fixture()
+    def inverter(self, tech):
+        return builders.inverter(tech)
+
+    @pytest.fixture()
+    def journal(self, monkeypatch):
+        """Record rung frames and sensitization sweeps, in call order."""
+        from repro.resilience import ladder
+
+        events = []
+        real_frame, real_sweep = ladder.frame, ladder.sensitizations
+
+        def spy_frame(name, tag=None, **kwargs):
+            if name == "resilience.rung":
+                events.append(tag)
+            return real_frame(name, tag, **kwargs)
+
+        def spy_sweep(*args):
+            events.append("sweep")
+            return real_sweep(*args)
+
+        monkeypatch.setattr(ladder, "frame", spy_frame)
+        monkeypatch.setattr(ladder, "sensitizations", spy_sweep)
+        return events
+
+    @pytest.mark.parametrize("clamp,escalate", [
+        (None, True), ("no-spice", True), ("bound", True), (None, False),
+    ])
+    def test_stage_arc_calls_the_ladder_once(self, tech, library,
+                                             inverter, monkeypatch,
+                                             clamp, escalate):
+        from repro.resilience.ladder import EscalationLadder
+
+        calls = []
+        real = EscalationLadder.evaluate_arc
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(EscalationLadder, "evaluate_arc", spy)
+        sta = StaticTimingAnalyzer(tech, library=library,
+                                   escalate=escalate)
+        arc = sta.stage_arc(inverter, "out", "fall", "a", clamp=clamp)
+        assert arc is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("clamp,rungs", [
+        (None, ["qwm", "qwm-retry", "spice", "bounded"]),
+        ("no-spice", ["qwm", "qwm-retry", "bounded"]),
+        ("bound", ["bounded"]),
+    ])
+    def test_clamp_picks_the_rungs_and_each_reads_the_sweep(
+            self, tech, library, inverter, journal, clamp, rungs):
+        spec = FaultSpec("newton_nonconverge", stage=inverter.name,
+                         rungs=self.ITERATIVE)
+        sta = StaticTimingAnalyzer(tech, library=library)
+        with faults.installed(FaultPlan((spec,))):
+            arc = sta.stage_arc(inverter, "out", "fall", "a",
+                                clamp=clamp)
+        assert arc is not None and arc[2] == "bounded"
+        expected = []
+        for rung in rungs:
+            expected += [rung, "sweep"]
+        assert journal == expected
+
+    def test_without_escalation_qwm_runs_alone(self, tech, library,
+                                               inverter, journal):
+        sta = StaticTimingAnalyzer(tech, library=library, escalate=False)
+        arc = sta.stage_arc(inverter, "out", "fall", "a", clamp="bound")
+        assert arc is not None and arc[2] == "qwm"
+        assert journal == ["qwm", "sweep"]
+
+    def test_pool_workers_keep_escalation_off(self, tech, library,
+                                              decoder_graph):
+        """A pooled ``escalate=False`` run drops the failed arcs exactly
+        as the in-process run does, instead of escalating them."""
+        from repro.analysis.parallel import ExecutionConfig
+
+        spec = FaultSpec("newton_nonconverge",
+                         stage=decoder_graph.stages[0].name)
+        runs = []
+        for workers in (1, 2):
+            sta = StaticTimingAnalyzer(
+                tech, library=library, escalate=False,
+                execution=ExecutionConfig(workers=workers))
+            with faults.installed(FaultPlan((spec,))):
+                runs.append(sta.analyze(decoder_graph).arrivals)
+        assert runs[0] == runs[1]
+        assert {a.quality for a in runs[1].values()} <= {None, "qwm"}
+
+    def test_ladder_reads_only_tech_and_evaluator(self, tech, library,
+                                                  inverter):
+        from types import SimpleNamespace
+
+        from repro.core import WaveformEvaluator
+        from repro.resilience.ladder import EscalationLadder
+
+        owner = SimpleNamespace(
+            tech=tech, evaluator=WaveformEvaluator(tech, library=library))
+        spec = FaultSpec("newton_nonconverge", stage=inverter.name,
+                         rungs=self.ITERATIVE)
+        with faults.installed(FaultPlan((spec,))):
+            arc = EscalationLadder(owner).evaluate_arc(
+                inverter, "out", "fall", "a")
+        assert arc is not None and arc[2] == "bounded"
 
 
 # ----------------------------------------------------------------------
