@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from benchmarks.harness import format_table, save_metrics, save_result
+from benchmarks.harness import format_table, save_result
 from repro.analysis import StaticTimingAnalyzer
 from repro.analysis.parallel import ExecutionConfig, StageResultCache
 from repro.circuit import builders, extract_stages
@@ -77,7 +77,6 @@ def test_worker_sweep_identical_arrivals(benchmark, tech, library):
         f"Parallel STA worker processes: {DECODER_BITS}-bit decoder, "
         f"{len(graph.stages)} stages {note}",
         ["configuration", "wall", "vs serial", "arrivals"], rows))
-    save_metrics("BENCH_parallel.json")
 
 
 def test_cache_reuse_and_warm_run(benchmark, tech, library):

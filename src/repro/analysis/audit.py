@@ -56,14 +56,10 @@ from repro.resilience.ladder import adaptive_spice_arc
 from repro.spice.results import SimulationStats
 
 __all__ = [
-    "ArcSample", "AuditReport", "DEFAULT_AUDIT_BAND_PCT",
+    "ArcSample", "AuditReport",
     "analyze_with_audit", "audit_arc", "collect_candidates",
     "stratified_sample",
 ]
-
-#: Default audit acceptance band — matches the golden suite's delay
-#: band, so "audit violation" and "golden violation" mean one thing.
-DEFAULT_AUDIT_BAND_PCT = 10.0
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,7 @@ def _table_cell(analyzer: StaticTimingAnalyzer, stage) -> Dict[str, Any]:
             "vs_cell": int(half_vdd / step)}
 
 
-def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
-              band_pct: float = DEFAULT_AUDIT_BAND_PCT
+def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample
               ) -> Dict[str, Any]:
     """Re-solve one arc both ways and return its audit record.
 
@@ -187,8 +182,14 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
     StaticTimingAnalyzer.stage_arc` (so escalation-ladder behavior and
     the arc's quality rung are preserved) under an armed region
     capture; the reference side is :func:`repro.resilience.ladder.
-    adaptive_spice_arc`.  Odd arcs degrade to non-ok statuses.
+    adaptive_spice_arc`.  Odd arcs degrade to non-ok statuses.  The
+    acceptance band is the golden suite's delay band, so "audit
+    violation" and "golden violation" mean one thing.
     """
+    # Imported here so that a run without an audit never loads the
+    # golden suite.
+    from repro.analysis.golden import DELAY_TOLERANCE_PCT
+
     qwm_stats = SimulationStats()
     with capture_regions() as capture:
         arc = analyzer.stage_arc(stage, sample.output, sample.direction,
@@ -209,7 +210,7 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
     slew_cmp = compare_delays(qwm_slew, ref_slew)
     attribution = attribute_regions(capture.notes)
     attribution["table_cell"] = _table_cell(analyzer, stage)
-    margin = (band_pct - delay_cmp.error_percent
+    margin = (DELAY_TOLERANCE_PCT - delay_cmp.error_percent
               if delay_cmp.ok else None)
     record = {
         "arc": list(sample.key),
@@ -220,7 +221,7 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample,
         "spice": {"delay": ref_delay, "slew": ref_slew},
         "delay_error_pct": delay_cmp.error_percent,
         "slew_error_pct": slew_cmp.error_percent,
-        "band_pct": float(band_pct),
+        "band_pct": DELAY_TOLERANCE_PCT,
         "margin_to_band_pct": margin,
         "attribution": attribution,
     }
@@ -241,9 +242,10 @@ class AuditReport:
     seed: int
     requested: int
     candidates: int
-    band_pct: float
 
     def summary(self) -> Dict[str, Any]:
+        from repro.analysis.golden import DELAY_TOLERANCE_PCT
+
         errors = [r["delay_error_pct"] for r in self.records
                   if r["delay_error_pct"] is not None]
         worst = None
@@ -264,7 +266,7 @@ class AuditReport:
             "candidates": self.candidates,
             "requested": self.requested,
             "seed": self.seed,
-            "band_pct": self.band_pct,
+            "band_pct": DELAY_TOLERANCE_PCT,
             "mean_delay_error_pct": (sum(errors) / len(errors)
                                      if errors else None),
             "worst_delay_error_pct": (max(errors) if errors else None),
@@ -320,9 +322,7 @@ class AuditReport:
 def analyze_with_audit(analyzer: StaticTimingAnalyzer,
                        graph: StageGraph,
                        count: int,
-                       seed: int = 0,
-                       band_pct: float = DEFAULT_AUDIT_BAND_PCT,
-                       input_arrivals=None
+                       seed: int = 0
                        ) -> Tuple[StaResult, AuditReport]:
     """Run a full STA with shadow-SPICE auditing.
 
@@ -332,13 +332,12 @@ def analyze_with_audit(analyzer: StaticTimingAnalyzer,
     pooled runs produce bit-identical audit records.  The report is
     attached to ``result.audit``.
     """
-    result = analyzer.analyze(graph, input_arrivals)
+    result = analyzer.analyze(graph)
     candidates = collect_candidates(graph, analyzer, result.arrivals)
     sampled = stratified_sample(candidates, count, seed)
-    records = [audit_arc(analyzer, graph.stage(sample.stage), sample,
-                         band_pct=band_pct)
+    records = [audit_arc(analyzer, graph.stage(sample.stage), sample)
                for sample in sampled]
     report = AuditReport(records=records, seed=seed, requested=count,
-                         candidates=len(candidates), band_pct=band_pct)
+                         candidates=len(candidates))
     result.audit = report.to_json()
     return result, report

@@ -85,10 +85,10 @@ class ExecutionConfig:
             every stage in the main process, more dispatch stages onto
             a process pool (each worker receives the pickled
             characterized tables once).
-        cache: enable stage-result caching.
-        cache_path: optional JSON store; loaded before the run (if it
-            exists) and rewritten after, so caches persist across
-            processes/runs.
+        cache: give the run a private stage-result cache when the
+            analyzer holds none.  A shared cache, and its on-disk
+            store, is the analyzer's ``cache``
+            (:class:`StageResultCache` owns its path).
         stage_timeout: optional wall-clock watchdog per dispatched
             stage task [s].  A pooled task that exceeds it is
             abandoned (its worker may be hung) and the stage is
@@ -100,9 +100,6 @@ class ExecutionConfig:
             (full → no-spice → bound) so the run finishes inside
             deadline+grace with honest quality tags (see
             :mod:`repro.resilience.budget`).
-        grace: optional explicit grace allowance [s] for the wave in
-            flight at the deadline; defaults to ``max(0.5, 0.1 *
-            deadline)``.  Requires ``deadline``.
         journal_path: optional crash-safe run journal (JSONL, format
             ``repro-run-journal/1``); each completed wave's arrival
             deltas checkpoint atomically (see
@@ -114,10 +111,8 @@ class ExecutionConfig:
 
     workers: int = 1
     cache: bool = False
-    cache_path: Optional[str] = None
     stage_timeout: Optional[float] = None
     deadline: Optional[float] = None
-    grace: Optional[float] = None
     journal_path: Optional[str] = None
     resume: bool = False
 
@@ -128,16 +123,8 @@ class ExecutionConfig:
             raise ValueError("stage_timeout must be positive or None")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive or None")
-        if self.grace is not None and self.grace <= 0:
-            raise ValueError("grace must be positive or None")
-        if self.grace is not None and self.deadline is None:
-            raise ValueError("grace requires deadline")
         if self.resume and self.journal_path is None:
             raise ValueError("resume requires journal_path")
-
-    @property
-    def wants_cache(self) -> bool:
-        return self.cache or self.cache_path is not None
 
 
 @dataclass(frozen=True)
@@ -285,11 +272,14 @@ class StageResultCache:
     """Thread-safe LRU of stage-arc results, with optional JSON store.
 
     Args:
-        max_entries: LRU capacity; least-recently-used entries are
-            evicted beyond it.
-        path: optional JSON store loaded on construction (missing file
-            is fine) and written by :meth:`save`.
+        path: optional JSON store.  The cache owns it: it is loaded on
+            construction (a missing file is fine), and every STA run
+            on this cache rewrites it when the run ends (see
+            :meth:`ParallelStaEngine.run`).
     """
+
+    #: LRU capacity; least-recently-used entries are evicted beyond it.
+    MAX_ENTRIES = 4096
 
     #: Store schema version.  It changes with the key layout, the value
     #: tuple, the canonical fingerprint or the arc arithmetic, so an
@@ -297,11 +287,7 @@ class StageResultCache:
     #: not compute.
     VERSION = 3
 
-    def __init__(self, max_entries: int = 4096,
-                 path: Optional[str] = None):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self, path: Optional[str] = None):
         self.path = path
         self.hits = 0
         self.misses = 0
@@ -343,7 +329,7 @@ class StageResultCache:
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
-            while len(self._data) > self.max_entries:
+            while len(self._data) > self.MAX_ENTRIES:
                 self._data.popitem(last=False)
             set_gauge("sta.cache.entries", len(self._data))
 
@@ -647,9 +633,9 @@ class ParallelStaEngine:
         analyzer: the configured :class:`StaticTimingAnalyzer` (its
             technology, options and slew mode define the arc math).
         config: scheduling/caching policy.
-        cache: optional shared cache instance; when omitted and the
-            config wants caching, a private cache is created (loading
-            ``config.cache_path`` if present).
+        cache: optional shared cache instance; when omitted and
+            ``config.cache`` is set, a private in-memory cache is
+            created.
     """
 
     def __init__(self, analyzer: StaticTimingAnalyzer,
@@ -657,8 +643,8 @@ class ParallelStaEngine:
                  cache: Optional[StageResultCache] = None):
         self.analyzer = analyzer
         self.config = config
-        if cache is None and config.wants_cache:
-            cache = StageResultCache(path=config.cache_path)
+        if cache is None and config.cache:
+            cache = StageResultCache()
         self.cache = cache
         # Set by the SIGINT/SIGTERM handlers (and tests); the dispatch
         # loop stops at the next stage boundary, the last flushed
@@ -698,7 +684,7 @@ class ParallelStaEngine:
         controller: Optional[AdmissionController] = None
         if config.deadline is not None:
             controller = AdmissionController(
-                RunBudget(config.deadline, config.grace),
+                RunBudget(config.deadline),
                 parallelism=config.workers)
 
         journal, done, replayed_stats, resumed = self._prepare_journal(
@@ -730,8 +716,8 @@ class ParallelStaEngine:
                 "disabled": journal.disabled,
                 "dropped_lines": journal.dropped_lines,
             }
-        if self.cache is not None and self.config.cache_path is not None:
-            self.cache.save(self.config.cache_path)
+        if self.cache is not None and self.cache.path is not None:
+            self.cache.save()
         return result
 
     # ------------------------------------------------------------------
@@ -985,8 +971,7 @@ class ParallelStaEngine:
             inc("sta.parallel.dispatch", backend=backend)
             clamp: Optional[str] = None
             if controller is not None:
-                level = controller.admit(waves[stage.name],
-                                         len(active) - len(stats_by_stage))
+                level = controller.admit(len(active) - len(stats_by_stage))
                 clamp = None if level == CLAMP_FULL else level
             if executor is None:
                 evaluate_here(stage, clamp)

@@ -244,7 +244,6 @@ class StaticTimingAnalyzer:
                  options: Optional[QWMOptions] = None,
                  propagate_slews: bool = False,
                  input_slew: float = 20e-12,
-                 preflight: bool = False,
                  execution: Optional["ExecutionConfig"] = None,
                  cache: Optional["StageResultCache"] = None,
                  escalate: bool = True):
@@ -261,10 +260,6 @@ class StaticTimingAnalyzer:
                 very slow ramps lose accuracy.
             input_slew: full-swing transition time assumed for primary
                 inputs in slew mode [s].
-            preflight: when True, :meth:`analyze` lints the whole stage
-                graph (ERC + solver rules) up front and raises
-                :class:`repro.lint.PreflightError` on error-severity
-                findings before evaluating any arc.
             execution: optional :class:`repro.analysis.parallel.
                 ExecutionConfig` for :meth:`analyze`, which always runs
                 the :class:`repro.analysis.parallel.ParallelStaEngine`
@@ -289,7 +284,6 @@ class StaticTimingAnalyzer:
                                            options=options)
         self.propagate_slews = propagate_slews
         self.input_slew = input_slew
-        self.preflight = preflight
         self.execution = execution
         self.cache = cache
         self._ladder = EscalationLadder(self, escalate)
@@ -354,21 +348,7 @@ class StaticTimingAnalyzer:
 
         Returns:
             Arrival times for every stage-output event reached.
-
-        Raises:
-            repro.lint.PreflightError: when ``preflight=True`` and the
-                graph or solver options fail an error-severity rule.
         """
-        if self.preflight:
-            from repro.lint import LintContext, preflight
-
-            ctx = LintContext.from_stage_graph(
-                graph, tech=self.tech,
-                options=self.evaluator.options,
-                library=self.evaluator.library,
-                execution=self.execution)
-            preflight(ctx, what="stage graph",
-                      packs=("erc", "solver"))
         from repro.analysis.parallel import (ExecutionConfig,
                                              ParallelStaEngine)
 

@@ -3,7 +3,7 @@
 Since the introduction of :mod:`repro.lint` this module is a thin,
 backward-compatible adapter: the structural rules themselves live in
 the ERC rule pack (:mod:`repro.lint.rules_erc`) and are shared with the
-``repro lint`` CLI and the solver preflight hooks.  ``validate_stage``
+``repro lint`` CLI and :func:`repro.lint.preflight`.  ``validate_stage``
 runs them on a single stage and raises a :class:`StageValidationError`
 formatting every error-severity diagnostic, exactly as it always did.
 """

@@ -118,6 +118,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.analysis import IncrementalTimer
@@ -189,14 +190,13 @@ def _cmd_sta(args: argparse.Namespace) -> int:
     # Built on every call, so its checks (a flag without its partner,
     # --workers 0) reject the command line before any analysis runs.
     execution = ExecutionConfig(
-        workers=args.workers, cache_path=args.cache_file,
-        deadline=args.deadline, grace=args.grace,
+        workers=args.workers, deadline=args.deadline,
         journal_path=args.journal, resume=args.resume)
     # One cache for the command, so corner re-timing shares it and the
-    # hit/miss totals can be printed.
+    # hit/miss totals can be printed; it owns the --cache-file store.
     cache = StageResultCache(path=args.cache_file)
 
-    def run(technology, with_audit=False):
+    def run(technology, execution, with_audit=False):
         if text is not None:
             netlist = parse_spice_netlist(text, technology,
                                           name=args.deck)
@@ -213,12 +213,12 @@ def _cmd_sta(args: argparse.Namespace) -> int:
             from repro.analysis.audit import analyze_with_audit
 
             result, report = analyze_with_audit(
-                timer.analyzer, graph, audit, seed=args.audit_seed,
-                band_pct=args.audit_band)
+                timer.analyzer, graph, audit, seed=args.audit_seed)
             return graph, result, report
         return graph, timer.analyze(), None
 
-    graph, result, audit_report = run(tech, with_audit=audit > 0)
+    graph, result, audit_report = run(tech, execution,
+                                      with_audit=audit > 0)
     print(design_summary(graph, result))
     print()
     print(critical_path_report(result, required=required))
@@ -228,9 +228,13 @@ def _cmd_sta(args: argparse.Namespace) -> int:
         print()
         print(audit_report.render())
     if args.corners:
+        # The journal checkpoints the nominal run, the one --resume
+        # replays; the corner runs neither write nor replay it.
+        corner_execution = replace(execution, journal_path=None,
+                                   resume=False)
         delays = {}
         for name, corner_tech in all_corners(tech).items():
-            _, corner_result, _ = run(corner_tech)
+            _, corner_result, _ = run(corner_tech, corner_execution)
             if corner_result.worst is not None:
                 delays[name] = corner_result.worst.time
         print()
@@ -864,13 +868,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run-level wall-clock budget: the scheduler "
                           "clamps the escalation ladder per wave "
                           "(full -> no-spice -> bound) so the run "
-                          "finishes inside deadline+grace with honest "
+                          "finishes inside deadline+grace (grace: "
+                          "max(0.5, 0.1*deadline)) with honest "
                           "quality tags")
-    sta.add_argument("--grace", type=float, default=None,
-                     metavar="SECONDS",
-                     help="explicit grace allowance for the wave in "
-                          "flight at the deadline (default: "
-                          "max(0.5, 0.1*deadline))")
     sta.add_argument("--journal", metavar="FILE", default=None,
                      help="crash-safe run journal (JSONL, format "
                           "repro-run-journal/1): each completed wave "
@@ -898,9 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "attribution")
     sta.add_argument("--audit-seed", type=int, default=0,
                      help="sampling seed (same seed, same arcs)")
-    sta.add_argument("--audit-band", type=float, default=10.0,
-                     help="audit acceptance band in percent (audit "
-                          "arcs outside it count as violations)")
     sta.set_defaults(func=_cmd_sta)
 
     sim = sub.add_parser("simulate",

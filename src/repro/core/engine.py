@@ -46,16 +46,11 @@ class WaveformEvaluator:
             across evaluators to amortize characterization, mirroring
             the paper's one-time device characterization).
         options: QWM scheduler options.
-        preflight: when True, lint every stage (structural ERC rules +
-            solver options) on first evaluation and raise
-            :class:`repro.lint.PreflightError` on error-severity
-            findings instead of attempting a solve.
     """
 
     def __init__(self, tech: Technology,
                  library: Optional[TableModelLibrary] = None,
-                 options: Optional[QWMOptions] = None,
-                 preflight: bool = False):
+                 options: Optional[QWMOptions] = None):
         self.tech = tech
         # An empty library is falsy (len 0); test against None so a
         # caller's not-yet-characterized library (and its grid step)
@@ -63,25 +58,9 @@ class WaveformEvaluator:
         self.library = (library if library is not None
                         else TableModelLibrary(tech))
         self.options = options or QWMOptions()
-        self.preflight = preflight
-        self._preflighted: set = set()
         # Converged DC pre-states by StageEquations.dc_key (see
         # _dc_initial); lives as long as the evaluator.
         self._dc_memo: Dict[Tuple[Tuple, bytes], np.ndarray] = {}
-
-    def _preflight_stage(self, stage: LogicStage) -> None:
-        """Lint a stage once (keyed by identity) before solving it."""
-        if not self.preflight or id(stage) in self._preflighted:
-            return
-        from repro.lint import LintContext, preflight
-
-        with frame("engine.preflight", stage=stage.name):
-            ctx = LintContext.from_stage(stage, tech=self.tech,
-                                         options=self.options)
-            ctx.grid_step = getattr(self.library, "grid_step", None)
-            preflight(ctx, what=f"stage {stage.name!r}",
-                      packs=("erc", "solver"))
-        self._preflighted.add(id(stage))
 
     # ------------------------------------------------------------------
     def extract(self, stage: LogicStage, output: str, direction: str,
@@ -211,7 +190,6 @@ class WaveformEvaluator:
                         "direction": direction},
                    output=output, direction=direction):
             faults.check_stage_timeout()
-            self._preflight_stage(stage)
             with frame("engine.extract"):
                 path = self.extract(stage, output, direction, inputs)
             with frame("engine.initial", precharge):

@@ -23,8 +23,8 @@ like an NMOS discharge stack: frame voltages collapse from vdd to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -154,9 +154,9 @@ class DischargePath:
     node_names: List[str]
     node_caps: np.ndarray
     vdd: float
-    fixed_caps: Optional[np.ndarray] = None
-    junctions: Optional[List[List[Tuple[str, object, float]]]] = None
-    gate_couplings: Optional[List[List[Tuple[str, float]]]] = None
+    fixed_caps: np.ndarray
+    junctions: List[List[Tuple[str, object, float]]]
+    gate_couplings: List[List[Tuple[str, float]]]
 
     def __post_init__(self) -> None:
         if len(self.devices) != len(self.node_names):
@@ -164,8 +164,7 @@ class DischargePath:
         self.node_caps = np.asarray(self.node_caps, dtype=float)
         if np.any(self.node_caps <= 0):
             raise ValueError("every path node needs positive capacitance")
-        if self.fixed_caps is not None:
-            self.fixed_caps = np.asarray(self.fixed_caps, dtype=float)
+        self.fixed_caps = np.asarray(self.fixed_caps, dtype=float)
 
     def equivalent_caps(self, u_from: np.ndarray,
                         u_to: np.ndarray) -> np.ndarray:
@@ -175,11 +174,8 @@ class DischargePath:
         value over the span each region actually traverses keeps QWM's
         constant-per-region capacitances faithful (the paper: "all
         parasitic capacitances are constant ... our implementation does
-        not make these assumptions").  Falls back to the full-swing
-        values when the path carries no junction breakdown.
+        not make these assumptions").
         """
-        if self.fixed_caps is None or self.junctions is None:
-            return self.node_caps
         vdd = self.vdd
         fall = self.direction == "fall"
         caps = self.fixed_caps.tolist()
@@ -222,11 +218,9 @@ class DischargePath:
         """Frame current injected into each node by moving gates [A].
 
         ``S_k = sum_m C_m * d(G_frame_m)/dt`` over the node's incident
-        gate couplings, one float per node; zero when the path carries
-        no coupling data.  Each source's slope is read once per call.
+        gate couplings, one float per node.  Each source's slope is read
+        once per call.
         """
-        if self.gate_couplings is None:
-            return [0.0] * len(self.node_names)
         sign = self.frame_sign
         slopes = {gate: src.slope(t) for gate, src in sources.items()}
         s = []
@@ -248,8 +242,6 @@ class DischargePath:
         """
         k = len(self.node_names)
         dv = np.zeros(k)
-        if self.gate_couplings is None:
-            return dv
         eps = 1e-15
         for idx, couplings in enumerate(self.gate_couplings):
             for gate, cap in couplings:

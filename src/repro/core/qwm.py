@@ -756,7 +756,7 @@ class QWMSolver:
     def _solve_region(self, sources, active: int, tau: float,
                       u: np.ndarray, i: np.ndarray, condition,
                       stats: SimulationStats,
-                      meter: Optional["_TableQueryMeter"] = None,
+                      meter: _TableQueryMeter,
                       phase: str = "qwm.phase12"
                       ) -> Optional[Tuple[float, np.ndarray, np.ndarray,
                                           np.ndarray, int]]:
@@ -859,10 +859,9 @@ class QWMSolver:
                         break
                     caps = refined
                     guess = result.x.copy()
-                if meter is not None:
-                    drained = meter.drain(stats)
-                    region_queries += drained
-                    region.count("table_evaluations", drained)
+                drained = meter.drain(stats)
+                region_queries += drained
+                region.count("table_evaluations", drained)
                 if result is None:
                     inc("newton.convergence.failures")
                     region.count("newton_failures")

@@ -5,7 +5,8 @@ available — a flat netlist, extracted logic stages, characterized device
 tables, solver options, RC trees, coupling capacitors — and every rule
 checks only the parts that are present.  This keeps one runner usable
 from the CLI (netlist-centric), from ``validate_stage`` (one stage) and
-from the solver preflight hooks (stages + options).
+from a check before a solve (:func:`repro.lint.preflight` on a stage
+and its solver options).
 """
 
 from __future__ import annotations
@@ -120,17 +121,3 @@ class LintContext:
         root = getattr(code, "root", "<memory>")
         return cls(code=code,
                    design_name=os.path.basename(root) or root)
-
-    @classmethod
-    def from_stage_graph(cls, graph: Any, tech: Optional[Any] = None,
-                         options: Optional[Any] = None,
-                         library: Optional[Any] = None,
-                         execution: Optional[Any] = None
-                         ) -> "LintContext":
-        """Build a context around an extracted stage graph."""
-        ctx = cls(graph=graph, stages=list(graph.stages), tech=tech,
-                  options=options, execution=execution,
-                  design_name=getattr(graph, "name", "design"))
-        if library is not None:
-            ctx.grid_step = getattr(library, "grid_step", None)
-        return ctx

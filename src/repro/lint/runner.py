@@ -178,7 +178,7 @@ class LintRunner:
 
 
 class PreflightError(ValueError):
-    """Raised by the opt-in pre-simulation hooks on lint errors."""
+    """Raised by :func:`preflight` on error-severity lint findings."""
 
     def __init__(self, report: LintReport, what: str = "design"):
         self.report = report
@@ -226,9 +226,10 @@ def preflight(ctx: LintContext, what: str = "design",
               packs: Optional[Iterable[str]] = None) -> LintReport:
     """Run error-severity rules over a context; raise on any error.
 
-    The opt-in hook :class:`~repro.core.engine.WaveformEvaluator` and
-    :class:`~repro.analysis.sta.StaticTimingAnalyzer` call before
-    burning solver time.
+    The check a caller runs before burning solver time, e.g.
+    ``preflight(LintContext.from_stage(stage, tech=tech,
+    options=options), packs=("erc", "solver"))`` before evaluating a
+    stage.
 
     Raises:
         PreflightError: when any error-severity diagnostic is found.

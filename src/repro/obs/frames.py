@@ -698,16 +698,16 @@ def set_gauge(name: str, value: float, **labels) -> None:
 # ----------------------------------------------------------------------
 # Trace view: the ``repro stats`` wall-time tree
 # ----------------------------------------------------------------------
-def format_span_tree(records: List[Frame], indent: int = 2,
-                     dropped: int = 0) -> str:
+def format_span_tree(records: List[Frame], dropped: int = 0) -> str:
     """Render finished spans as an aggregated wall-time tree.
 
     Sibling spans with the same name are merged into one line with a
     ``xN`` multiplicity and summed durations, which keeps per-region
-    traces readable (``qwm.phase3 x9``).  ``dropped`` is the trace
-    view's drop count (:meth:`FrameLedger.trace_stats`); when non-zero
-    the tree ends with an explicit truncation line so a capped buffer
-    is never mistaken for a complete trace.
+    traces readable (``qwm.phase3 x9``); each level indents by two
+    spaces.  ``dropped`` is the trace view's drop count
+    (:meth:`FrameLedger.trace_stats`); when non-zero the tree ends with
+    an explicit truncation line so a capped buffer is never mistaken
+    for a complete trace.
     """
     children: Dict[Optional[int], List[Frame]] = {}
     for record in records:
@@ -725,8 +725,8 @@ def format_span_tree(records: List[Frame], indent: int = 2,
         for name, group in grouped.items():
             total = sum(r.duration for r in group)
             label = name if len(group) == 1 else f"{name} x{len(group)}"
-            pad = max(36 - indent * depth, len(label) + 1)
-            lines.append(f"{' ' * (indent * depth)}{label:<{pad}}"
+            pad = max(36 - 2 * depth, len(label) + 1)
+            lines.append(f"{' ' * (2 * depth)}{label:<{pad}}"
                          f"{total * 1e3:10.3f} ms")
             walk([r.span_id for r in group], depth + 1)
 

@@ -21,11 +21,11 @@ Four pieces:
   (``repro sta --journal/--resume``): fsync'd per-wave checkpoints a
   killed run resumes from, bit-identically.
 
-Import structure: :mod:`.faults` is imported eagerly (it only needs
-numpy/stdlib and the obs layer) so low-level solvers can import its
-gates without cycles; :mod:`.ladder`, :mod:`.chaos`, :mod:`.budget`
-and :mod:`.journal` sit above the solver stack and are loaded lazily
-on first attribute access.
+Only :mod:`.faults` is imported with the package (it needs only
+numpy/stdlib and the obs layer), so low-level solvers can import its
+gates without cycles.  :mod:`.ladder`, :mod:`.chaos`, :mod:`.budget`
+and :mod:`.journal` sit above the solver stack; import them as
+submodules (``from repro.resilience import ladder``).
 """
 
 from repro.resilience import faults
@@ -41,41 +41,4 @@ __all__ = [
     "faults",
     "FAULT_KINDS", "FaultPlan", "FaultSpec", "StageTimeoutError",
     "RunKilled",
-    # Lazily resolved (PEP 562):
-    "ladder", "chaos", "budget", "journal",
-    "ArcSolveError", "EscalationLadder", "QUALITY_ORDER",
-    "merge_quality",
-    "ChaosReport", "ChaosScenario", "ScenarioOutcome",
-    "default_scenarios", "format_report", "run_matrix",
-    "RunBudget", "AdmissionController",
-    "CLAMP_FULL", "CLAMP_NO_SPICE", "CLAMP_BOUND", "CLAMP_ORDER",
-    "RunJournal", "JournalError", "FingerprintMismatch",
-    "run_fingerprint",
 ]
-
-_LADDER_NAMES = ("ladder", "ArcSolveError", "EscalationLadder",
-                 "QUALITY_ORDER", "merge_quality")
-_CHAOS_NAMES = ("chaos", "ChaosReport", "ChaosScenario",
-                "ScenarioOutcome", "default_scenarios", "format_report",
-                "run_matrix")
-_BUDGET_NAMES = ("budget", "RunBudget", "AdmissionController",
-                 "CLAMP_FULL", "CLAMP_NO_SPICE", "CLAMP_BOUND",
-                 "CLAMP_ORDER")
-_JOURNAL_NAMES = ("journal", "RunJournal", "JournalError",
-                  "FingerprintMismatch", "run_fingerprint")
-
-
-def __getattr__(name: str):
-    if name in _LADDER_NAMES:
-        from repro.resilience import ladder
-        return ladder if name == "ladder" else getattr(ladder, name)
-    if name in _CHAOS_NAMES:
-        from repro.resilience import chaos
-        return chaos if name == "chaos" else getattr(chaos, name)
-    if name in _BUDGET_NAMES:
-        from repro.resilience import budget
-        return budget if name == "budget" else getattr(budget, name)
-    if name in _JOURNAL_NAMES:
-        from repro.resilience import journal
-        return journal if name == "journal" else getattr(journal, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

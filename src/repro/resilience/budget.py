@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.obs import inc, set_gauge
 from repro.resilience import faults
@@ -55,9 +55,9 @@ CLAMP_BOUND = "bound"
 CLAMP_ORDER = (CLAMP_FULL, CLAMP_NO_SPICE, CLAMP_BOUND)
 CLAMP_RANK = {level: rank for rank, level in enumerate(CLAMP_ORDER)}
 
-#: Grace defaults: a wave already in flight when the deadline strikes
-#: is allowed to finish inside ``max(MIN_GRACE, GRACE_FRACTION *
-#: deadline)`` unless the budget names an explicit grace.
+#: Grace allowance: a wave already in flight when the deadline strikes
+#: is allowed to finish inside ``max(MIN_GRACE_SECONDS, GRACE_FRACTION
+#: * deadline)``.
 MIN_GRACE_SECONDS = 0.5
 GRACE_FRACTION = 0.1
 
@@ -74,25 +74,18 @@ class RunBudget:
 
     Args:
         deadline: total wall-clock seconds the analysis may spend.
-        grace: seconds the wave in flight at deadline may overrun;
-            defaults to ``max(0.5, 0.1 * deadline)``.
     """
 
     deadline: float
-    grace: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
             raise ValueError(
                 f"deadline must be positive, got {self.deadline}")
-        if self.grace is not None and self.grace <= 0:
-            raise ValueError(
-                f"grace must be positive, got {self.grace}")
 
     @property
     def grace_seconds(self) -> float:
-        if self.grace is not None:
-            return float(self.grace)
+        """Seconds the wave in flight at the deadline may overrun."""
         return max(MIN_GRACE_SECONDS, GRACE_FRACTION * self.deadline)
 
 
@@ -136,8 +129,8 @@ class AdmissionController:
     def level(self) -> str:
         return self._level
 
-    def admit(self, wave: int, stages_remaining: int) -> str:
-        """Clamp level for the next wave dispatch.
+    def admit(self, stages_remaining: int) -> str:
+        """Clamp level for the next stage dispatch.
 
         Projects the cost of the remaining stages from the mean
         completed-stage cost divided by the pool parallelism, and

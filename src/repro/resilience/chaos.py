@@ -490,18 +490,17 @@ _RUNNERS = {
 def _run_store_scenario(plan: FaultPlan, tech, library, graph):
     """Write a store, truncate it per plan, reload and re-analyze."""
     from repro.analysis import StaticTimingAnalyzer
-    from repro.analysis.parallel import ExecutionConfig
+    from repro.analysis.parallel import StageResultCache
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         store = f"{tmp}/stage_cache.json"
         warm = StaticTimingAnalyzer(
-            tech, library=library,
-            execution=ExecutionConfig(cache=True, cache_path=store))
+            tech, library=library, cache=StageResultCache(path=store))
         warm.analyze(graph)
         faults.apply_store_faults(plan, store)
+        # Built after the fault, so its load meets the damaged store.
         cold = StaticTimingAnalyzer(
-            tech, library=library,
-            execution=ExecutionConfig(cache=True, cache_path=store))
+            tech, library=library, cache=StageResultCache(path=store))
         return cold.analyze(graph)
 
 

@@ -272,19 +272,25 @@ def qwm_arc(evaluator: WaveformEvaluator, stage, output: str,
     return None
 
 
+#: The ``spice`` rung's input edge instant [s]: late enough that the
+#: t=0 DC solve settles to the *pre*-transition state.
+SPICE_SETTLE = 5e-12
+#: The ``spice`` rung's step and wall-clock budgets per transient run;
+#: exceeding either raises :class:`TransientBudgetExceeded`.
+SPICE_MAX_STEPS = 50_000
+SPICE_MAX_SECONDS = 10.0
+
+
 def adaptive_spice_arc(analyzer: Any, stage, output: str,
                        out_direction: str, switching_input: str,
                        input_slew: Optional[float] = None,
-                       stats: Optional[SimulationStats] = None,
-                       settle: float = 5e-12,
-                       max_steps: int = 50_000,
-                       max_seconds: float = 10.0
+                       stats: Optional[SimulationStats] = None
                        ) -> Optional[RungArc]:
     """Adaptive-transient evaluation of one stage arc (the ``spice`` rung).
 
     Runs the QWM rung's sensitization sweep on the full stage
-    equations: the input edge is delayed by ``settle`` so the t=0 DC
-    solve settles to the *pre*-transition state, and the delay is
+    equations: the input edge is delayed by :data:`SPICE_SETTLE` so the
+    t=0 DC solve settles to the *pre*-transition state, and the delay is
     measured from the edge's 50% crossing like the QWM path does.
     Returns (delay, output slew) or None when no sensitization
     produces a crossing.
@@ -292,7 +298,7 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     This is both the ladder's ``spice`` rung and the reference solver
     of the shadow-SPICE auditor (:mod:`repro.analysis.audit`), so the
     two share one measurement convention: the adaptive engine, the edge
-    at ``settle``, and the 10-90 % slew scaled by 1/0.8.  The golden
+    at :data:`SPICE_SETTLE`, and the 10-90 % slew scaled by 1/0.8.  The golden
     suite does not use it: :func:`repro.analysis.golden.spice_measure`
     runs the fixed-step 1 ps engine with its own edge time and the raw
     10-90 % slew.  ``analyzer`` is duck-typed like the ladder's: any
@@ -300,11 +306,11 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     """
     vdd = stage.vdd
     source, t_input = input_edge(vdd, out_direction, input_slew,
-                                 t_edge=settle)
+                                 t_edge=SPICE_SETTLE)
     options = AdaptiveOptions(
-        t_stop=settle + analyzer.evaluator.options.t_stop,
-        max_steps=max_steps,
-        max_wall_seconds=max_seconds)
+        t_stop=SPICE_SETTLE + analyzer.evaluator.options.t_stop,
+        max_steps=SPICE_MAX_STEPS,
+        max_wall_seconds=SPICE_MAX_SECONDS)
     simulator = AdaptiveTransientSimulator(stage, analyzer.tech,
                                            options)
     for levels in sensitizations(stage, switching_input, out_direction):

@@ -36,8 +36,9 @@ class TransientOptions:
         method: ``"be"`` (backward Euler) or ``"trap"`` (trapezoidal).
         voltage_dependent_caps: see :class:`StageEquations`.
         newton: Newton-Raphson controls for the per-step solves.
-        dc_init: if True and no explicit initial condition is given,
-            run a DC operating point at t=0 to initialize.
+
+    Without an explicit initial condition the run starts from the DC
+    operating point at t=0.
     """
 
     t_stop: float = 500e-12
@@ -46,7 +47,6 @@ class TransientOptions:
     voltage_dependent_caps: bool = True
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(
         abstol=1e-9, xtol=1e-7, max_iterations=50, max_step=0.5))
-    dc_init: bool = True
 
     def __post_init__(self) -> None:
         if self.t_stop <= 0 or self.dt <= 0:
@@ -80,8 +80,8 @@ class TransientSimulator:
         Args:
             inputs: gate input name -> driving source (or constant level).
             initial: optional node name -> initial voltage [V]; missing
-                nodes are initialized by DC analysis (``dc_init=True``)
-                or a switch-level estimate.
+                nodes take a switch-level estimate.  Without it every
+                node starts at the t=0 DC operating point.
 
         Returns:
             Waveforms for every internal node, with solver statistics.
@@ -182,7 +182,7 @@ class TransientSimulator:
             estimate = logic_initial_condition(self.stage, levels)
             estimate.update(initial)
             return np.array([estimate[name] for name in eq.node_names])
-        if self.options.dc_init and eq.n > 0:
+        if eq.n > 0:
             seed = logic_initial_condition(self.stage, levels)
             guess = np.array([seed[name] for name in eq.node_names])
             return solve_dc(eq, levels, initial_guess=guess)

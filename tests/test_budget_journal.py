@@ -72,13 +72,10 @@ class TestRunBudget:
             RunBudget(deadline=0.0)
         with pytest.raises(ValueError):
             RunBudget(deadline=-1.0)
-        with pytest.raises(ValueError):
-            RunBudget(deadline=10.0, grace=0.0)
 
     def test_grace_defaults(self):
         assert RunBudget(deadline=1.0).grace_seconds == 0.5
         assert RunBudget(deadline=100.0).grace_seconds == 10.0
-        assert RunBudget(deadline=100.0, grace=2.0).grace_seconds == 2.0
 
 
 class TestAdmissionController:
@@ -93,32 +90,32 @@ class TestAdmissionController:
         clock = _FakeClock()
         controller = AdmissionController(RunBudget(10.0), clock=clock)
         # No cost history yet: nothing to project, run at full quality.
-        assert controller.admit(0, 10) == CLAMP_FULL
+        assert controller.admit(10) == CLAMP_FULL
         controller.note_stage_cost(2.0)
         # 5s left, 9 stages x 2s projected: over budget but under the
         # bound-pressure factor -> disable SPICE first.
         clock.now = 5.0
-        assert controller.admit(1, 9) == CLAMP_NO_SPICE
+        assert controller.admit(9) == CLAMP_NO_SPICE
         # 1s left, 16s projected (>4x): only the bound can finish.
         clock.now = 9.0
-        assert controller.admit(2, 8) == CLAMP_BOUND
+        assert controller.admit(8) == CLAMP_BOUND
 
     def test_clamp_is_monotonic_ratchet(self):
         clock = _FakeClock()
         controller = AdmissionController(RunBudget(10.0), clock=clock)
         controller.note_stage_cost(2.0)
         clock.now = 9.0
-        assert controller.admit(0, 8) == CLAMP_BOUND
+        assert controller.admit(8) == CLAMP_BOUND
         # Pressure relaxed (nothing left to project): the clamp must
         # not un-degrade mid-run — quality tags stay honest.
         clock.now = 9.1
-        assert controller.admit(1, 0) == CLAMP_BOUND
+        assert controller.admit(0) == CLAMP_BOUND
 
     def test_past_deadline_is_bound(self):
         clock = _FakeClock()
         controller = AdmissionController(RunBudget(1.0), clock=clock)
         clock.now = 2.0
-        assert controller.admit(0, 5) == CLAMP_BOUND
+        assert controller.admit(5) == CLAMP_BOUND
 
     def test_parallelism_divides_projection(self):
         clock = _FakeClock()
@@ -127,23 +124,22 @@ class TestAdmissionController:
         controller.note_stage_cost(2.0)
         # 8 stages x 2s over 4 workers projects 4s into 5s remaining.
         clock.now = 5.0
-        assert controller.admit(0, 8) == CLAMP_FULL
+        assert controller.admit(8) == CLAMP_FULL
 
     def test_exhaust_fault_forces_bound(self):
         plan = FaultPlan((FaultSpec("deadline_exhaust", nth=1),), seed=0)
         clock = _FakeClock()
         controller = AdmissionController(RunBudget(1000.0), clock=clock)
         with faults.installed(plan):
-            assert controller.admit(0, 5) == CLAMP_BOUND
+            assert controller.admit(5) == CLAMP_BOUND
         assert controller.remaining() == 0.0
 
     def test_summary_shape(self):
         clock = _FakeClock()
-        controller = AdmissionController(RunBudget(10.0, grace=1.0),
-                                         clock=clock)
+        controller = AdmissionController(RunBudget(10.0), clock=clock)
         controller.note_stage_cost(2.0)
         clock.now = 9.0
-        controller.admit(0, 8)
+        controller.admit(8)
         clock.now = 9.5
         summary = controller.summary()
         assert summary["deadline"] == 10.0
@@ -162,8 +158,6 @@ class TestExecutionConfigValidation:
     def test_deadline_and_grace_positive(self):
         with pytest.raises(ValueError):
             ExecutionConfig(deadline=0.0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(deadline=1.0, grace=-1.0)
 
 
 # ----------------------------------------------------------------------

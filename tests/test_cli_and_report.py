@@ -256,9 +256,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags,partner", [
         (["--resume"], "journal"),
-        (["--grace", "1"], "deadline"),
         (["--workers", "0"], "workers"),
-    ], ids=["resume", "grace", "workers-0"])
+    ], ids=["resume", "workers-0"])
     def test_sta_rejects_flag_without_partner(self, flags, partner,
                                               capsys):
         code = main(["sta", "--bits", "2"] + flags)
@@ -275,6 +274,16 @@ class TestCli:
         assert code == 2
         assert len(lines) == 1
         assert lines[0].startswith("error: run journal")
+
+    def test_sta_corners_journal_resumes(self, tmp_path, capsys):
+        """The journal holds the nominal run, so --resume replays it
+        (the corner re-timings neither write nor replay it)."""
+        journal = str(tmp_path / "run.jsonl")
+        args = ["sta", "--bits", "2", "--corners", "--journal", journal]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--resume"]) == 0
+        assert "3 replayed on resume" in capsys.readouterr().out
 
     def test_report_solves_the_arcs_sta_solves(self, capsys):
         import json as json_mod

@@ -140,40 +140,42 @@ class TestSolverRules:
 
 
 class TestPreflightHooks:
-    def test_evaluator_preflight_rejects_broken_stage(self, tech,
-                                                      library):
+    """The check a caller runs before a solve: ``repro.lint.preflight``
+    over the stage (or stage graph) and the solver options."""
+
+    def test_evaluator_preflight_rejects_broken_stage(self, tech):
         from repro.circuit.netlist import LogicStage
-        from repro.core import WaveformEvaluator
-        from repro.lint import PreflightError
+        from repro.lint import PreflightError, preflight
 
         bad = LogicStage("bad", vdd=tech.vdd)
         bad.add_node("orphan")
-        evaluator = WaveformEvaluator(tech, library=library,
-                                      preflight=True)
+        ctx = LintContext.from_stage(bad, tech=tech, options=QWMOptions())
         with pytest.raises(PreflightError) as excinfo:
-            evaluator.evaluate(bad, output="orphan", direction="fall",
-                               inputs={})
+            preflight(ctx, what="stage 'bad'", packs=("erc", "solver"))
         assert "ERC002-dangling-node" in excinfo.value.report.rule_ids
 
     def test_evaluator_preflight_passes_clean_stage(self, tech,
                                                     library):
         from repro.core import WaveformEvaluator
+        from repro.lint import preflight
         from repro.spice import StepSource
 
         stage = builders.nand_gate(tech, 2)
-        evaluator = WaveformEvaluator(tech, library=library,
-                                      preflight=True)
+        evaluator = WaveformEvaluator(tech, library=library)
+        ctx = LintContext.from_stage(stage, tech=tech,
+                                     options=evaluator.options)
+        ctx.grid_step = library.grid_step
+        assert preflight(ctx, packs=("erc", "solver")).ok
         solution = evaluator.evaluate(
             stage, output="out", direction="fall",
             inputs={"a0": StepSource(0.0, tech.vdd, 0.0),
                     "a1": tech.vdd})
         assert solution.delay() > 0
 
-    def test_sta_preflight_rejects_broken_graph(self, tech, library):
-        from repro.analysis.sta import StaticTimingAnalyzer
+    def test_sta_preflight_rejects_broken_graph(self, tech):
         from repro.circuit import extract_stages
         from repro.io import parse_spice_netlist
-        from repro.lint import PreflightError
+        from repro.lint import PreflightError, preflight
 
         deck = """
         .input a
@@ -184,10 +186,12 @@ class TestPreflightHooks:
         """
         graph = extract_stages(
             parse_spice_netlist(deck, tech, name="dangle"), tech=tech)
-        analyzer = StaticTimingAnalyzer(tech, library=library,
-                                        preflight=True)
-        with pytest.raises(PreflightError):
-            analyzer.analyze(graph)
+        ctx = LintContext(graph=graph, stages=list(graph.stages),
+                          tech=tech, options=QWMOptions())
+        with pytest.raises(PreflightError) as excinfo:
+            preflight(ctx, what="stage graph", packs=("erc", "solver"))
+        assert excinfo.value.report.rule_ids == [
+            "ERC003-pole-unreachable", "ERC005-missing-output"]
 
 
 class TestFlightLedgerBudget:

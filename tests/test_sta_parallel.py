@@ -155,7 +155,8 @@ def test_cache_path_persists_results(tech, library, decoder_graph,
     store = str(tmp_path / "stage_cache.json")
     first = StaticTimingAnalyzer(
         tech, library=library,
-        execution=ExecutionConfig(cache=True, cache_path=store))
+        execution=ExecutionConfig(cache=True),
+        cache=StageResultCache(path=store))
     cold = first.analyze(decoder_graph)
     assert cold.stats.steps > 0
 
@@ -167,6 +168,24 @@ def test_cache_path_persists_results(tech, library, decoder_graph,
     warm = second.analyze(decoder_graph)
     assert warm.stats.steps == 0
     assert_same_arrivals(warm, cold)
+
+
+def test_cache_owns_its_store(tech, library, decoder_graph, tmp_path):
+    """A cache with a path is written by every run on it, with no
+    execution config; a fresh analyzer on the store then solves
+    nothing."""
+    store = str(tmp_path / "stage_cache.json")
+    cold_cache = StageResultCache(path=store)
+    StaticTimingAnalyzer(tech, library=library,
+                         cache=cold_cache).analyze(decoder_graph)
+    assert cold_cache.misses > 0
+
+    warm_cache = StageResultCache(path=store)
+    assert len(warm_cache) == len(cold_cache)
+    StaticTimingAnalyzer(tech, library=library,
+                         cache=warm_cache).analyze(decoder_graph)
+    assert warm_cache.misses == 0
+    assert warm_cache.hits == cold_cache.hits + cold_cache.misses
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +295,9 @@ def test_fingerprint_depends_on_solver_context(tech, library):
 # ----------------------------------------------------------------------
 # Cache mechanics.
 # ----------------------------------------------------------------------
-def test_cache_lru_eviction():
-    cache = StageResultCache(max_entries=2)
+def test_cache_lru_eviction(monkeypatch):
+    monkeypatch.setattr(StageResultCache, "MAX_ENTRIES", 2)
+    cache = StageResultCache()
     k1 = arc_cache_key("fp1", "out", "fall", "a", None)
     k2 = arc_cache_key("fp2", "out", "fall", "a", None)
     k3 = arc_cache_key("fp3", "out", "fall", "a", None)
@@ -315,10 +335,6 @@ def test_cache_roundtrip_json(tmp_path):
 def test_execution_config_validation():
     with pytest.raises(ValueError):
         ExecutionConfig(workers=0)
-    with pytest.raises(ValueError, match="grace requires deadline"):
-        ExecutionConfig(grace=1.0)
-    assert ExecutionConfig(cache_path="x.json").wants_cache
-    assert not ExecutionConfig().wants_cache
 
 
 def test_engine_reports_dispatch_waves(tech, library, decoder_graph):
