@@ -172,7 +172,7 @@ def _ncore_bias(v_gate, v_src, v_snk, v_bulk: float):
 
 def _ncore_current(params: MosParams, lref: float, w: float, l: float,
                    v_gate, v_src, v_snk, v_bulk: float) -> np.ndarray:
-    """Array twin of ``_ncore(...).ids`` with the same terminal swap."""
+    """Array twin of ``_ncore(...)[0]`` (ids) with the same terminal swap."""
     forward, vgs, vds, vsb = _ncore_bias(v_gate, v_src, v_snk, v_bulk)
     i = _forward_current(params, lref, w, l, vgs, vds, vsb)
     return np.where(forward, i, -i)
@@ -180,15 +180,19 @@ def _ncore_current(params: MosParams, lref: float, w: float, l: float,
 
 def _ncore_vdsat(params: MosParams, l: float, v_gate, v_src, v_snk,
                  v_bulk: float) -> np.ndarray:
-    """Array twin of ``_ncore(...).vdsat`` with the same terminal swap."""
+    """Array twin of ``_ncore(...)[5]`` (vdsat), same terminal swap."""
     _, vgs, _, vsb = _ncore_bias(v_gate, v_src, v_snk, v_bulk)
     return _forward_vdsat(params, l, vgs, vsb)[1]
 
 
 def _ncore(params: MosParams, lref: float, w: float, l: float,
            v_gate: float, v_src: float, v_snk: float,
-           v_bulk: float) -> MosOperatingPoint:
-    """Evaluate an n-type core in node terms, handling terminal swap."""
+           v_bulk: float) -> tuple:
+    """Evaluate an n-type core in node terms, handling terminal swap.
+
+    Returns the eight :class:`MosOperatingPoint` fields, in field order,
+    as a plain tuple.
+    """
     if v_src >= v_snk:
         # Structural source node is the drain; structural sink is the source.
         vgs = v_gate - v_snk
@@ -197,31 +201,13 @@ def _ncore(params: MosParams, lref: float, w: float, l: float,
         i, gm, gds, gmb, vth, vdsat, saturated = _forward(
             params, lref, w, l, vgs, vds, vsb)
         # v_src only enters vds; v_snk enters vgs (-), vds (-), vsb (+).
-        return MosOperatingPoint(
-            ids=i,
-            g_gate=gm,
-            g_src=gds,
-            g_snk=-gm - gds + gmb,
-            vth=vth,
-            vdsat=vdsat,
-            saturated=saturated,
-            swapped=False,
-        )
+        return i, gm, gds, -gm - gds + gmb, vth, vdsat, saturated, False
     vgs = v_gate - v_src
     vds = v_snk - v_src
     vsb = v_src - v_bulk
     i, gm, gds, gmb, vth, vdsat, saturated = _forward(
         params, lref, w, l, vgs, vds, vsb)
-    return MosOperatingPoint(
-        ids=-i,
-        g_gate=-gm,
-        g_src=gm + gds - gmb,
-        g_snk=-gds,
-        vth=vth,
-        vdsat=vdsat,
-        saturated=saturated,
-        swapped=True,
-    )
+    return -i, -gm, gm + gds - gmb, -gds, vth, vdsat, saturated, True
 
 
 @dataclass(frozen=True)
@@ -256,6 +242,15 @@ class MosfetModel:
             v_src: structural source node voltage [V].
             v_snk: structural sink node voltage [V].
         """
+        return MosOperatingPoint(
+            *self.evaluate_fields(w, l, v_gate, v_src, v_snk))
+
+    def evaluate_fields(self, w: float, l: float, v_gate: float,
+                        v_src: float, v_snk: float) -> tuple:
+        """:meth:`evaluate`'s eight fields, in order, as a plain tuple.
+
+        The stage residual reads this form: it builds no record.
+        """
         if w <= 0 or l <= 0:
             raise ValueError("device geometry must be positive")
         if self.polarity == "n":
@@ -264,23 +259,14 @@ class MosfetModel:
         # PMOS by symmetry: I_p(vg, a, b) = -I_ncore(-vg, -a, -b) with the
         # bulk negated too; node-voltage derivatives carry over unchanged
         # because the two sign flips cancel.
-        op = _ncore(self.params, self.lref, w, l,
-                    -v_gate, -v_src, -v_snk, -self.v_bulk)
-        return MosOperatingPoint(
-            ids=-op.ids,
-            g_gate=op.g_gate,
-            g_src=op.g_src,
-            g_snk=op.g_snk,
-            vth=op.vth,
-            vdsat=op.vdsat,
-            saturated=op.saturated,
-            swapped=op.swapped,
-        )
+        fields = _ncore(self.params, self.lref, w, l,
+                        -v_gate, -v_src, -v_snk, -self.v_bulk)
+        return (-fields[0],) + fields[1:]
 
     def ids(self, w: float, l: float, v_gate: float,
             v_src: float, v_snk: float) -> float:
         """Channel current from the src node to the snk node [A]."""
-        return self.evaluate(w, l, v_gate, v_src, v_snk).ids
+        return self.evaluate_fields(w, l, v_gate, v_src, v_snk)[0]
 
     def ids_array(self, w: float, l: float, v_gate, v_src,
                   v_snk) -> np.ndarray:
@@ -313,7 +299,7 @@ class MosfetModel:
     def vdsat(self, w: float, l: float, v_gate: float,
               v_src: float, v_snk: float) -> float:
         """Saturation voltage at the given bias [V]."""
-        return self.evaluate(w, l, v_gate, v_src, v_snk).vdsat
+        return self.evaluate_fields(w, l, v_gate, v_src, v_snk)[5]
 
     def vdsat_array(self, w: float, l: float, v_gate, v_src,
                     v_snk) -> np.ndarray:

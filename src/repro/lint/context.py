@@ -49,10 +49,6 @@ class LintContext:
             consistency checks).
         options: QWM solver options (duck-typed; anything exposing the
             ``QWMOptions`` attributes works).
-        execution: parallel execution configuration (duck-typed
-            ``repro.analysis.parallel.ExecutionConfig``) when the run
-            goes through the parallel engine; solver-hygiene rules use
-            it to reason about per-worker budgets.
         grid_step: characterization grid pitch hint [V] used by the
             stack-depth preflight when no tables are attached.
         rc_trees: interconnect RC trees to lint.
@@ -72,7 +68,6 @@ class LintContext:
     tables: List[Any] = field(default_factory=list)
     corners: Dict[str, Any] = field(default_factory=dict)
     options: Optional[Any] = None
-    execution: Optional[Any] = None
     grid_step: Optional[float] = None
     rc_trees: List[Any] = field(default_factory=list)
     coupling_caps: List[CouplingCap] = field(default_factory=list)

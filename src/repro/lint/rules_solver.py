@@ -256,39 +256,6 @@ class TelemetryBudgetRule(LintRule):
                      "regions")
 
 
-@register
-class FlightLedgerBudgetRule(LintRule):
-    """Unbounded flight ledgers grow without limit in parallel runs."""
-
-    rule_id = "SOL005"
-    slug = "flight-ledger-budget"
-    pack = "solver"
-    default_severity = Severity.WARNING
-    description = ("An enabled flight view with no event limit "
-                   "accumulates every per-region event of every worker "
-                   "for the whole run.")
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        from repro.obs.frames import ledger
-
-        config = ledger().flight_config
-        if not config.enabled or config.event_limit is not None:
-            return
-        execution = ctx.execution
-        workers = getattr(execution, "workers", 1) if execution else 1
-        if workers <= 1:
-            return
-        yield self.diag(
-            f"flight view enabled with event_limit=None (unbounded) "
-            f"for a parallel run ({workers} workers): every worker's "
-            "per-region events accumulate in memory for the whole "
-            "analysis",
-            _opts_loc("flight.event_limit"),
-            hint="set FlightConfig(event_limit=...) — the default "
-                 "20000 keeps forensics for the most recent solves "
-                 "while bounding memory")
-
-
 # ======================================================================
 # SOL006 — instrumentation inside per-iteration inner loops
 # ======================================================================

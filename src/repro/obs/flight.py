@@ -51,8 +51,7 @@ class FlightConfig:
         enabled: master switch.  When False (the default) every
             instrumentation point is a single attribute check.
         event_limit: maximum retained ledger events; further events are
-            dropped and counted.  ``None`` means unbounded — legal, but
-            the SOL005 lint rule warns about it in parallel runs.
+            dropped and counted.  ``None`` means unbounded.
         capture_bundles: serialize a debug bundle on solve failure or
             when an enclosing frame forces capture (golden band
             violations).

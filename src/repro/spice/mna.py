@@ -165,13 +165,6 @@ class StageEquations:
         floats = np.concatenate([values, self._fixed_cap, guess])
         return structure, floats.tobytes()
 
-    def _voltage(self, v: np.ndarray, index: int) -> float:
-        if index == self.VDD_INDEX:
-            return self.vdd
-        if index == self.GND_INDEX:
-            return 0.0
-        return float(v[index])
-
     # ------------------------------------------------------------------
     def static_residual(self, v: np.ndarray,
                         gate_values: Dict[str, float],
@@ -192,48 +185,53 @@ class StageEquations:
             so the DC and transient solvers add their companion terms
             to them in place.
         """
-        f = np.zeros(self.n)
-        jac = np.zeros((self.n, self.n))
+        n = self.n
+        # Stamps run on Python floats (DESIGN §15); with ground and vdd
+        # appended, the rail indices -2 and -1 read the rails directly.
+        volts = v.tolist()
+        volts += (0.0, self.vdd)
+        f = [0.0] * n
+        jac = [[0.0] * n for _ in range(n)]
 
         for t in self._transistors:
-            vg = gate_values[t.gate]
-            v_src = self._voltage(v, t.src_index)
-            v_snk = self._voltage(v, t.snk_index)
-            op = t.model.evaluate(t.w, t.l, vg, v_src, v_snk)
+            src, snk = t.src_index, t.snk_index
+            ids, _, g_src, g_snk, _, _, _, _ = t.model.evaluate_fields(
+                t.w, t.l, gate_values[t.gate], volts[src], volts[snk])
             self.device_evaluations += 1
             # Current src -> snk leaves the src node and enters the snk.
-            if t.src_index >= 0:
-                f[t.src_index] += op.ids
-                jac[t.src_index, t.src_index] += op.g_src
-                if t.snk_index >= 0:
-                    jac[t.src_index, t.snk_index] += op.g_snk
-            if t.snk_index >= 0:
-                f[t.snk_index] -= op.ids
-                jac[t.snk_index, t.snk_index] -= op.g_snk
-                if t.src_index >= 0:
-                    jac[t.snk_index, t.src_index] -= op.g_src
+            if src >= 0:
+                f[src] += ids
+                jac[src][src] += g_src
+                if snk >= 0:
+                    jac[src][snk] += g_snk
+            if snk >= 0:
+                f[snk] -= ids
+                jac[snk][snk] -= g_snk
+                if src >= 0:
+                    jac[snk][src] -= g_src
 
         for wire in self._wires:
-            v_src = self._voltage(v, wire.src_index)
-            v_snk = self._voltage(v, wire.snk_index)
+            src, snk = wire.src_index, wire.snk_index
             g = 1.0 / wire.resistance
-            current = g * (v_src - v_snk)
-            if wire.src_index >= 0:
-                f[wire.src_index] += current
-                jac[wire.src_index, wire.src_index] += g
-                if wire.snk_index >= 0:
-                    jac[wire.src_index, wire.snk_index] -= g
-            if wire.snk_index >= 0:
-                f[wire.snk_index] -= current
-                jac[wire.snk_index, wire.snk_index] += g
-                if wire.src_index >= 0:
-                    jac[wire.snk_index, wire.src_index] -= g
+            current = g * (volts[src] - volts[snk])
+            if src >= 0:
+                f[src] += current
+                jac[src][src] += g
+                if snk >= 0:
+                    jac[src][snk] -= g
+            if snk >= 0:
+                f[snk] -= current
+                jac[snk][snk] += g
+                if src >= 0:
+                    jac[snk][src] -= g
 
         if gmin > 0.0:
-            f += gmin * v
-            jac[np.diag_indices(self.n)] += gmin
+            for i in range(n):
+                f[i] += gmin * volts[i]
+                jac[i][i] += gmin
 
-        return f, jac
+        # The reshape keeps a stage without internal nodes at (0, 0).
+        return np.array(f), np.array(jac).reshape(n, n)
 
     # ------------------------------------------------------------------
     def node_capacitances(self, v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Tests for the golden analytic MOSFET model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,3 +213,89 @@ def test_vdsat_array_bit_identical_to_scalar(polarity):
 def test_vdsat_array_rejects_bad_geometry(nmos):
     with pytest.raises(ValueError):
         nmos.vdsat_array(W, 0.0, 1.0, np.array([1.0]), np.array([0.0]))
+
+
+#: (polarity, case) -> ((w, l, v_gate, v_src, v_snk), the eight
+#: :class:`MosOperatingPoint` fields), recorded while ``evaluate`` built
+#: its record field by field.  ``_forward`` uses only ``+ - * /`` and
+#: ``math.sqrt``, all correctly rounded, so these hold on any IEEE host.
+PINNED_POINTS = {
+    ("n", "cutoff"): (
+        (1e-06, 3.5e-07, 0.2, 3.3, 0.0),
+        (2.4404168037597553e-11, 1.392110767400615e-10,
+         1.2222454776760044e-12, -1.404333222177375e-10, 0.55,
+         0.0002854523284983479, True, False)),
+    ("n", "triode"): (
+        (1e-06, 3.5e-07, 3.3, 0.2, 0.0),
+        (0.0002346607199574226, 8.854882913735634e-05,
+         0.0009962783407202903, -0.0010848271698576466, 0.55,
+         1.7080704330557726, False, False)),
+    ("n", "saturation"): (
+        (1e-06, 3.5e-07, 2.0, 3.3, 0.0),
+        (0.0003324720131289406, 0.0003600875674583993,
+         1.6651352911299197e-05, -0.00037673892036969853, 0.55,
+         1.0536081786350244, True, False)),
+    ("n", "vds0"): (
+        (1e-06, 3.5e-07, 3.3, 1.5, 1.5),
+        (0.0, 0.0, 0.00043754903189702774, -0.00043754903189702774,
+         0.9250162091133332, 0.7000653748451153, False, False)),
+    ("n", "swapped"): (
+        (1e-06, 3.5e-07, 2.5, 0.5, 2.0),
+        (-0.0002545067082601959, -0.00031158259568304523,
+         0.0004080782004114486, -1.4009543573955738e-05,
+         0.7000953513162289, 0.9664210115664131, True, True)),
+    ("n", "vsb"): (
+        (2e-06, 7e-07, 3.3, 3.3, 1.0),
+        (0.000394743677017334, 0.00045296225480459155,
+         1.1077932937811056e-05, -0.0005647879830467028,
+         0.8209646636137434, 1.2153426368894797, True, False)),
+    ("p", "cutoff"): (
+        (2e-06, 3.5e-07, 3.3, 3.3, 0.0),
+        (5.393738662568665e-12, -1.6588025401298443e-11,
+         1.6993569661641952e-11, -4.055442603435087e-13, 0.65,
+         0.00015380750475829652, True, True)),
+    ("p", "triode"): (
+        (2e-06, 3.5e-07, 0.0, 3.3, 3.1),
+        (0.00017181171677182772, -6.737518739748304e-05,
+         0.0008780648981739429, -0.0008106897107764599, 0.65,
+         2.19230449664437, False, True)),
+    ("p", "saturation"): (
+        (2e-06, 3.5e-07, 1.3, 0.0, 3.3),
+        (-0.0003341000280646978, 0.00044854280021474545,
+         2.5120302862007354e-05, -0.0004736631030767528, 0.65,
+         1.2105168318878352, True, False)),
+    ("p", "vds0"): (
+        (2e-06, 3.5e-07, 0.0, 1.5, 1.5),
+        (-0.0, 0.0, 0.0001893906892313287, -0.0001893906892313287,
+         0.9477915214200456, 0.5260358255216395, False, False)),
+    ("p", "swapped"): (
+        (2e-06, 3.5e-07, 0.0, 3.3, 0.3),
+        (0.0010710957784815882, -0.0006892918015891573,
+         0.0007716837845492795, -8.239198296012217e-05, 0.65,
+         2.19230449664437, True, True)),
+    ("p", "vsb"): (
+        (4e-06, 7e-07, 0.0, 0.5, 2.0),
+        (-0.00020904186096004618, 0.00035636865257500204,
+         9.722877253955638e-06, -0.00041648966799657703,
+         0.8810214143356078, 1.0650519609991607, True, False)),
+}
+
+
+@pytest.mark.parametrize("polarity,case", sorted(PINNED_POINTS))
+def test_evaluate_is_pinned(polarity, case):
+    model = nmos_model(TECH) if polarity == "n" else pmos_model(TECH)
+    bias, expected = PINNED_POINTS[(polarity, case)]
+    fields = dataclasses.astuple(model.evaluate(*bias))
+    # repr round-trips a float exactly and keeps the sign of zero.
+    assert repr(fields) == repr(expected)
+    assert model.evaluate_fields(*bias) == fields
+    assert model.ids(*bias) == fields[0]
+    assert model.vdsat(*bias) == fields[5]
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+def test_pinned_points_cover_every_branch(polarity):
+    flags = [fields[6:] for (pol, _), (_, fields) in PINNED_POINTS.items()
+             if pol == polarity]
+    assert {saturated for saturated, _ in flags} == {True, False}
+    assert {swapped for _, swapped in flags} == {True, False}

@@ -119,7 +119,7 @@ def test_json_golden(tmp_path, capsys):
             },
         ],
         "summary": {"errors": 3, "warnings": 1, "infos": 0,
-                    "rules_checked": 32},
+                    "rules_checked": 31},
     }
 
 

@@ -194,64 +194,6 @@ class TestPreflightHooks:
             "ERC003-pole-unreachable", "ERC005-missing-output"]
 
 
-class TestFlightLedgerBudget:
-    """SOL005: unbounded flight ledger in a parallel run."""
-
-    def _parallel_ctx(self):
-        return LintContext(
-            options=QWMOptions(),
-            execution=SimpleNamespace(workers=4))
-
-    def test_warns_on_unbounded_parallel_capture(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
-
-        configure_flight(FlightConfig(enabled=True, event_limit=None))
-        try:
-            report = solver_report(self._parallel_ctx())
-        finally:
-            disable_flight()
-        (diag,) = [d for d in report
-                   if d.rule == "SOL005-flight-ledger-budget"]
-        assert diag.severity.value == "warning"
-        assert diag.location.element == "flight.event_limit"
-        assert "unbounded" in diag.message
-
-    def test_quiet_when_ledger_bounded(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
-
-        configure_flight(FlightConfig(enabled=True, event_limit=5000))
-        try:
-            report = solver_report(self._parallel_ctx())
-        finally:
-            disable_flight()
-        assert not any(d.rule == "SOL005-flight-ledger-budget"
-                       for d in report)
-
-    def test_quiet_for_serial_run(self):
-        from repro.obs import FlightConfig, configure_flight, \
-            disable_flight
-
-        configure_flight(FlightConfig(enabled=True, event_limit=None))
-        try:
-            # No execution config at all, and an explicit serial one.
-            bare = solver_report(LintContext(options=QWMOptions()))
-            serial = solver_report(LintContext(
-                options=QWMOptions(),
-                execution=SimpleNamespace(workers=1)))
-        finally:
-            disable_flight()
-        for report in (bare, serial):
-            assert not any(d.rule == "SOL005-flight-ledger-budget"
-                           for d in report)
-
-    def test_quiet_when_flight_disabled(self):
-        report = solver_report(self._parallel_ctx())
-        assert not any(d.rule == "SOL005-flight-ledger-budget"
-                       for d in report)
-
-
 # ---------------------------------------------------------------------------
 # SOL006 — instrumentation in per-iteration inner loops
 # ---------------------------------------------------------------------------
