@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import compare_delays
-from repro.analysis.parallel import canonical_form_for
+from repro.analysis.parallel import canonical_form_for, solver_context
 from repro.analysis.sta import (ArrivalTime, Event, StaResult,
                                 StaticTimingAnalyzer)
 from repro.circuit.stage import StageGraph
@@ -52,7 +52,7 @@ from repro.obs.accuracy import (
     capture_regions,
     slew_token,
 )
-from repro.resilience.ladder import adaptive_spice_arc
+from repro.resilience.ladder import ArcSolveError, adaptive_spice_arc
 from repro.spice.results import SimulationStats
 
 __all__ = [
@@ -97,6 +97,7 @@ def collect_candidates(graph: StageGraph,
     default_slew = (analyzer.input_slew if analyzer.propagate_slews
                     else None)
     forms: Dict[str, str] = {}
+    context = solver_context(analyzer)
     samples: List[ArcSample] = []
     for stage in sorted(graph.stages, key=lambda s: s.name):
         for node in stage.outputs:
@@ -111,7 +112,7 @@ def collect_candidates(graph: StageGraph,
                             input_slew = src.slew or default_slew
                     if stage.name not in forms:
                         forms[stage.name] = canonical_form_for(
-                            stage, analyzer).fingerprint
+                            stage, analyzer, context).fingerprint
                     samples.append(ArcSample(
                         stage=stage.name, output=node.name,
                         direction=direction,
@@ -182,9 +183,11 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample
     StaticTimingAnalyzer.stage_arc` (so escalation-ladder behavior and
     the arc's quality rung are preserved) under an armed region
     capture; the reference side is :func:`repro.resilience.ladder.
-    adaptive_spice_arc`.  Odd arcs degrade to non-ok statuses.  The
-    acceptance band is the golden suite's delay band, so "audit
-    violation" and "golden violation" mean one thing.
+    adaptive_spice_arc`.  Odd arcs degrade to non-ok statuses: a
+    reference transition that never crosses mid-rail reads
+    ``no-crossing``, as a missing one does.  The acceptance band is
+    the golden suite's delay band, so "audit violation" and "golden
+    violation" mean one thing.
     """
     # Imported here so that a run without an audit never loads the
     # golden suite.
@@ -200,10 +203,13 @@ def audit_arc(analyzer: StaticTimingAnalyzer, stage, sample: ArcSample
     qwm_slew = arc[1] if arc is not None else None
     quality = arc[2] if arc is not None else None
     ref_stats = SimulationStats()
-    reference = adaptive_spice_arc(
-        analyzer, stage, sample.output, sample.direction,
-        sample.switching_input, input_slew=sample.input_slew,
-        stats=ref_stats)
+    try:
+        reference = adaptive_spice_arc(
+            analyzer, stage, sample.output, sample.direction,
+            sample.switching_input, input_slew=sample.input_slew,
+            stats=ref_stats)
+    except ArcSolveError:
+        reference = None
     ref_delay = reference[0] if reference is not None else None
     ref_slew = reference[1] if reference is not None else None
     delay_cmp = compare_delays(qwm_delay, ref_delay)

@@ -251,13 +251,25 @@ def stage_fingerprint(stage: LogicStage, analyzer: StaticTimingAnalyzer
     return canonical_form_for(stage, analyzer).fingerprint
 
 
+def solver_context(analyzer: StaticTimingAnalyzer) -> Tuple:
+    """The analyzer's part of every stage fingerprint: the technology
+    and QWM options as their reprs, and the table grid step."""
+    return (repr(analyzer.tech),
+            repr(analyzer.evaluator.options),
+            getattr(analyzer.evaluator.library, "grid_step", None))
+
+
 def canonical_form_for(stage: LogicStage,
-                       analyzer: StaticTimingAnalyzer) -> CanonicalForm:
-    """The stage's :class:`CanonicalForm` under an analyzer's context."""
-    context = (repr(analyzer.tech),
-               repr(analyzer.evaluator.options),
-               getattr(analyzer.evaluator.library, "grid_step", None))
-    return canonical_stage_form(stage, context=context)
+                       analyzer: StaticTimingAnalyzer,
+                       context: Optional[Tuple] = None) -> CanonicalForm:
+    """The stage's :class:`CanonicalForm` under an analyzer's context.
+
+    ``context`` is :func:`solver_context` of ``analyzer``: a caller
+    that canonicalizes many stages computes it once and passes it.
+    """
+    return canonical_stage_form(
+        stage, context=(solver_context(analyzer) if context is None
+                        else context))
 
 
 def arc_cache_key(fingerprint: str, output: str, direction: str,
@@ -677,8 +689,10 @@ class ParallelStaEngine:
             set_gauge("sta.parallel.waves", max(waves.values()) + 1)
 
         forms: Dict[str, Optional[CanonicalForm]] = {}
+        context = solver_context(analyzer)
         for stage in order:
-            forms[stage.name] = (canonical_form_for(stage, analyzer)
+            forms[stage.name] = (canonical_form_for(stage, analyzer,
+                                                    context)
                                  if self.cache is not None else None)
 
         controller: Optional[AdmissionController] = None

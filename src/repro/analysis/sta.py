@@ -88,8 +88,10 @@ class StaResult:
         worst: the latest arrival over all primary-output events.
         critical_path: chain of (net, direction) events ending at the
             worst arrival, primary input first.
-        stats: QWM cost aggregated over every arc evaluation of the run
-            (including sensitizations that were tried and rejected).
+        stats: QWM cost aggregated over every arc evaluation of the run:
+            every solved sensitization, including those then rejected;
+            an assignment the switch-level screen rules out is never
+            solved and costs nothing.
         audit: shadow-SPICE audit report (``repro-accuracy-audit/1``
             JSON) when the run was audited, else None.
         partial: True when the run was interrupted (SIGINT/SIGTERM)

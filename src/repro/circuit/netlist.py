@@ -9,7 +9,7 @@ carry a gate input signal, and a subset of nodes are stage outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.circuit.elements import DeviceKind
 
@@ -85,6 +85,22 @@ class CircuitEdge:
         if node is self.snk:
             return self.src
         raise ValueError(f"node {node.name!r} is not a terminal of {self.name!r}")
+
+    def conducts(self, levels: Mapping[str, float], vdd: float) -> bool:
+        """Switch-level conduction at static gate ``levels`` [V].
+
+        The one conduction rule of the package: a wire always conducts,
+        an NMOS with its gate above mid-rail, a PMOS with its gate
+        below.  A transistor whose gate has no level is off.
+        """
+        if self.kind is DeviceKind.WIRE:
+            return True
+        gate_v = levels.get(self.gate_input) if self.gate_input else None
+        if gate_v is None:
+            return False
+        if self.kind is DeviceKind.NMOS:
+            return gate_v > 0.5 * vdd
+        return gate_v < 0.5 * vdd
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         gate = f", gate={self.gate_input!r}" if self.gate_input else ""

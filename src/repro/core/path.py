@@ -276,17 +276,11 @@ def _final_level(source_like, t_probe: float) -> float:
     return float(source_like)
 
 
-def _is_on(edge: CircuitEdge, gate_v: float, vdd: float) -> bool:
-    if edge.kind is DeviceKind.NMOS:
-        return gate_v > 0.5 * vdd
-    if edge.kind is DeviceKind.PMOS:
-        return gate_v < 0.5 * vdd
-    return True
-
-
-def _trace(stage: LogicStage, start: CircuitNode, goal: CircuitNode,
-           usable) -> Optional[List[Tuple[CircuitEdge, CircuitNode]]]:
-    """BFS from ``start`` to ``goal``; returns [(edge, next_node), ...]."""
+def conducting_path(stage: LogicStage, start: CircuitNode,
+                    goal: CircuitNode, usable
+                    ) -> Optional[List[Tuple[CircuitEdge, CircuitNode]]]:
+    """BFS from ``start`` to ``goal`` over the edges ``usable`` accepts,
+    never through a rail; returns [(edge, next_node), ...] or None."""
     from collections import deque
 
     queue = deque([start])
@@ -346,6 +340,25 @@ def _node_capacitance(node: CircuitNode, library: TableModelLibrary,
     return fixed, junctions, couplings
 
 
+def pull_hops(stage: LogicStage, output: str, direction: str,
+              levels: Dict[str, float]
+              ) -> List[Tuple[CircuitEdge, CircuitNode]]:
+    """The conducting hops from the pulling rail to ``output`` at static
+    gate ``levels``, rail side first.
+
+    Raises:
+        NoConductingPath: if no conducting path reaches the rail.
+    """
+    rail = stage.sink if direction == "fall" else stage.source
+    hops = conducting_path(stage, rail, stage.node(output),
+                           lambda edge: edge.conducts(levels, stage.vdd))
+    if hops is None:
+        raise NoConductingPath(
+            f"no conducting {direction} path from {output!r} to "
+            f"{rail.name!r} at the given input levels")
+    return hops
+
+
 def extract_path(stage: LogicStage, output: str, direction: str,
                  input_levels: Dict[str, object],
                  library: TableModelLibrary,
@@ -377,19 +390,12 @@ def extract_path(stage: LogicStage, output: str, direction: str,
     levels = {name: _final_level(src, t_final)
               for name, src in input_levels.items()}
 
+    hops = pull_hops(stage, output, direction, levels)
+
     def usable(edge: CircuitEdge) -> bool:
-        if edge.kind is DeviceKind.WIRE:
-            return True
-        if edge.gate_input not in levels:
-            return False
-        return _is_on(edge, levels[edge.gate_input], stage.vdd)
+        return edge.conducts(levels, stage.vdd)
 
     out_node = stage.node(output)
-    hops = _trace(stage, rail, out_node, usable)
-    if hops is None:
-        raise NoConductingPath(
-            f"no conducting {direction} path from {output!r} to "
-            f"{rail.name!r} at the given input levels")
 
     # Collapse consecutive wire edges into pi macromodels.
     devices: List[PathDevice] = []

@@ -61,10 +61,12 @@ def run_fingerprint(graph, analyzer,
     propagation settings.  Floats are folded in via ``repr`` so the
     fingerprint is exact, not approximate.
     """
-    from repro.analysis.parallel import stage_fingerprint
+    from repro.analysis.parallel import canonical_form_for, solver_context
 
+    context = solver_context(analyzer)
     stages = sorted(
-        (stage.name, stage_fingerprint(stage, analyzer))
+        (stage.name,
+         canonical_form_for(stage, analyzer, context).fingerprint)
         for stage in graph.stages)
     seeds = sorted(
         (str(net), str(direction), repr(float(value)))

@@ -37,20 +37,23 @@ inventing a delay.  Only genuine solver failures — listed in
 
 Every rung times the same arc, stated once here: the switching input's
 edge (:func:`input_edge`), the side-input assignments tried in order
-(:func:`sensitizations`) and the test that an assignment really
-switches the output (:func:`is_transition`).
+(:func:`sensitizations`), the switch-level screen that rules out an
+assignment before it is solved (:func:`can_switch`) and the test that
+a solved assignment really switches the output (:func:`is_transition`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from itertools import product
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.circuit.elements import DeviceKind
 from repro.core.engine import WaveformEvaluator
-from repro.core.path import NoConductingPath
+from repro.core.path import NoConductingPath, conducting_path, pull_hops
 from repro.core.qwm import QWMOptions
 from repro.linalg.newton import NewtonConvergenceError
 from repro.obs import count, frame, inc, ledger
@@ -74,7 +77,7 @@ __all__ = [
     "QUALITY_QWM", "QUALITY_RETRY", "QUALITY_SPICE", "QUALITY_BOUNDED",
     "QUALITY_ORDER", "QUALITY_RANK", "merge_quality",
     "ArcSolveError", "EscalationLadder",
-    "input_edge", "sensitizations", "is_transition",
+    "input_edge", "sensitizations", "can_switch", "is_transition",
     "qwm_arc", "adaptive_spice_arc", "perturbed_options",
 ]
 
@@ -110,12 +113,12 @@ def merge_quality(*qualities: Optional[str]) -> Optional[str]:
 
 
 class ArcSolveError(RuntimeError):
-    """A QWM stage-arc solve failed to produce a usable transition.
+    """A stage-arc solve failed to produce a usable transition.
 
-    Raised when the region schedule aborted early enough that the
-    accepted waveform never crosses mid-rail (``delay() is None`` on a
-    genuine transition) — the QWM failure mode that historically
-    surfaced as a silent ``None`` arc.
+    Raised when a rung found a genuine transition whose waveform never
+    crosses mid-rail: a QWM region schedule that aborted early, or an
+    output too slow to cross inside the time window — failure modes
+    that historically surfaced as a silent ``None`` arc.
     """
 
 
@@ -182,9 +185,10 @@ def sensitizations(stage, switching_input: str, out_direction: str
     NAND's rise arc needs the other inputs HIGH to block the parallel
     pull-ups, and a pass gate must be at its conducting level for
     either edge), so the base is followed by single flips, then the
-    remaining combinations by popcount.  The caller keeps the first
-    assignment that both extracts a conducting path and passes
-    :func:`is_transition`.  Bounded to 16 assignments.
+    remaining combinations by popcount.  The caller skips what
+    :func:`can_switch` rules out and keeps the first assignment that
+    both extracts a conducting path and passes :func:`is_transition`.
+    Bounded to 16 assignments.
     """
     others = [n for n in stage.inputs if n != switching_input]
     held = stage.vdd if out_direction == "fall" else 0.0
@@ -194,6 +198,37 @@ def sensitizations(stage, switching_input: str, out_direction: str
     for combo in combos[:16]:
         yield {n: (flipped if flip else held)
                for n, flip in zip(others, combo)}
+
+
+def can_switch(stage, output: str, out_direction: str,
+               switching_input: str, levels: Dict[str, float]) -> bool:
+    """Whether the side-input assignment ``levels`` can switch the
+    output at all: a switch-level screen, asked before any solve.
+
+    With the switching input at its level before the edge, an output
+    that the edge's final rail already holds through a full-strength
+    path (PMOS and wires to the supply for a rise, NMOS and wires to
+    ground for a fall), and that no conducting element joins to the
+    other rail, starts at its final value: the solved pre-state would
+    fail :func:`is_transition`, so this returns False.  Every other
+    output stays a candidate -- contested, floating, or held only
+    through a threshold-degrading device.  The screen never accepts on
+    its own: :class:`NoConductingPath` and :func:`is_transition` judge
+    every assignment it lets through.
+    """
+    vdd = stage.vdd
+    edge, _ = input_edge(vdd, out_direction)
+    gates = {**levels, switching_input: edge.value(-math.inf)}
+    if out_direction == "rise":
+        final, other, weak = stage.source, stage.sink, DeviceKind.NMOS
+    else:
+        final, other, weak = stage.sink, stage.source, DeviceKind.PMOS
+    out = stage.node(output)
+    held = conducting_path(
+        stage, final, out,
+        lambda e: e.kind is not weak and e.conducts(gates, vdd))
+    return held is None or conducting_path(
+        stage, other, out, lambda e: e.conducts(gates, vdd)) is not None
 
 
 def is_transition(v_start: float, out_direction: str, vdd: float) -> bool:
@@ -234,12 +269,17 @@ def qwm_arc(evaluator: WaveformEvaluator, stage, output: str,
     was found but whose accepted waveform never crosses mid-rail — the
     signature of a region-schedule failure — raises
     :class:`ArcSolveError` so the ladder can tell "solver failed" from
-    "no such arc".  ``stats`` receives the cost of every solve,
-    including sensitizations that are then rejected.
+    "no such arc".  ``stats`` receives the cost of every solved
+    assignment, including those that :func:`is_transition` then
+    rejects; an assignment :func:`can_switch` rules out is never
+    solved and costs nothing.
     """
     vdd = stage.vdd
     source, t_input = input_edge(vdd, out_direction, input_slew)
     for levels in sensitizations(stage, switching_input, out_direction):
+        if not can_switch(stage, output, out_direction, switching_input,
+                          levels):
+            continue
         try:
             solution = evaluator.evaluate(
                 stage, output, out_direction,
@@ -292,8 +332,15 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     equations: the input edge is delayed by :data:`SPICE_SETTLE` so the
     t=0 DC solve settles to the *pre*-transition state, and the delay is
     measured from the edge's 50% crossing like the QWM path does.
-    Returns (delay, output slew) or None when no sensitization
-    produces a crossing.
+    Returns (delay, output slew), or None when no sensitization
+    produces a genuine transition: an assignment is skipped when
+    :func:`can_switch` rules it out, when no conducting path joins the
+    output to its final rail once the edge has switched (the QWM
+    rungs' :class:`NoConductingPath`), or when its pre-state fails
+    :func:`is_transition`.  A genuine transition whose output does not
+    cross mid-rail inside the window raises :class:`ArcSolveError`, as
+    in the QWM rungs, so the ladder escalates it to the bound instead
+    of reading "no such arc".
 
     This is both the ladder's ``spice`` rung and the reference solver
     of the shadow-SPICE auditor (:mod:`repro.analysis.audit`), so the
@@ -314,6 +361,15 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
     simulator = AdaptiveTransientSimulator(stage, analyzer.tech,
                                            options)
     for levels in sensitizations(stage, switching_input, out_direction):
+        if not can_switch(stage, output, out_direction, switching_input,
+                          levels):
+            continue
+        try:
+            # The QWM rungs' path extraction makes this check.
+            pull_hops(stage, output, out_direction,
+                      {**levels, switching_input: source.value(math.inf)})
+        except NoConductingPath:
+            continue
         result = simulator.run(
             _sensitized_inputs(source, switching_input, levels))
         if stats is not None:
@@ -324,7 +380,10 @@ def adaptive_spice_arc(analyzer: Any, stage, output: str,
         delay = result.delay_50(output, vdd, t_input=t_input,
                                 direction=out_direction)
         if delay is None:
-            continue
+            raise ArcSolveError(
+                f"adaptive transient of {stage.name}:{output} "
+                f"{out_direction} via {switching_input} found a "
+                f"transition that never crosses mid-rail")
         slew_1090 = result.slew(output, vdd, out_direction)
         # 10–90% measurement scaled to the full-swing-equivalent
         # ramp time the QWM tangent-ramp slews report.

@@ -131,12 +131,14 @@ def logic_initial_condition(stage: LogicStage,
                             ) -> Dict[str, float]:
     """Switch-level estimate of the node voltages for given input levels.
 
-    Propagates strong rail connections through conducting transistors
-    (NMOS on when its gate is above mid-rail, PMOS below) and through
-    wires.  Nodes reachable from ground get 0; nodes reachable from the
-    supply only through NMOS get the threshold-degraded level
-    ``vdd - vth``; through PMOS, full ``vdd``.  Unreachable (floating)
-    nodes get ``default`` (mid-rail if omitted).
+    Propagates strong rail connections through conducting elements
+    (:meth:`~repro.circuit.netlist.CircuitEdge.conducts`).  Nodes
+    reachable from ground get 0; nodes reachable from the supply only
+    through NMOS get the threshold-degraded level ``vdd - vth``;
+    through PMOS, full ``vdd``.  Unreachable (floating) nodes get
+    ``default`` (mid-rail if omitted).  A fight between the rails
+    resolves to ground, so the value is a DC seed, not a logic
+    verdict.
 
     This is the seed a transient run uses before an exact DC solve, and
     doubles as a tiny switch-level simulator for tests.
@@ -145,15 +147,6 @@ def logic_initial_condition(stage: LogicStage,
     default = 0.5 * vdd if default is None else default
     levels = {name: as_source(src).value(0.0) for name, src in
               input_levels.items()}
-
-    def is_on(edge) -> bool:
-        gate_v = levels[edge.gate_input]
-        if edge.kind is DeviceKind.NMOS:
-            return gate_v > 0.5 * vdd
-        return gate_v < 0.5 * vdd
-
-    def conducting(edge) -> bool:
-        return edge.kind is DeviceKind.WIRE or is_on(edge)
 
     # BFS from each pole over conducting elements.
     values: Dict[str, float] = {}
@@ -171,7 +164,7 @@ def logic_initial_condition(stage: LogicStage,
                 if prev is None or (value == 0.0):
                     values[node.name] = val if prev is None else min(prev, val)
             for edge in node.edges:
-                if not conducting(edge):
+                if not edge.conducts(levels, vdd):
                     continue
                 nxt = edge.other(node)
                 if nxt is stage.source or nxt is stage.sink:

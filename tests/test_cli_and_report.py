@@ -294,8 +294,10 @@ class TestCli:
             == 167.15
         assert document["worst_event"] == ["w0", "rise"]
         summary = document["summary"]
+        # The switch-level screen rules out the base assignment of
+        # both NAND2 rise arcs, which is then never solved.
         assert (summary["solves"], summary["regions_solved"],
-                summary["events"]) == (10, 100, 250)
+                summary["events"]) == (8, 97, 240)
         cache = summary["cache_attribution"]
         assert (cache["attributed_arcs"], cache["total_hits"]) == (8, 20)
 
